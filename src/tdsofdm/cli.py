@@ -5,11 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .harness import ConfigError, resolve_config, run, run_trial
+from .harness import ConfigError, csv_text, guard_interval, resolve_config, run, run_trial, trial_rng
 from .refiners import ConstraintError
-from .sequences import build_gi, generate_mseq
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,15 +68,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(_gather_overrides(args))
     rows = run(cfg)
     if not cfg.out:
-        from .harness import CSV_HEADER
-
-        print(CSV_HEADER)
-        for r in rows:
-            print(
-                f"{r.snr_db:g},{r.estimator},{r.iteration},"
-                f"{r.mse_empirical:.10e},{r.eps_analytic:.10e},{r.ber_uncoded:.10e},"
-                f"{r.trials},{r.wall_time_s:.1f}"
-            )
+        print(csv_text(rows), end="")
     else:
         print(f"wrote {len(rows)} rows to {cfg.out}")
     return EXIT_OK
@@ -91,18 +80,7 @@ def _cmd_trial(args: argparse.Namespace) -> int:
     cfg = resolve_config(overrides)
     snr = cfg.snr_db[0]
     profile = cfg.profile()
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gi = build_gi(
-            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
-            cfg.gi_len,
-            cfg.pn_power_boost,
-            expected_cir_len=profile.length,
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
-    res = run_trial(cfg, gi, profile, snr, rng)
+    res = run_trial(cfg, guard_interval(cfg, profile), profile, snr, trial_rng(cfg, 0, 0))
 
     print(f"preset={cfg.preset} channel={cfg.channel} estimator={cfg.estimator} snr_db={snr:g}")
     print(f"fft_size={cfg.fft_size} gi_len={cfg.gi_len} cir_len={cfg.cir_len} seed={cfg.seed}")

@@ -16,7 +16,6 @@ from .pn_estimator import (
     mean_interference_power,
 )
 from .refiners import (
-    VirtualPilotPlan,
     build_wiener,
     ma_1d,
     ma_2d,
@@ -28,48 +27,6 @@ from .sequences import PnSequence
 from .soft_rebuild import InstantEstimate, demap, instantaneous_estimate, soft_symbols
 
 REFINERS = ("ma1d", "ma2d", "wiener1d", "wiener2x1d")
-
-# Prebuilt Wiener filters keyed by their full design tuple; error variances
-# are quantized before keying AND before building, so a cache hit and a
-# rebuild give bit-identical filters regardless of scheduling.
-_FILTER_CACHE: dict[tuple, object] = {}
-
-
-def _quantize(v: float) -> float:
-    return 0.0 if v == 0.0 else float(f"{v:.3g}")
-
-
-def _freq_filter(
-    plan: VirtualPilotPlan,
-    profile: PowerDelayProfile | None,
-    design_len: int,
-    input_err_var: float,
-):
-    err = _quantize(input_err_var)
-    if profile is not None:
-        corr_key = ("profile", tuple(profile.delays.tolist()), tuple(profile.powers.tolist()))
-    else:
-        corr_key = ("uniform", design_len)
-    key = ("freq", plan.n_fft, plan.l_f, corr_key, err)
-    filt = _FILTER_CACHE.get(key)
-    if filt is None:
-        filt = build_wiener(
-            "freq", plan, input_err_var=err, profile=profile, design_len=design_len
-        )
-        _FILTER_CACHE[key] = filt
-    return filt
-
-
-def _time_filter(plan: VirtualPilotPlan, fd_tb: float, input_err_var: float):
-    err = _quantize(input_err_var)
-    fdq = _quantize(fd_tb)
-    key = ("time", plan.block_len, plan.l_t, fdq, err)
-    filt = _FILTER_CACHE.get(key)
-    if filt is None:
-        filt = build_wiener("time", plan, input_err_var=err, fd_hz=fdq, tb_s=1.0)
-        _FILTER_CACHE[key] = filt
-    return filt
-
 
 @dataclass(frozen=True)
 class ReceiverParams:
@@ -179,7 +136,9 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
                 source="data_aided",
                 mask=np.zeros(inst.values.shape, dtype=bool),
             )
-        filt = _freq_filter(plan, params.corr_profile, design_len, in_var)
+        filt = build_wiener(
+            "freq", plan, input_err_var=in_var, profile=params.corr_profile, design_len=design_len
+        )
         values = wiener_1d(pv, filt, pm)
         mask = np.broadcast_to(pm.any(axis=-1)[:, None], values.shape)
         return CfrEstimate(values=values, eps=filt.residual_mse, source="data_aided", mask=mask)
@@ -188,7 +147,6 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
         b = params.block_len or s
         if s % b:
             raise ValueError(f"block_len {b} does not divide {s} symbols")
-        fd_tb = params.fd_hz * params.tb_s
         plan = plan_pilots(n_fft, plan_len, b, params.fd_hz, params.tb_s, params.m_f, params.m_t)
         out = np.zeros_like(inst.values)
         mask = np.zeros(inst.values.shape, dtype=bool)
@@ -210,8 +168,12 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
             if not np.isfinite(in_var):
                 eps_parts.append(float("inf"))
                 continue
-            ff = _freq_filter(plan, params.corr_profile, design_len, in_var)
-            tf = _time_filter(plan, fd_tb, ff.residual_mse)
+            ff = build_wiener(
+                "freq", plan, input_err_var=in_var, profile=params.corr_profile, design_len=design_len
+            )
+            tf = build_wiener(
+                "time", plan, input_err_var=ff.residual_mse, fd_hz=params.fd_hz, tb_s=params.tb_s
+            )
             out[sl] = wiener_2x1d(pv, ff, tf, pm)
             mask[sl] = True
             eps_parts.append(tf.residual_mse)

@@ -283,6 +283,29 @@ def _receiver_params(
     )
 
 
+def guard_interval(cfg: SimConfig, profile: PowerDelayProfile):
+    """Build the configured PN guard interval for a profile.length-tap channel.
+
+    Only build_gi's guard-extension warning is silenced: presets with a
+    deliberately short extension would raise it on every sweep.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="guard extension", category=UserWarning)
+        return build_gi(
+            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
+            cfg.gi_len,
+            cfg.pn_power_boost,
+            expected_cir_len=profile.length,
+        )
+
+
+def trial_rng(cfg: SimConfig, snr_idx: int, trial_idx: int) -> np.random.Generator:
+    """The generator of one (snr, trial) shard, independent of scheduling."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(snr_idx, trial_idx))
+    )
+
+
 def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng: np.random.Generator) -> dict:
     """One Monte-Carlo trial at one SNR: returns per-iteration metrics.
 
@@ -330,15 +353,7 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     results do not depend on the thread count.
     """
     profile = cfg.profile()
-    # presets with a deliberately short guard extension would warn every sweep
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gi = build_gi(
-            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
-            cfg.gi_len,
-            cfg.pn_power_boost,
-            expected_cir_len=profile.length,
-        )
+    gi = guard_interval(cfg, profile)
 
     t0 = time.monotonic()
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
@@ -346,8 +361,7 @@ def run(cfg: SimConfig, keep_trials: bool = False):
 
     def work(item):
         si, ti = item
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, ti)))
-        results[si][ti] = run_trial(cfg, gi, profile, cfg.snr_db[si], rng)
+        results[si][ti] = run_trial(cfg, gi, profile, cfg.snr_db[si], trial_rng(cfg, si, ti))
 
     items = [(si, ti) for si in range(n_snr) for ti in range(n_tr)]
     if cfg.threads > 1:
@@ -394,7 +408,7 @@ def genie_mode(cfg: SimConfig, keep_trials: bool = False):
     return run(replace(cfg, estimator="genie"), keep_trials=keep_trials)
 
 
-def write_csv(rows, path: str) -> None:
+def csv_text(rows) -> str:
     """Fixed-layout CSV.  wall_time_s is a placeholder column (always 0.0) so
     that repeated runs with identical configs are byte-identical; measured
     timing lives in the JSON sidecar."""
@@ -405,8 +419,13 @@ def write_csv(rows, path: str) -> None:
             f"{r.mse_empirical:.10e},{r.eps_analytic:.10e},{r.ber_uncoded:.10e},"
             f"{r.trials},{r.wall_time_s:.1f}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(rows, path: str) -> None:
+    """Write csv_text(rows) to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(rows))
 
 
 def sidecar_path(out: str) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import PowerDelayProfile, r_f, r_t
+from .channel import PowerDelayProfile, r_t
 
 
 class ConstraintError(ValueError):
@@ -204,13 +204,6 @@ def plan_pilots(
     )
 
 
-def _solve_system(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.solve(phi, rhs, assume_a="pos")
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(phi, rhs, rcond=None)[0]
-
-
 def build_wiener(
     domain: str,
     plan: VirtualPilotPlan,
@@ -227,8 +220,14 @@ def build_wiener(
     or, by default, a uniform profile over [0, design_len); a phase-center
     shift moves the profile centroid to delay zero, which makes the uniform
     system real-symmetric and better conditioned.  Time filters use the
-    Jakes block correlation.  A zero input_err_var gets a trace-scaled
-    jitter on the diagonal so the solve stays finite.
+    Jakes block correlation.  Both priors are stationary, so the correlation
+    is evaluated once over the 2n-1 lags of an n-point axis and indexed into
+    the pilot system and the pilot-to-output cross-correlation.
+
+    input_err_var is used exactly as given; zero gets a trace-scaled jitter
+    on the diagonal so the solve stays finite.  One Cholesky factorization
+    yields both the coefficients and the residual MSE, and a system that is
+    not positive definite raises numpy.linalg.LinAlgError.
     """
     if input_err_var < 0:
         raise ValueError("input_err_var must be nonnegative")
@@ -244,11 +243,8 @@ def build_wiener(
             delays = np.arange(design_len, dtype=np.float64)
             powers = np.full(design_len, 1.0 / design_len)
         center = float(powers @ delays)
-
-        def corr(q):
-            base = np.exp(-2j * np.pi * np.multiply.outer(q, delays - center) / n_out)
-            return base @ powers
-
+        lags = np.arange(1 - n_out, n_out)
+        r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays - center) / n_out) @ powers
         phase_in = np.exp(2j * np.pi * pil * center / n_out)
         phase_out = np.exp(2j * np.pi * np.arange(n_out) * center / n_out)
     elif domain == "time":
@@ -256,28 +252,26 @@ def build_wiener(
         pil = plan.time_idx
         if fd_hz < 0 or tb_s < 0:
             raise ValueError("fd_hz and tb_s must be nonnegative")
-
-        def corr(q):
-            return r_t(q, fd_hz, tb_s).astype(np.complex128)
-
+        r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
         phase_in = None
         phase_out = None
     else:
         raise ValueError(f"unknown filter domain {domain!r}")
 
+    # r[q + n_out - 1] is the correlation at lag q
     k = pil.size
-    phi = corr(pil[:, None] - pil[None, :]) + input_err_var * np.eye(k)
+    phi = r[pil[:, None] - pil[None, :] + n_out - 1] + input_err_var * np.eye(k)
     if input_err_var == 0.0:
         phi = phi + (1e-12 * np.trace(phi).real / k) * np.eye(k)
-    theta = corr(np.arange(n_out)[None, :] - pil[:, None])
+    theta = r[np.arange(n_out)[None, :] - pil[:, None] + n_out - 1]
 
-    coeff = _solve_system(np.conj(phi), theta).T
-    quad = np.einsum("pk,pk->k", theta, _solve_system(phi, np.conj(theta))).real
-    resid = np.maximum(corr(np.array([0]))[0].real - quad, 0.0)
+    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.conj(phi)), theta)
+    quad = np.einsum("pk,pk->k", theta, np.conj(x)).real
+    resid = np.maximum(r[n_out - 1].real - quad, 0.0)
 
     return WienerFilter(
         domain=domain,
-        coefficients=coeff,
+        coefficients=x.T,
         pilot_idx=pil.copy(),
         residual_mse=float(resid.mean()),
         input_err_var=float(input_err_var),

@@ -7,8 +7,9 @@ agreement between the two is meaningful.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tdsofdm import build_gi, generate_mseq
+from tdsofdm import build_gi, generate_mseq, r_t
 
 
 def naive_unitary_dft(x: np.ndarray) -> np.ndarray:
@@ -48,6 +49,44 @@ def naive_stream_conv(blocks: np.ndarray, tail: np.ndarray, taps: np.ndarray) ->
             if n - l >= 0:
                 out[n] += t[l] * stream[n - l]
     return out
+
+
+def reference_wiener(
+    domain, plan, input_err_var, profile=None, design_len=None, fd_hz=0.0, tb_s=0.0
+):
+    """Dense MMSE interpolator design: (coefficients, residual_mse).
+
+    Every correlation entry is evaluated directly from the prior through a
+    (rows, cols, taps) exponential tensor, and the coefficients and the
+    residual come from two separate positive-definite solves.
+    """
+    if domain == "freq":
+        n_out, pil = plan.n_fft, plan.freq_idx
+        if profile is not None:
+            delays, powers = profile.delays.astype(np.float64), profile.powers
+        else:
+            delays = np.arange(design_len, dtype=np.float64)
+            powers = np.full(design_len, 1.0 / design_len)
+        center = float(powers @ delays)
+
+        def corr(q):
+            return np.exp(-2j * np.pi * np.multiply.outer(q, delays - center) / n_out) @ powers
+
+    else:
+        n_out, pil = plan.block_len, plan.time_idx
+
+        def corr(q):
+            return r_t(q, fd_hz, tb_s).astype(np.complex128)
+
+    k = pil.size
+    phi = corr(pil[:, None] - pil[None, :]) + input_err_var * np.eye(k)
+    if input_err_var == 0.0:
+        phi = phi + (1e-12 * np.trace(phi).real / k) * np.eye(k)
+    theta = corr(np.arange(n_out)[None, :] - pil[:, None])
+    coeff = scipy.linalg.solve(np.conj(phi), theta, assume_a="pos").T
+    quad = np.einsum("pk,pk->k", theta, scipy.linalg.solve(phi, np.conj(theta), assume_a="pos")).real
+    resid = np.maximum(corr(np.array([0]))[0].real - quad, 0.0)
+    return coeff, float(resid.mean())
 
 
 def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:

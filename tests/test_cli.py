@@ -2,7 +2,7 @@
 
 import pytest
 
-from tdsofdm import CSV_HEADER
+from tdsofdm import CSV_HEADER, resolve_config, run
 from tdsofdm.cli import main
 
 
@@ -89,6 +89,19 @@ def test_trial_subcommand(capsys):
     assert "refined stage" in out
     metric_lines = [l for l in out.splitlines() if l.strip().startswith(("0", "1", "2"))]
     assert len(metric_lines) == 5                # 3 stages + 2 pre-combining
+
+
+def test_trial_subcommand_matches_first_sweep_trial(capsys):
+    rc = main(["trial", "--snr", "15,25", "--seed", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("iter    mse_empirical    eps_analytic     ber_uncoded") + 1
+    got = [line.split()[1:] for line in lines[start : start + 3]]
+    _, raw = run(resolve_config({"snr_db": "15,25", "seed": 3, "trials": 1}), keep_trials=True)
+    want = [
+        [f"{raw[15.0][key][0, it]:.7e}" for key in ("mse", "eps", "ber")] for it in range(3)
+    ]
+    assert got == want
 
 
 def test_selftest_subcommand(capsys):

@@ -23,7 +23,6 @@ from tdsofdm import (
     propagate,
     remove_pn,
 )
-from tdsofdm import combiner as _comb
 
 from conftest import crandn
 
@@ -196,13 +195,3 @@ def test_loop_rejects_unknown_refiner(gi3_16):
     )
     with pytest.raises(ValueError, match="refiner"):
         iterate(rx, gi3_16, params)
-
-
-def test_filter_cache_reuses_quantized_builds():
-    plan = _comb.plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1)
-    a = _comb._freq_filter(plan, None, 7, 0.10001)
-    b = _comb._freq_filter(plan, None, 7, 0.10004)
-    c = _comb._freq_filter(plan, None, 7, 0.11)
-    assert a is b
-    assert c is not a
-    assert a.input_err_var == 0.1

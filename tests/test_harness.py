@@ -1,6 +1,7 @@
 """Config resolution, Monte-Carlo sweeps, and result serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_config_value_parsing():
     assert resolve_config({"snr_db": [10, 20]}).snr_db == (10.0, 20.0)
 
 
+def test_guard_builder_silences_only_the_guard_extension_warning(monkeypatch):
+    def noisy_build_gi(*args, **kwargs):
+        warnings.warn("guard extension 3 is shorter than the channel memory 5")
+        warnings.warn("unrelated trouble")
+        return "gi"
+
+    monkeypatch.setattr(tdsofdm.harness, "build_gi", noisy_build_gi)
+    cfg = resolve_config()
+    with pytest.warns(UserWarning) as caught:
+        assert tdsofdm.harness.guard_interval(cfg, cfg.profile()) == "gi"
+    assert [str(w.message) for w in caught] == ["unrelated trouble"]
+
+
 def test_sweep_is_deterministic():
     cfg = resolve_config({"trials": 2, "snr_db": "10", "seed": 99})
     assert run(cfg) == run(cfg)
@@ -98,6 +112,21 @@ def test_raw_trial_shapes():
     assert stack["h2_eps"].shape == (4, 2)
     assert [r.iteration for r in rows] == [0, 1, 2]
     assert all(r.trials == 4 for r in rows)
+
+
+@pytest.mark.parametrize("corr_mode", ["uniform", "profile"])
+@pytest.mark.parametrize("estimator", ["wiener1d", "wiener2x1d"])
+def test_dtmb_wiener_trial_end_to_end(estimator, corr_mode):
+    cfg = resolve_config(
+        {"preset": "dtmb", "estimator": estimator, "corr_mode": corr_mode, "trials": 1, "snr_db": "10"}
+    )
+    rows = run(cfg)
+    assert [r.iteration for r in rows] == [0, 1, 2]
+    for r in rows:
+        assert np.isfinite([r.mse_empirical, r.eps_analytic, r.ber_uncoded]).all()
+        assert r.mse_empirical >= 0.0 and r.eps_analytic >= 0.0
+        assert 0.0 <= r.ber_uncoded <= 1.0
+    assert rows[-1].mse_empirical < rows[0].mse_empirical
 
 
 def test_pn_estimator_reports_one_stage():

@@ -18,7 +18,7 @@ from tdsofdm import (
     wiener_2x1d,
 )
 
-from conftest import crandn
+from conftest import crandn, reference_wiener
 
 
 def test_ma_window_of_one_is_identity():
@@ -191,6 +191,40 @@ def test_wiener_build_rejects_bad_arguments():
         build_wiener("freq", plan, input_err_var=-0.1, design_len=4)
     with pytest.raises(ValueError):
         build_wiener("time", plan, input_err_var=0.1, fd_hz=-1.0, tb_s=1.0)
+
+
+# an asymmetric profile: its centred correlation is complex
+_SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5, 0.25, 0.15, 0.1]))
+_DESIGNS = {
+    "freq-uniform": (plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1), dict(design_len=4)),
+    "freq-uniform-ragged": (plan_pilots(70, 4, 1, 0.0, 0.0, 4, 1), dict(design_len=4)),
+    "freq-profile": (plan_pilots(64, 7, 1, 0.0, 0.0, 2, 1), dict(profile=_SKEWED)),
+    "freq-profile-ragged": (plan_pilots(71, 4, 1, 0.0, 0.0, 3, 1), dict(profile=_SKEWED)),
+    "time": (plan_pilots(32, 4, 10, 0.05, 1.0, 2, 2), dict(fd_hz=0.05, tb_s=1.0)),
+    "time-ragged": (plan_pilots(32, 4, 9, 0.02, 1.0, 4, 4), dict(fd_hz=0.02, tb_s=1.0)),
+}
+
+
+@pytest.mark.parametrize("var", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("case", sorted(_DESIGNS))
+def test_wiener_matches_dense_reference(case, var):
+    plan, kw = _DESIGNS[case]
+    domain = case.split("-")[0]
+    filt = build_wiener(domain, plan, input_err_var=var, **kw)
+    want_coeff, want_resid = reference_wiener(domain, plan, var, **kw)
+    assert filt.coefficients.shape == want_coeff.shape
+    assert np.max(np.abs(filt.coefficients - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
+    # residual_mse is r(0) - quad with r(0) = 1, so at var = 0 the absolute
+    # floor is 1e-12 of the prior power rather than of the tiny residual
+    assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
+
+
+def test_wiener_non_positive_definite_system_raises():
+    # a "profile" with a negative power is no correlation at all
+    bad = PowerDelayProfile(delays=np.array([0, 1]), powers=np.array([2.0, -1.0]))
+    plan = plan_pilots(32, 2, 1, 0.0, 0.0, 2, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_wiener("freq", plan, input_err_var=0.0, profile=bad)
 
 
 def test_wiener_interpolates_constants_and_zeros():
