@@ -43,7 +43,6 @@ from .soft_rebuild import (
     demap,
     instantaneous_estimate,
     soft_symbols,
-    symbol_posteriors,
 )
 from .refiners import (
     ConstraintError,

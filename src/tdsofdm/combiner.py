@@ -203,8 +203,7 @@ def iterate(
     """
     c = params.constellation
     nu = gi.nu
-    s, row = rx.blocks.shape
-    n = row - nu
+    n = rx.blocks.shape[1] - nu
     if n <= 0:
         raise ValueError("blocks shorter than the guard interval")
 
@@ -215,8 +214,6 @@ def iterate(
         # channel tails beyond the core offset act as extra white noise in
         # the correlation window; fold them into the LS error model
         h1 = ls_pn(cores, gi, params.cir_len, params.noise_var + params.pn_leak_var, n)
-        if h1.values.ndim == 1:
-            h1 = CfrEstimate(values=np.tile(h1.values, (s, 1)), eps=h1.eps, source="pn")
 
     est = h1
     diag = IterationDiag()

@@ -21,12 +21,12 @@ from .channel import (
     sfn_profile,
 )
 from .combiner import ReceiverParams, iterate
-from .modulation import Constellation, constellation, hard_decisions, map_bits
+from .modulation import CONSTELLATIONS, Constellation, constellation, hard_decisions, map_bits
 from .phy import assemble, ofdm_modulate, propagate
 from .pn_estimator import CfrEstimate, window_leak_variance
 from .sequences import build_gi, generate_mseq
 
-CSV_HEADER = "snr_db,estimator,iteration,mse_empirical,eps_analytic,ber_uncoded,trials,wall_time_s"
+CSV_HEADER = "snr_db,estimator,iteration,mse_empirical,eps_analytic,ber_uncoded,trials"
 
 ESTIMATORS = ("genie", "pn", "ma1d", "ma2d", "wiener1d", "wiener2x1d")
 
@@ -97,7 +97,6 @@ class ResultRow:
     eps_analytic: float
     ber_uncoded: float
     trials: int
-    wall_time_s: float
 
 
 _PRESETS = {
@@ -222,7 +221,7 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     n_pn = (1 << cfg.pn_order) - 1
     checks = [
         (cfg.estimator in ESTIMATORS, f"unknown estimator {cfg.estimator!r}"),
-        (cfg.constellation in ("qpsk", "qam16", "qam64"), f"unknown constellation {cfg.constellation!r}"),
+        (cfg.constellation in CONSTELLATIONS, f"unknown constellation {cfg.constellation!r}"),
         (cfg.channel in ("flat", "two_tap", "tu6"), f"unknown channel {cfg.channel!r}"),
         (cfg.corr_mode in ("uniform", "profile"), f"unknown corr_mode {cfg.corr_mode!r}"),
         (cfg.fft_size > 0, "fft_size must be positive"),
@@ -391,7 +390,6 @@ def run(cfg: SimConfig, keep_trials: bool = False):
                     eps_analytic=float(stack["eps"][:, it].mean()),
                     ber_uncoded=float(stack["ber"][:, it].mean()),
                     trials=n_tr,
-                    wall_time_s=0.0,
                 )
             )
 
@@ -409,15 +407,14 @@ def genie_mode(cfg: SimConfig, keep_trials: bool = False):
 
 
 def csv_text(rows) -> str:
-    """Fixed-layout CSV.  wall_time_s is a placeholder column (always 0.0) so
-    that repeated runs with identical configs are byte-identical; measured
-    timing lives in the JSON sidecar."""
+    """Fixed-layout CSV.  It holds no timing, so repeated runs with identical
+    configs are byte-identical; measured timing lives in the JSON sidecar."""
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
             f"{r.snr_db:g},{r.estimator},{r.iteration},"
             f"{r.mse_empirical:.10e},{r.eps_analytic:.10e},{r.ber_uncoded:.10e},"
-            f"{r.trials},{r.wall_time_s:.1f}"
+            f"{r.trials}"
         )
     return "\n".join(lines) + "\n"
 

@@ -6,25 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Per-axis amplitude levels, ascending, before normalization.
-_AXIS_LEVELS = {
-    1: np.array([-1.0, 1.0]),
-    2: np.array([-3.0, -1.0, 1.0, 3.0]),
-    3: np.array([-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0]),
-}
-
-# Reflected Gray code per axis, listed in the same ascending-level order.
-# The leading bit is the sign bit (1 on the positive half); the remaining
-# bits Gray-code the magnitude, so codes of +x and -x differ only in the
-# leading bit.
-_AXIS_CODES = {
-    1: (0b0, 0b1),
-    2: (0b00, 0b01, 0b11, 0b10),
-    3: (0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100),
-}
-
 _AXIS_BITS = {"qpsk": 1, "qam16": 2, "qam64": 3}
-_NORM = {"qpsk": np.sqrt(2.0), "qam16": np.sqrt(10.0), "qam64": np.sqrt(42.0)}
+CONSTELLATIONS = tuple(_AXIS_BITS)
 
 
 @dataclass(frozen=True)
@@ -33,7 +16,9 @@ class Constellation:
 
     points[j] carries the label bit_labels[j]; point order is chosen so that
     the label read as a big-endian integer equals j, which makes mapping a
-    single table lookup.
+    single table lookup.  Each point is levels[a] + 1j*levels[b] with label
+    axis_labels[a] followed by axis_labels[b]: the in-phase and quadrature
+    halves of a label are independent Gray-labeled amplitude axes.
     """
 
     name: str
@@ -41,43 +26,47 @@ class Constellation:
     bit_labels: np.ndarray
     eta_alpha: float
     uniform_power: bool
+    levels: np.ndarray
+    axis_labels: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
         return int(self.bit_labels.shape[1])
 
 
+def _bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Big-endian binary digits of each value, shape values.shape + (width,)."""
+    return ((values[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def constellation(name: str) -> Constellation:
     """Build one of qpsk, qam16, qam64.
 
-    The first half of each symbol's bits selects the in-phase level, the
-    second half the quadrature level, both through the per-axis Gray table.
+    Each axis carries the sqrt(M) amplitudes 2i - (sqrt(M) - 1), ascending,
+    labeled with the reflected Gray code i ^ (i >> 1): the leading bit is the
+    sign bit (1 on the positive half) and the codes of +x and -x differ only
+    in it.  The first half of each symbol's bits selects the in-phase level,
+    the second half the quadrature level.
     """
     if name not in _AXIS_BITS:
         raise ValueError(f"unknown constellation {name!r}")
     half = _AXIS_BITS[name]
-    levels = _AXIS_LEVELS[half]
-    codes = _AXIS_CODES[half]
-    norm = _NORM[name]
-    m = 2 * half
-    mu = 1 << m
+    q = 1 << half
+    i = np.arange(q)
+    amp = 2.0 * i - (q - 1)
+    codes = i ^ (i >> 1)
+    norm = np.sqrt(2 * (q * q - 1) / 3)  # (q^2 - 1)/3 is each axis's mean power
 
-    points = np.empty(mu, dtype=np.complex128)
-    labels = np.empty((mu, m), dtype=np.uint8)
-    for a, la in enumerate(levels):
-        for b, lb in enumerate(levels):
-            lab = (codes[a] << half) | codes[b]
-            points[lab] = (la + 1j * lb) / norm
-            for l in range(m):
-                labels[lab, l] = (lab >> (m - 1 - l)) & 1
-
-    eta_alpha = float(np.mean(np.abs(points) ** 2))
+    points = np.empty(q * q, dtype=np.complex128)
+    points[(codes[:, None] << half) | codes[None, :]] = (amp[:, None] + 1j * amp[None, :]) / norm
     return Constellation(
         name=name,
         points=points,
-        bit_labels=labels,
-        eta_alpha=eta_alpha,
+        bit_labels=_bits(np.arange(q * q), 2 * half),
+        eta_alpha=float(np.mean(np.abs(points) ** 2)),
         uniform_power=(name == "qpsk"),
+        levels=amp / norm,
+        axis_labels=_bits(codes, half),
     )
 
 
@@ -93,8 +82,14 @@ def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def hard_decisions(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Slice to the nearest constellation point and return the label bits."""
+    """Slice each axis to its nearest level and return the label bits.
+
+    A value exactly between two levels goes to the lower one.  At zero, which
+    equalize writes into masked cells, that is the tied point with the
+    smallest label.
+    """
     z = np.asarray(symbols)
-    d = np.abs(z[..., None] - c.points) ** 2
-    idx = np.argmin(d, axis=-1)
-    return c.bit_labels[idx].reshape(z.shape + (c.bits_per_symbol,)).reshape(-1)
+    mid = (c.levels[1:] + c.levels[:-1]) / 2
+    i = np.searchsorted(mid, z.real)
+    q = np.searchsorted(mid, z.imag)
+    return np.concatenate([c.axis_labels[i], c.axis_labels[q]], axis=-1).reshape(-1)

@@ -157,24 +157,16 @@ def ola(cleaned: TimeSignal) -> FrameGrid:
     return FrameGrid(data=np.fft.fft(bodies, axis=1, norm="ortho"), role="rx_freq")
 
 
-def _h_values(h_est) -> np.ndarray:
-    values = getattr(h_est, "values", None)
-    if values is None:
-        values = getattr(h_est, "data", h_est)
-    return np.asarray(values, dtype=np.complex128)
-
-
-def equalize(y: FrameGrid, h_est) -> FrameGrid:
+def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
     """Zero-forcing equalization with spectral-null protection.
 
     Bins whose estimated gain is vanishing relative to the per-row mean are
     flagged in the output mask and zeroed rather than divided.
     """
-    h = _h_values(h_est)
-    p = np.abs(h) ** 2
+    p = np.abs(h_est) ** 2
     thr = 1e-12 * p.mean(axis=-1, keepdims=True)
     ok = (p >= thr) & (p > 0)
-    z = np.where(ok, y.data / np.where(ok, h, 1.0), 0.0)
+    z = np.where(ok, y.data / np.where(ok, h_est, 1.0), 0.0)
     ok = np.broadcast_to(ok, z.shape)
     if y.mask is not None:
         ok = ok & y.mask

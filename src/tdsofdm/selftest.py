@@ -6,8 +6,8 @@ import numpy as np
 
 from .channel import ChannelRealization, r_t
 from .combiner import combine
-from .modulation import constellation, hard_decisions, map_bits
-from .phy import assemble, equalize, ofdm_modulate, ola, propagate, remove_pn
+from .modulation import CONSTELLATIONS, constellation, hard_decisions, map_bits
+from .phy import FrameGrid, assemble, equalize, ofdm_modulate, ola, propagate, remove_pn
 from .pn_estimator import (
     CfrEstimate,
     analytic_mse_pn,
@@ -95,27 +95,26 @@ def _check_bessel() -> None:
 
 
 def _check_soft_symbols() -> None:
-    c = constellation("qpsk")
-    from .phy import FrameGrid
-
     z = FrameGrid(data=np.zeros((1, 8), dtype=complex), role="equalized")
-    llr = demap(z, np.ones((1, 8)), 1.0, c)
-    assert np.abs(llr.values).max() < 1e-12, "zero observation must give zero LLRs"
-    soft = soft_symbols(llr, c)
-    assert np.abs(soft.x_hat).max() < 1e-12, "zero LLRs must rebuild zero symbols"
+    for name in CONSTELLATIONS:
+        c = constellation(name)
+        llr = demap(z, np.ones((1, 8)), 1.0, c)
+        sign_bits = llr.values[..., [0, c.bits_per_symbol // 2]]
+        assert np.abs(sign_bits).max() < 1e-12, f"{name}: zero observation must give zero sign-bit LLRs"
+        x_hat = soft_symbols(llr, c).x_hat
+        assert np.abs(x_hat).max() < 1e-12, f"{name}: zero observation must rebuild zero symbols"
 
 
 def _check_equalizer_slicer() -> None:
     rng = np.random.default_rng(5)
-    c = constellation("qam16")
-    bits = rng.integers(0, 2, 4 * 32)
-    x = map_bits(bits, c).reshape(1, 32)
     h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    from .phy import FrameGrid
-
-    z = equalize(FrameGrid(data=h * x, role="rx_freq"), h)
-    back = hard_decisions(z.data, c)
-    assert np.array_equal(back, bits), "noiseless equalize+slice must invert the map"
+    for name in CONSTELLATIONS:
+        c = constellation(name)
+        bits = rng.integers(0, 2, c.bits_per_symbol * 32)
+        x = map_bits(bits, c).reshape(1, 32)
+        z = equalize(FrameGrid(data=h * x, role="rx_freq"), h)
+        back = hard_decisions(z.data, c)
+        assert np.array_equal(back, bits), f"{name}: noiseless equalize+slice must invert the map"
 
 
 def _check_determinism() -> None:

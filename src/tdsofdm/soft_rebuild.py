@@ -47,55 +47,50 @@ class InstantEstimate:
     weights: np.ndarray
 
 
-def demap(z: FrameGrid, h_est, noise_var: float, c: Constellation, llr_max: float = 30.0) -> LlrGrid:
+def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, llr_max: float = 30.0) -> LlrGrid:
     """Exact per-bit LLRs of equalized cells under Gaussian noise.
 
     noise_var is the effective pre-equalization noise power; bin k sees
-    noise_var/|H[k]|^2 after equalization.  Cells masked out upstream get
-    zero LLRs (no information).
+    noise_var/|H[k]|^2 after equalization.  The noise is circular, so each
+    bit's likelihood terms from the other axis cancel and its LLR is a
+    log-sum-exp over the sqrt(M) levels of its own axis.  Cells masked out
+    upstream get zero LLRs (no information).
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
-    h = np.asarray(getattr(h_est, "values", h_est), dtype=np.complex128)
-    p = np.broadcast_to(np.abs(h) ** 2, z.data.shape)
+    p = np.broadcast_to(np.abs(h_est) ** 2, z.data.shape)
     ok = p > 0
     if z.mask is not None:
         ok = ok & z.mask
     sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), _TINY_VAR)
 
-    d = np.abs(z.data[..., None] - c.points) ** 2
-    ll = -d / sigma2[..., None]
-    m = c.bits_per_symbol
-    out = np.empty(z.data.shape + (m,), dtype=np.float64)
-    for l in range(m):
-        one = c.bit_labels[:, l] == 1
+    axes = np.stack([z.data.real, z.data.imag], axis=-1)
+    ll = -((axes[..., None] - c.levels) ** 2) / sigma2[..., None, None]
+    half = c.axis_labels.shape[1]
+    out = np.empty(axes.shape + (half,), dtype=np.float64)
+    for l in range(half):
+        one = c.axis_labels[:, l] == 1
         out[..., l] = logsumexp(ll[..., one], axis=-1) - logsumexp(ll[..., ~one], axis=-1)
+    out = out.reshape(z.data.shape + (2 * half,))
     np.clip(out, -llr_max, llr_max, out=out)
     out[~ok] = 0.0
     return LlrGrid(values=out, llr_max=float(llr_max))
 
 
-def symbol_posteriors(llr: LlrGrid, c: Constellation) -> np.ndarray:
-    """Per-cell posterior probability of each constellation point.
-
-    Bits are treated as independent given the LLRs, so each point's
-    probability is the product of its label's bit probabilities.
-    """
-    p1 = expit(llr.values)
-    m = c.bits_per_symbol
-    mu = c.points.size
-    prob = np.ones(llr.values.shape[:-1] + (mu,), dtype=np.float64)
-    for l in range(m):
-        bit = c.bit_labels[:, l].astype(bool)
-        pl = p1[..., l : l + 1]
-        prob *= np.where(bit, pl, 1.0 - pl)
-    return prob
-
-
 def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
-    """Posterior-mean symbol per cell and its power statistics."""
-    prob = symbol_posteriors(llr, c)
-    x_hat = prob @ c.points
+    """Posterior-mean symbol per cell and its power statistics.
+
+    Bits are treated as independent given the LLRs, so the posterior
+    factorizes into one level distribution per axis and the mean symbol is
+    E[I] + jE[Q].
+    """
+    p1 = expit(llr.values).reshape(llr.values.shape[:-1] + (2, -1))
+    prob = np.ones(p1.shape[:-1] + (c.levels.size,), dtype=np.float64)
+    for l in range(p1.shape[-1]):
+        pl = p1[..., l : l + 1]
+        prob *= np.where(c.axis_labels[:, l] == 1, pl, 1.0 - pl)
+    mean = np.einsum("...q,q->...", prob, c.levels)
+    x_hat = mean[..., 0] + 1j * mean[..., 1]
     eta = np.abs(x_hat) ** 2
     return SoftSymbolGrid(x_hat=x_hat, eta=eta, eta_bar=float(eta.mean()))
 

@@ -8,6 +8,7 @@ agreement between the two is meaningful.
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import expit, logsumexp
 
 from tdsofdm import build_gi, generate_mseq, r_t
 
@@ -87,6 +88,49 @@ def reference_wiener(
     quad = np.einsum("pk,pk->k", theta, scipy.linalg.solve(phi, np.conj(theta), assume_a="pos")).real
     resid = np.maximum(corr(np.array([0]))[0].real - quad, 0.0)
     return coeff, float(resid.mean())
+
+
+def reference_demap(z, h, noise_var, c, llr_max=30.0):
+    """Generic per-bit LLRs: a log-sum-exp over all 2^m points per bit."""
+    h = np.asarray(h, dtype=np.complex128)
+    p = np.broadcast_to(np.abs(h) ** 2, z.data.shape)
+    ok = p > 0
+    if z.mask is not None:
+        ok = ok & z.mask
+    sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), 1e-30)
+
+    d = np.abs(z.data[..., None] - c.points) ** 2
+    ll = -d / sigma2[..., None]
+    m = c.bits_per_symbol
+    out = np.empty(z.data.shape + (m,), dtype=np.float64)
+    for l in range(m):
+        one = c.bit_labels[:, l] == 1
+        out[..., l] = logsumexp(ll[..., one], axis=-1) - logsumexp(ll[..., ~one], axis=-1)
+    np.clip(out, -llr_max, llr_max, out=out)
+    out[~ok] = 0.0
+    return out
+
+
+def reference_soft_symbols(llr_values, c):
+    """Posterior mean over all 2^m points, each weighted by the product of
+    its label's bit probabilities."""
+    p1 = expit(llr_values)
+    m = c.bits_per_symbol
+    mu = c.points.size
+    prob = np.ones(llr_values.shape[:-1] + (mu,), dtype=np.float64)
+    for l in range(m):
+        bit = c.bit_labels[:, l].astype(bool)
+        pl = p1[..., l : l + 1]
+        prob *= np.where(bit, pl, 1.0 - pl)
+    return prob @ c.points
+
+
+def reference_hard_decisions(symbols, c):
+    """Two-dimensional nearest-point slicer: argmin of |z - p|^2 over all points."""
+    z = np.asarray(symbols)
+    d = np.abs(z[..., None] - c.points) ** 2
+    idx = np.argmin(d, axis=-1)
+    return c.bit_labels[idx].reshape(z.shape + (c.bits_per_symbol,)).reshape(-1)
 
 
 def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:

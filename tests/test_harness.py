@@ -129,6 +129,46 @@ def test_dtmb_wiener_trial_end_to_end(estimator, corr_mode):
     assert rows[-1].mse_empirical < rows[0].mse_empirical
 
 
+QAM_CASES = [(e, c) for e in ("wiener1d", "wiener2x1d") for c in ("qam16", "qam64")]
+
+
+@pytest.fixture(scope="module")
+def qam_sweeps():
+    """Desk sweeps at 10 and 25 dB for every Wiener estimator and 16/64-QAM."""
+    base = {"trials": 3, "snr_db": "10,25", "seed": 1}
+    return {
+        (e, c): run(resolve_config({**base, "estimator": e, "constellation": c}))
+        for e, c in QAM_CASES
+    }
+
+
+@pytest.mark.parametrize("estimator,constellation", QAM_CASES)
+def test_qam_sweep_end_to_end(qam_sweeps, estimator, constellation):
+    rows = qam_sweeps[estimator, constellation]
+    assert [(r.snr_db, r.iteration) for r in rows] == [(s, i) for s in (10.0, 25.0) for i in range(3)]
+    for r in rows:
+        assert np.isfinite([r.mse_empirical, r.eps_analytic, r.ber_uncoded]).all()
+        assert r.mse_empirical >= 0.0 and r.eps_analytic >= 0.0
+        assert 0.0 <= r.ber_uncoded <= 1.0
+    final = {r.snr_db: r for r in rows if r.iteration == 2}
+    first = {r.snr_db: r for r in rows if r.iteration == 0}
+    assert final[25.0].ber_uncoded < final[10.0].ber_uncoded
+    assert final[25.0].mse_empirical < first[25.0].mse_empirical
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at 10 dB the data-aided loop ends worse than PN alone: final against iteration-0 "
+    "MSE is 0.022 vs 0.0095 (wiener1d/qam16), 0.030 vs 0.0090 (wiener1d/qam64), 0.028 vs "
+    "0.0095 (wiener2x1d/qam16) and 0.042 vs 0.0090 (wiener2x1d/qam64), with eps 8-48x "
+    "below the measured MSE, so the combiner trusts the worse arm",
+)
+@pytest.mark.parametrize("estimator,constellation", QAM_CASES)
+def test_qam_data_aided_loop_beats_pn_at_10db(qam_sweeps, estimator, constellation):
+    rows = [r for r in qam_sweeps[estimator, constellation] if r.snr_db == 10.0]
+    assert rows[-1].mse_empirical < rows[0].mse_empirical
+
+
 def test_pn_estimator_reports_one_stage():
     cfg = resolve_config({"estimator": "pn", "trials": 2, "snr_db": "5,15"})
     rows = run(cfg)
@@ -171,9 +211,8 @@ def test_csv_layout(tmp_path):
     assert len(lines) == len(rows) + 1
     for line in lines[1:]:
         fields = line.split(",")
-        assert len(fields) == 8
+        assert len(fields) == 7
         assert fields[1] == "wiener1d"
-        assert fields[7] == "0.0"
     float(fields[3]), float(fields[4]), float(fields[5])
 
 

@@ -2,21 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tdsofdm import (
-    CfrEstimate,
     FrameGrid,
     LlrGrid,
     SoftSymbolGrid,
     constellation,
     demap,
+    hard_decisions,
     instantaneous_estimate,
     map_bits,
     soft_symbols,
-    symbol_posteriors,
 )
 
-from conftest import crandn
+from conftest import (
+    crandn,
+    reference_demap,
+    reference_hard_decisions,
+    reference_soft_symbols,
+)
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("qam16")
@@ -39,15 +46,6 @@ def test_qpsk_llrs_match_closed_form():
     want_q = 2.0 * np.sqrt(2.0) * z.imag / sigma2
     assert np.allclose(llr.values[..., 0], want_i, rtol=1e-9, atol=1e-9)
     assert np.allclose(llr.values[..., 1], want_q, rtol=1e-9, atol=1e-9)
-
-
-def test_demap_accepts_estimate_or_array():
-    rng = np.random.default_rng(31)
-    z = FrameGrid(data=crandn(rng, (1, 8)), role="rx_freq")
-    h = crandn(rng, 8) + 1.5
-    a = demap(z, h, 0.2, QPSK)
-    b = demap(z, CfrEstimate(values=h, eps=0.0, source="pn"), 0.2, QPSK)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_llrs_clip_at_default_limit():
@@ -101,14 +99,83 @@ def test_zero_llrs_rebuild_nothing():
     assert soft.eta_bar == 0.0
 
 
-def test_posteriors_normalize():
-    rng = np.random.default_rng(33)
-    for c in (QPSK, QAM16, QAM64):
-        vals = rng.normal(0, 3, (4, 8, c.bits_per_symbol))
-        prob = symbol_posteriors(LlrGrid(values=vals, llr_max=30.0), c)
-        assert prob.shape == (4, 8, c.points.size)
-        assert np.all(prob >= 0)
-        assert np.allclose(prob.sum(axis=-1), 1.0, atol=1e-9)
+SHAPE = (2, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["qpsk", "qam16", "qam64"]),
+    z=arrays(
+        np.complex128,
+        SHAPE,
+        elements=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    ),
+    h_mag=arrays(np.float64, SHAPE[1], elements=st.floats(0.1, 3.0)),
+    h_phase=arrays(np.float64, SHAPE[1], elements=st.floats(-np.pi, np.pi)),
+    null=st.integers(-1, SHAPE[1] - 1),
+    mask=arrays(np.bool_, SHAPE),
+    log_nv=st.floats(-8.0, 1.0),
+)
+def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null, mask, log_nv):
+    c = constellation(name)
+    h = h_mag * np.exp(1j * h_phase)
+    if null >= 0:
+        h[null] = 0.0                              # spectral null
+    nv = 10.0**log_nv
+    grid = FrameGrid(data=z, role="equalized", mask=mask)
+    llr = demap(grid, h, nv, c)
+    # the generic form rounds each |z - p|^2 / sigma2 on the scale of the
+    # largest one, which includes the other axis's distance: at z = 1.6e-8 +
+    # 2.75j and sigma2 = 1e-7 that alone moves its bit-0 LLR by 1e-8
+    sigma2 = nv / np.maximum(np.abs(h) ** 2, 1e-300)
+    d_max = np.max(np.abs(z[..., None] - c.points) ** 2, axis=-1)
+    tol = 1e-8 + 16 * np.finfo(float).eps * d_max / sigma2
+    assert np.all(np.abs(llr.values - reference_demap(grid, h, nv, c)) <= tol[..., None])
+    x_hat = soft_symbols(llr, c).x_hat
+    assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+    # the argmin breaks rounding ties (|z.real| ~ 1e-223 puts both QPSK
+    # columns at distance 1.0) by label order; the slicer must pick a nearest
+    # point, and the argmin's point wherever the nearest one is clear
+    m = c.bits_per_symbol
+    weights = 1 << np.arange(m - 1, -1, -1)
+    got = hard_decisions(z, c).reshape(-1, m) @ weights
+    want = reference_hard_decisions(z, c).reshape(-1, m) @ weights
+    d = np.sort(np.abs(z.reshape(-1, 1) - c.points) ** 2, axis=-1)
+    d_got = np.abs(z.reshape(-1) - c.points[got]) ** 2
+    assert np.all(d_got <= d[:, 0] + 1e-12)
+    clear = d[:, 1] > d[:, 0] + 1e-12
+    assert np.array_equal(got[clear], want[clear])
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_zero_cells_match_the_generic_form(c):
+    # equalize writes zeros into masked cells; z = 0 is equidistant from the
+    # four inner points, so the slicer's tie-break must match the argmin's
+    z = np.zeros((2, 4), dtype=np.complex128)
+    mask = np.ones(z.shape, dtype=bool)
+    mask[1, 2] = False
+    grid = FrameGrid(data=z, role="equalized", mask=mask)
+    h = np.ones(4)
+    for nv in (1e-8, 0.1, 10.0):
+        llr = demap(grid, h, nv, c)
+        assert np.max(np.abs(llr.values - reference_demap(grid, h, nv, c))) <= 1e-8
+        x_hat = soft_symbols(llr, c).x_hat
+        assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+    assert np.array_equal(hard_decisions(z, c), reference_hard_decisions(z, c))
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_noiseless_points_match_the_generic_form(c):
+    z = np.tile(c.points, (2, 1))
+    grid = FrameGrid(data=z, role="equalized")
+    h = np.ones(z.shape[1])
+    for nv in (1e-8, 0.1, 10.0):
+        llr = demap(grid, h, nv, c, llr_max=1e6)
+        assert np.max(np.abs(llr.values - reference_demap(grid, h, nv, c, llr_max=1e6))) <= 1e-8
+        x_hat = soft_symbols(llr, c).x_hat
+        assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+    assert np.array_equal(hard_decisions(z, c), reference_hard_decisions(z, c))
+    assert np.array_equal(hard_decisions(z, c), np.tile(c.bit_labels, (2, 1)).reshape(-1))
 
 
 def test_rebuilt_magnitude_grows_with_confidence():
