@@ -62,7 +62,6 @@ from .harness import (
     ConfigError,
     ResultRow,
     SimConfig,
-    genie_mode,
     resolve_config,
     run,
     run_trial,

@@ -37,12 +37,6 @@ class ChannelRealization:
     """Per-block tap vectors of one channel draw; row i applies to block i."""
 
     taps: np.ndarray
-    fd_hz: float
-    tb_s: float
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.taps.shape[0])
 
 
 def _make_profile(delays: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
@@ -126,27 +120,12 @@ def _jakes_spectral(
     return series[:, :num_blocks]
 
 
-def _jakes_sos(
-    num_taps: int, fd_tb: float, num_blocks: int, rng: np.random.Generator, num_sins: int = 64
-) -> np.ndarray:
-    """Sum-of-sinusoids fallback with random arrival angles and phases."""
-    i = np.arange(num_blocks)
-    out = np.empty((num_taps, num_blocks), dtype=np.complex128)
-    for t in range(num_taps):
-        theta = rng.uniform(0.0, 2.0 * np.pi, num_sins)
-        phi = rng.uniform(0.0, 2.0 * np.pi, num_sins)
-        arg = 2.0 * np.pi * fd_tb * np.outer(i, np.cos(theta)) + phi
-        out[t] = np.exp(1j * arg).sum(axis=1) / np.sqrt(num_sins)
-    return out
-
-
 def realize(
     profile: PowerDelayProfile,
     fd_hz: float,
     tb_s: float,
     num_blocks: int,
     rng: np.random.Generator,
-    method: str = "spectral",
 ) -> ChannelRealization:
     """Draw one channel realization: independent Rayleigh taps, Jakes fading.
 
@@ -163,16 +142,12 @@ def realize(
     if fd_tb == 0.0:
         base = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
         series = np.repeat(base[:, None], num_blocks, axis=1)
-    elif method == "spectral":
-        series = _jakes_spectral(k, fd_tb, num_blocks, rng)
-    elif method == "sos":
-        series = _jakes_sos(k, fd_tb, num_blocks, rng)
     else:
-        raise ValueError(f"unknown fading synthesis method {method!r}")
+        series = _jakes_spectral(k, fd_tb, num_blocks, rng)
 
     taps = np.zeros((num_blocks, profile.length), dtype=np.complex128)
     taps[:, profile.delays] = (np.sqrt(profile.powers)[:, None] * series).T
-    return ChannelRealization(taps=taps, fd_hz=float(fd_hz), tb_s=float(tb_s))
+    return ChannelRealization(taps=taps)
 
 
 def cfr(taps: np.ndarray, n_fft: int) -> np.ndarray:

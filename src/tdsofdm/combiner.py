@@ -34,9 +34,10 @@ class ReceiverParams:
 
     plan_len is the measured channel length driving the pilot-spacing rules;
     design_len is the support of the uniform worst-case prior the frequency
-    Wiener coefficients are precomputed for. Both fall back to cir_len when
-    unset. pn_leak_var is the window_leak_variance of the deployment
-    profile, folded into the PN estimate's error model.
+    Wiener filters are designed for; each refine step designs them afresh
+    from the pooled input variance of its own pilots. Both fall back to
+    cir_len when unset. pn_leak_var is the window_leak_variance of the
+    deployment profile, folded into the PN estimate's error model.
     """
 
     constellation: Constellation
@@ -94,93 +95,73 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
     values = beta * v1 + (1.0 - beta) * v2
     if h2.mask is not None and not h2.mask.all():
         values = np.where(h2.mask, values, v1)
-    return CfrEstimate(values=values, eps=float(eps), source="combined")
-
-
-def _pooled_var(per_bin_var: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return float("inf")
-    return float(per_bin_var[mask].mean())
+    return CfrEstimate(values=values, eps=float(eps))
 
 
 def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var: float) -> CfrEstimate:
-    """Run the configured noise-suppression stage on an instantaneous estimate."""
+    """Run the configured noise-suppression stage on an instantaneous estimate.
+
+    All four refiners share one pipeline, run per chunk of block_len blocks:
+    moving-average smoothing, then for the Wiener refiners virtual pilots
+    sampled from the smoothed grid, their pooled error variance, a frequency
+    design and pass, and for wiener2x1d a time design and pass.  They differ
+    only in the smoothing window ((1, m) for ma1d and wiener1d, (m_t, m_f)
+    for ma2d and wiener2x1d), in whether the time pass follows, and in the
+    mask: wiener1d masks blocks that had no valid pilot, wiener2x1d masks
+    chunks whose pilots were all invalid.  Only wiener2x1d splits the frame
+    into chunks, and only it plans its pilots under the time sampling rule.
+    """
     name = params.refiner
+    if name not in REFINERS:
+        raise ValueError(f"unknown refiner {name!r}; expected one of {REFINERS}")
     s = inst.values.shape[0]
-    if name == "ma1d":
-        r = ma_1d(inst.values, params.m, mask=inst.mask, weights=inst.weights, noise_var=noise_var)
-        return CfrEstimate(values=r.values, eps=r.eps, source="data_aided", mask=r.mask)
-    if name == "ma2d":
-        r = ma_2d(
-            inst.values,
-            params.m_t,
-            params.m_f,
-            mask=inst.mask,
-            weights=inst.weights,
-            noise_var=noise_var,
-        )
-        return CfrEstimate(values=r.values, eps=r.eps, source="data_aided", mask=r.mask)
+    two_d = name in ("ma2d", "wiener2x1d")
+    timed = name == "wiener2x1d"
+    m_t, m_f = (params.m_t, params.m_f) if two_d else (1, params.m)
+    b = (params.block_len or s) if timed else s
+    if s % b:
+        raise ValueError(f"block_len {b} does not divide {s} symbols")
+    plan = None
+    if name.startswith("wiener"):
+        # the time sampling rule binds only when a time pass follows
+        fd_hz = params.fd_hz if timed else 0.0
+        plan = plan_pilots(n_fft, params.plan_len or params.cir_len, b, fd_hz, params.tb_s, m_f, m_t)
+        grid = np.ix_(plan.time_idx, plan.freq_idx)
 
-    plan_len = params.plan_len or params.cir_len
-    design_len = params.design_len or params.cir_len
-    if name == "wiener1d":
-        plan = plan_pilots(n_fft, plan_len, s, params.fd_hz, params.tb_s, params.m, params.m_t)
-        r = ma_1d(inst.values, params.m, mask=inst.mask, weights=inst.weights, noise_var=noise_var)
-        pv = r.values[..., plan.freq_idx]
-        pm = r.mask[..., plan.freq_idx]
-        in_var = _pooled_var(r.per_bin_var[..., plan.freq_idx], pm)
-        if not np.isfinite(in_var):
-            return CfrEstimate(
-                values=np.zeros_like(inst.values),
-                eps=float("inf"),
-                source="data_aided",
-                mask=np.zeros(inst.values.shape, dtype=bool),
-            )
-        filt = build_wiener(
-            "freq", plan, input_err_var=in_var, profile=params.corr_profile, design_len=design_len
+    out = np.zeros_like(inst.values)
+    mask = np.zeros(inst.values.shape, dtype=bool)
+    eps_parts = []
+    for c0 in range(0, s, b):
+        sl = slice(c0, c0 + b)
+        kw = dict(mask=inst.mask[sl], weights=inst.weights[sl], noise_var=noise_var)
+        r = ma_2d(inst.values[sl], m_t, m_f, **kw) if two_d else ma_1d(inst.values[sl], m_f, **kw)
+        if plan is None:
+            out[sl], mask[sl] = r.values, r.mask
+            eps_parts.append(r.eps)
+            continue
+        pv, pm = r.values[grid], r.mask[grid]
+        if not pm.any():
+            eps_parts.append(float("inf"))
+            continue
+        ff = build_wiener(
+            "freq",
+            plan,
+            input_err_var=float(r.per_bin_var[grid][pm].mean()),
+            profile=params.corr_profile,
+            design_len=params.design_len or params.cir_len,
         )
-        values = wiener_1d(pv, filt, pm)
-        mask = np.broadcast_to(pm.any(axis=-1)[:, None], values.shape)
-        return CfrEstimate(values=values, eps=filt.residual_mse, source="data_aided", mask=mask)
-
-    if name == "wiener2x1d":
-        b = params.block_len or s
-        if s % b:
-            raise ValueError(f"block_len {b} does not divide {s} symbols")
-        plan = plan_pilots(n_fft, plan_len, b, params.fd_hz, params.tb_s, params.m_f, params.m_t)
-        out = np.zeros_like(inst.values)
-        mask = np.zeros(inst.values.shape, dtype=bool)
-        eps_parts = []
-        for c0 in range(0, s, b):
-            sl = slice(c0, c0 + b)
-            r = ma_2d(
-                inst.values[sl],
-                params.m_t,
-                params.m_f,
-                mask=inst.mask[sl],
-                weights=inst.weights[sl],
-                noise_var=noise_var,
-            )
-            grid_idx = np.ix_(plan.time_idx, plan.freq_idx)
-            pv = r.values[grid_idx]
-            pm = r.mask[grid_idx]
-            in_var = _pooled_var(r.per_bin_var[grid_idx], pm)
-            if not np.isfinite(in_var):
-                eps_parts.append(float("inf"))
-                continue
-            ff = build_wiener(
-                "freq", plan, input_err_var=in_var, profile=params.corr_profile, design_len=design_len
-            )
+        if timed:
             tf = build_wiener(
                 "time", plan, input_err_var=ff.residual_mse, fd_hz=params.fd_hz, tb_s=params.tb_s
             )
             out[sl] = wiener_2x1d(pv, ff, tf, pm)
             mask[sl] = True
             eps_parts.append(tf.residual_mse)
-        eps = float(np.mean(eps_parts)) if eps_parts else float("inf")
-        return CfrEstimate(values=out, eps=eps, source="data_aided", mask=mask)
-
-    raise ValueError(f"unknown refiner {name!r}; expected one of {REFINERS}")
+        else:
+            out[sl] = wiener_1d(pv, ff, pm)
+            mask[sl] = pm.any(axis=-1)[:, None]
+            eps_parts.append(ff.residual_mse)
+    return CfrEstimate(values=out, eps=float(np.mean(eps_parts)), mask=mask)
 
 
 def iterate(

@@ -325,7 +325,7 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     params = _receiver_params(cfg, gi, profile, c, noise_var)
     if cfg.estimator == "genie":
         params = replace(params, cir_len=min(profile.length, gi.n_pn))
-        initial = CfrEstimate(values=truth, eps=0.0, source="genie")
+        initial = CfrEstimate(values=truth, eps=0.0)
         _, _, diag = iterate(rx, gi, params, truth_cfr=truth, initial=initial)
     else:
         _, _, diag = iterate(rx, gi, params, truth_cfr=truth)
@@ -399,11 +399,6 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     if keep_trials:
         return rows, raw
     return rows
-
-
-def genie_mode(cfg: SimConfig, keep_trials: bool = False):
-    """The same sweep with perfect channel knowledge (BER floor reference)."""
-    return run(replace(cfg, estimator="genie"), keep_trials=keep_trials)
 
 
 def csv_text(rows) -> str:

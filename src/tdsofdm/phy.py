@@ -20,7 +20,6 @@ class FrameGrid:
     """
 
     data: np.ndarray
-    role: str
     mask: np.ndarray | None = None
 
 
@@ -31,10 +30,6 @@ class TimeSignal:
 
     blocks: np.ndarray
     tail: np.ndarray
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.blocks.shape[0])
 
 
 def ofdm_modulate(x: np.ndarray) -> np.ndarray:
@@ -47,15 +42,10 @@ def ofdm_demodulate(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(x), axis=-1, norm="ortho")
 
 
-def assemble(bodies: np.ndarray, gi: PnSequence | None) -> TimeSignal:
-    """Prefix every OFDM body with the guard interval and append the closing guard.
-
-    With gi=None the stream is the bare bodies (no guard, empty tail).
-    """
+def assemble(bodies: np.ndarray, gi: PnSequence) -> TimeSignal:
+    """Prefix every OFDM body with the guard interval and append the closing guard."""
     bodies = np.atleast_2d(np.asarray(bodies, dtype=np.complex128))
     s = bodies.shape[0]
-    if gi is None:
-        return TimeSignal(blocks=bodies.copy(), tail=np.zeros(0, dtype=np.complex128))
     g = np.broadcast_to(gi.samples, (s, gi.nu))
     return TimeSignal(
         blocks=np.concatenate([g, bodies], axis=1),
@@ -154,7 +144,7 @@ def ola(cleaned: TimeSignal) -> FrameGrid:
     if nu:
         bodies[:-1, :nu] += cleaned.blocks[1:, :nu]
         bodies[-1, :nu] += cleaned.tail
-    return FrameGrid(data=np.fft.fft(bodies, axis=1, norm="ortho"), role="rx_freq")
+    return FrameGrid(data=np.fft.fft(bodies, axis=1, norm="ortho"))
 
 
 def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
@@ -170,4 +160,4 @@ def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
     ok = np.broadcast_to(ok, z.shape)
     if y.mask is not None:
         ok = ok & y.mask
-    return FrameGrid(data=z, role="equalized", mask=ok)
+    return FrameGrid(data=z, mask=ok)

@@ -20,7 +20,6 @@ class CfrEstimate:
 
     values: np.ndarray
     eps: float
-    source: str
     mask: np.ndarray | None = None
 
 
@@ -50,11 +49,7 @@ def ls_pn(
     h_bar = np.fft.fft(rx_core, axis=-1, norm="ortho") / pn.spectrum
     h_taps = np.fft.ifft(h_bar, axis=-1)[..., :cir_len]
     values = np.fft.fft(h_taps, n=n_fft, axis=-1)
-    return CfrEstimate(
-        values=values,
-        eps=analytic_mse_pn(pn, cir_len, noise_var),
-        source="pn",
-    )
+    return CfrEstimate(values=values, eps=analytic_mse_pn(pn, cir_len, noise_var))
 
 
 def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:

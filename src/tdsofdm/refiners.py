@@ -45,18 +45,16 @@ class VirtualPilotPlan:
 
 @dataclass(frozen=True)
 class WienerFilter:
-    """Precomputed MMSE interpolator for one domain.
+    """MMSE interpolator for one domain.
 
     coefficients maps pilot samples to the full axis; for frequency filters
     the phase vectors shift the effective delay profile to zero mean so the
     system is (near-)real, and are undone on application.
     """
 
-    domain: str
     coefficients: np.ndarray
     pilot_idx: np.ndarray
     residual_mse: float
-    input_err_var: float
     phase_in: np.ndarray | None = None
     phase_out: np.ndarray | None = None
 
@@ -64,7 +62,7 @@ class WienerFilter:
 def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
     """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges."""
     if back == 0 and fwd == 0:
-        return np.copy(arr)
+        return arr
     a = np.moveaxis(np.asarray(arr), axis, -1)
     n = a.shape[-1]
     zero = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
@@ -74,13 +72,34 @@ def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
     return np.moveaxis(cs[..., hi] - cs[..., lo], -1, axis)
 
 
-def _finish(num, cnt, wsum, noise_var):
+def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:
+    """Masked moving average over a block-by-subcarrier window.
+
+    The frequency window on the last axis is centered (even m_f rounds up
+    to the next odd); the block window on axis 0 reaches m_t // 2 blocks
+    back and (m_t - 1) // 2 forward.  Windows truncate at the edges, skip
+    masked bins and divide by the live bin count; the per-bin variance is
+    noise_var times the window's summed weights over the squared count, and
+    eps averages it over bins that had any live neighbor.
+    """
+    if m_t < 1 or m_f < 1:
+        raise ValueError("window lengths must be positive")
+    half = m_f // 2
+    back, fwd = m_t // 2, (m_t - 1) // 2
+    mv = np.ones(values.shape) if mask is None else mask.astype(np.float64)
+    if weights is None:
+        weights = np.ones(values.shape)
+
+    def wsum(a):
+        return _window_sum(_window_sum(a, back, fwd, 0), half, half, -1)
+
+    cnt = np.round(wsum(mv))
     ok = cnt > 0.5
     safe = np.where(ok, cnt, 1.0)
-    values = np.where(ok, num / safe, 0.0)
-    var = np.where(ok, noise_var * wsum / safe**2, np.inf)
+    out = np.where(ok, wsum(values * mv) / safe, 0.0)
+    var = np.where(ok, noise_var * wsum(weights * mv) / safe**2, np.inf)
     eps = float(var[ok].mean()) if ok.any() else float("inf")
-    return Refined(values=values, per_bin_var=var, eps=eps, mask=ok)
+    return Refined(values=out, per_bin_var=var, eps=eps, mask=ok)
 
 
 def ma_1d(
@@ -91,28 +110,8 @@ def ma_1d(
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
 ) -> Refined:
-    """Moving average across subcarriers.
-
-    Windows are centered (even m rounds up to the next odd), truncate at the
-    band edges, exclude masked bins, and divide by the live bin count.  The
-    per-bin variance is noise_var times the window's summed weights over the
-    squared count; eps averages it over bins that had any live neighbor.
-    """
-    values = np.asarray(values)
-    if m < 1:
-        raise ValueError("window length must be positive")
-    if m % 2 == 0:
-        m += 1
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    if weights is None:
-        weights = np.ones(values.shape, dtype=np.float64)
-    half = (m - 1) // 2
-    mv = mask.astype(np.float64)
-    num = _window_sum(values * mv, half, half, -1)
-    cnt = np.round(_window_sum(mv, half, half, -1))
-    wsum = _window_sum(weights * mv, half, half, -1)
-    return _finish(num, cnt, wsum, noise_var)
+    """Moving average across subcarriers: the single-block window (1, m)."""
+    return _moving_average(np.asarray(values), 1, m, mask, weights, noise_var)
 
 
 def ma_2d(
@@ -124,35 +123,15 @@ def ma_2d(
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
 ) -> Refined:
-    """Moving average over a block-by-subcarrier window.
+    """Moving average over an (m_t, m_f) block-by-subcarrier window.
 
-    The frequency window is centered (odd, rounded up); the time window may
-    be even, in which case it reaches one block further into the past:
-    m_t = 2 averages blocks {i-1, i}.
+    An even m_t reaches one block further into the past: m_t = 2 averages
+    blocks {i-1, i}.
     """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("expected a (num_blocks, n_fft) grid")
-    if m_t < 1 or m_f < 1:
-        raise ValueError("window lengths must be positive")
-    if m_f % 2 == 0:
-        m_f += 1
-    back = m_t // 2
-    fwd = (m_t - 1) // 2
-    half = (m_f - 1) // 2
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    if weights is None:
-        weights = np.ones(values.shape, dtype=np.float64)
-    mv = mask.astype(np.float64)
-
-    def wsum2(a):
-        return _window_sum(_window_sum(a, back, fwd, 0), half, half, 1)
-
-    num = wsum2(values * mv)
-    cnt = np.round(wsum2(mv))
-    wsum = wsum2(weights * mv)
-    return _finish(num, cnt, wsum, noise_var)
+    return _moving_average(values, m_t, m_f, mask, weights, noise_var)
 
 
 def plan_pilots(
@@ -270,11 +249,9 @@ def build_wiener(
     resid = np.maximum(r[n_out - 1].real - quad, 0.0)
 
     return WienerFilter(
-        domain=domain,
         coefficients=x.T,
         pilot_idx=pil.copy(),
         residual_mse=float(resid.mean()),
-        input_err_var=float(input_err_var),
         phase_in=phase_in,
         phase_out=phase_out,
     )

@@ -39,7 +39,7 @@ def _check_ola_identity() -> None:
     tx = assemble(ofdm_modulate(x), gi)
     taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     h = np.tile(taps, (5, 1))
-    rx = propagate(tx, ChannelRealization(taps=h, fd_hz=0.0, tb_s=0.0), 0.0, rng)
+    rx = propagate(tx, ChannelRealization(taps=h), 0.0, rng)
     y = ola(remove_pn(rx, gi, taps))
     want = np.fft.fft(taps, n) * x
     err = np.abs(y.data - want).max()
@@ -78,8 +78,8 @@ def _check_combiner() -> None:
     for e1, e2 in [(0.5, 0.1), (0.2, 0.2), (1e-3, 0.3)]:
         n1 = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * np.sqrt(e1 / 2)
         n2 = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * np.sqrt(e2 / 2)
-        h1 = CfrEstimate(truth + n1, e1, "pn")
-        h2 = CfrEstimate(truth + n2, e2, "data_aided")
+        h1 = CfrEstimate(truth + n1, e1)
+        h2 = CfrEstimate(truth + n2, e2)
         out = combine(h1, h2)
         want = e1 * e2 / (e1 + e2)
         assert abs(out.eps - want) < 1e-12, "combined eps wrong"
@@ -95,7 +95,7 @@ def _check_bessel() -> None:
 
 
 def _check_soft_symbols() -> None:
-    z = FrameGrid(data=np.zeros((1, 8), dtype=complex), role="equalized")
+    z = FrameGrid(data=np.zeros((1, 8), dtype=complex))
     for name in CONSTELLATIONS:
         c = constellation(name)
         llr = demap(z, np.ones((1, 8)), 1.0, c)
@@ -112,7 +112,7 @@ def _check_equalizer_slicer() -> None:
         c = constellation(name)
         bits = rng.integers(0, 2, c.bits_per_symbol * 32)
         x = map_bits(bits, c).reshape(1, 32)
-        z = equalize(FrameGrid(data=h * x, role="rx_freq"), h)
+        z = equalize(FrameGrid(data=h * x), h)
         back = hard_decisions(z.data, c)
         assert np.array_equal(back, bits), f"{name}: noiseless equalize+slice must invert the map"
 

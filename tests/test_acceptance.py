@@ -106,7 +106,7 @@ def test_a01_stream_to_circular_identity():
         bits = rng.integers(0, 2, 4 * n * 2).astype(np.uint8)
         x = map_bits(bits, c).reshape(4, n)
         tx = assemble(ofdm_modulate(x), gi)
-        ch = ChannelRealization(taps=np.tile(taps, (4, 1)), fd_hz=0.0, tb_s=0.0)
+        ch = ChannelRealization(taps=np.tile(taps, (4, 1)))
         rx = propagate(tx, ch, 0.0, rng)
         y = ola(remove_pn(rx, gi, taps))
         want = np.fft.fft(taps, n) * x

@@ -146,8 +146,6 @@ def test_realize_rejects_bad_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         realize(prof, 10.0, 1e-3, 0, rng)
-    with pytest.raises(ValueError):
-        realize(prof, 10.0, 1e-3, 4, rng, method="butterfly")
 
 
 def test_taps_are_mutually_uncorrelated():
@@ -174,17 +172,6 @@ def test_default_synthesis_autocorrelation():
     for p in range(1, 11):
         emp = np.mean(g[p:] * np.conj(g[:-p])).real / p0
         assert abs(emp - j0(2 * np.pi * 0.02 * p)) < 0.05
-
-
-def test_sum_of_sinusoids_autocorrelation():
-    rng = np.random.default_rng(10)
-    prof = preset_profile("flat", DESK_FS)
-    for lag in (1, 5):
-        acc = []
-        for _ in range(40):
-            g = realize(prof, 0.02, 1.0, 10_000, rng, method="sos").taps[:, 0]
-            acc.append(np.mean(g[lag:] * np.conj(g[:-lag])).real / np.mean(np.abs(g) ** 2))
-        assert abs(np.mean(acc) - j0(2 * np.pi * 0.02 * lag)) < 0.05
 
 
 def test_grid_correlation_separates_into_time_and_frequency():

@@ -32,7 +32,7 @@ QPSK = constellation("qpsk")
 def make_rx(rng, gi, taps, s, noise_var, c=QPSK):
     bits = rng.integers(0, 2, s * 64 * c.bits_per_symbol).astype(np.uint8)
     x = map_bits(bits, c).reshape(s, 64)
-    ch = ChannelRealization(taps=np.tile(taps, (s, 1)), fd_hz=0.0, tb_s=0.0)
+    ch = ChannelRealization(taps=np.tile(taps, (s, 1)))
     rx = propagate(assemble(ofdm_modulate(x), gi), ch, noise_var, rng)
     return rx, x
 
@@ -41,34 +41,33 @@ def test_combine_weights_by_error_variance():
     rng = np.random.default_rng(60)
     v1, v2 = crandn(rng, 32), crandn(rng, 32)
     out = combine(
-        CfrEstimate(values=v1, eps=0.02, source="pn"),
-        CfrEstimate(values=v2, eps=0.01, source="data_aided"),
+        CfrEstimate(values=v1, eps=0.02),
+        CfrEstimate(values=v2, eps=0.01),
     )
     assert np.allclose(out.values, (v1 + 2.0 * v2) / 3.0)
     assert out.eps == pytest.approx(1.0 / 150.0, rel=1e-12)
-    assert out.source == "combined"
 
 
 def test_combine_degenerate_cases():
     rng = np.random.default_rng(61)
     v1, v2 = crandn(rng, 8), crandn(rng, 8)
-    h1 = CfrEstimate(values=v1, eps=0.3, source="pn")
-    exact = combine(h1, CfrEstimate(values=v2, eps=0.0, source="data_aided"))
+    h1 = CfrEstimate(values=v1, eps=0.3)
+    exact = combine(h1, CfrEstimate(values=v2, eps=0.0))
     assert np.array_equal(exact.values, v2) and exact.eps == 0.0
-    h2_inf = CfrEstimate(values=v2, eps=float("inf"), source="data_aided")
+    h2_inf = CfrEstimate(values=v2, eps=float("inf"))
     keep1 = combine(h1, h2_inf)
     assert np.array_equal(keep1.values, v1) and keep1.eps == 0.3
-    h1_inf = CfrEstimate(values=v1, eps=float("inf"), source="pn")
-    keep2 = combine(h1_inf, CfrEstimate(values=v2, eps=0.2, source="data_aided"))
+    h1_inf = CfrEstimate(values=v1, eps=float("inf"))
+    keep2 = combine(h1_inf, CfrEstimate(values=v2, eps=0.2))
     assert np.array_equal(keep2.values, v2) and keep2.eps == 0.2
     eq = combine(
-        CfrEstimate(values=v1, eps=0.1, source="pn"),
-        CfrEstimate(values=v2, eps=0.1, source="data_aided"),
+        CfrEstimate(values=v1, eps=0.1),
+        CfrEstimate(values=v2, eps=0.1),
     )
     assert np.allclose(eq.values, (v1 + v2) / 2) and eq.eps == pytest.approx(0.05)
     both0 = combine(
-        CfrEstimate(values=v1, eps=0.0, source="pn"),
-        CfrEstimate(values=v2, eps=0.0, source="data_aided"),
+        CfrEstimate(values=v1, eps=0.0),
+        CfrEstimate(values=v2, eps=0.0),
     )
     assert np.allclose(both0.values, (v1 + v2) / 2) and both0.eps == 0.0
 
@@ -77,13 +76,13 @@ def test_combine_rejects_bad_inputs():
     v = np.zeros(4, dtype=np.complex128)
     with pytest.raises(ValueError, match="shape"):
         combine(
-            CfrEstimate(values=v, eps=0.1, source="pn"),
-            CfrEstimate(values=np.zeros(5, dtype=np.complex128), eps=0.1, source="x"),
+            CfrEstimate(values=v, eps=0.1),
+            CfrEstimate(values=np.zeros(5, dtype=np.complex128), eps=0.1),
         )
     with pytest.raises(ValueError, match="eps"):
         combine(
-            CfrEstimate(values=v, eps=-0.1, source="pn"),
-            CfrEstimate(values=v, eps=0.1, source="x"),
+            CfrEstimate(values=v, eps=-0.1),
+            CfrEstimate(values=v, eps=0.1),
         )
 
 
@@ -95,8 +94,8 @@ def test_combine_rejects_bad_inputs():
 def test_combined_error_never_exceeds_either_input(e1, e2):
     v = np.ones(4, dtype=np.complex128)
     out = combine(
-        CfrEstimate(values=v, eps=e1, source="pn"),
-        CfrEstimate(values=v, eps=e2, source="data_aided"),
+        CfrEstimate(values=v, eps=e1),
+        CfrEstimate(values=v, eps=e2),
     )
     assert out.eps <= min(e1, e2) * (1 + 1e-12)
 
@@ -110,8 +109,8 @@ def test_combining_weight_minimizes_the_error_quadratic():
         best = betas[np.argmin(curve)]
         assert abs(best - e2 / (e1 + e2)) <= 1e-3
         out = combine(
-            CfrEstimate(values=np.ones(2), eps=e1, source="pn"),
-            CfrEstimate(values=np.ones(2), eps=e2, source="data_aided"),
+            CfrEstimate(values=np.ones(2), eps=e1),
+            CfrEstimate(values=np.ones(2), eps=e2),
         )
         assert out.eps <= curve.min() + 1e-12
 
@@ -122,8 +121,8 @@ def test_combine_falls_back_where_second_estimate_is_masked():
     mask = np.ones(16, dtype=bool)
     mask[[3, 9]] = False
     out = combine(
-        CfrEstimate(values=v1, eps=0.1, source="pn"),
-        CfrEstimate(values=v2, eps=0.1, source="data_aided", mask=mask),
+        CfrEstimate(values=v1, eps=0.1),
+        CfrEstimate(values=v2, eps=0.1, mask=mask),
     )
     assert np.allclose(out.values[mask], (v1 + v2)[mask] / 2)
     assert np.array_equal(out.values[~mask], v1[~mask])
@@ -157,7 +156,7 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     params = ReceiverParams(
         constellation=QPSK, noise_var=nv, cir_len=1, iterations=2, refiner="ma1d", m=5
     )
-    initial = CfrEstimate(values=truth.copy(), eps=0.0, source="genie")
+    initial = CfrEstimate(values=truth.copy(), eps=0.0)
     est, _, diag = iterate(rx, gi3_16, params, truth_cfr=truth, initial=initial)
     assert len(diag.mse) == 3
     assert all(m <= 1e-10 for m in diag.mse)
@@ -182,7 +181,6 @@ def test_loop_improves_the_ls_stage(gi3_16):
     assert len(diag.eps) == len(diag.mse) == 3
     assert len(diag.h2_eps) == len(diag.h2_mse) == 2
     assert diag.z_grids[-1] is z
-    assert est.source == "combined"
     assert diag.mse[-1] < diag.mse[0]
     assert diag.eps[-1] < diag.eps[0]
 

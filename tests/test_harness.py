@@ -10,7 +10,7 @@ import tdsofdm
 from tdsofdm import (
     CSV_HEADER,
     ConfigError,
-    genie_mode,
+    ConstraintError,
     resolve_config,
     run,
     sidecar_path,
@@ -129,6 +129,51 @@ def test_dtmb_wiener_trial_end_to_end(estimator, corr_mode):
     assert rows[-1].mse_empirical < rows[0].mse_empirical
 
 
+def test_wiener1d_ignores_the_time_sampling_rule():
+    # fd * tb = 0.3125 > 1/4: no block spacing samples the fading, but only
+    # wiener2x1d interpolates across blocks
+    fast = {"fc_hz": 5e9, "velocity_kmh": 120, "trials": 1, "snr_db": "20"}
+    rows = run(resolve_config({**fast, "estimator": "wiener1d"}))
+    assert [r.iteration for r in rows] == [0, 1, 2]
+    for r in rows:
+        assert np.isfinite([r.mse_empirical, r.eps_analytic, r.ber_uncoded]).all()
+    with pytest.raises(ConstraintError, match="time sampling rule"):
+        run(resolve_config({**fast, "estimator": "wiener2x1d"}))
+
+
+@pytest.mark.parametrize("block_len", [5, 2])
+def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
+    # record every refine output and the time filters designed inside it
+    refines = []
+    build, refine = tdsofdm.combiner.build_wiener, tdsofdm.combiner._refine
+
+    def recording_build(domain, *args, **kwargs):
+        filt = build(domain, *args, **kwargs)
+        if domain == "time":
+            refines[-1][1].append(filt.residual_mse)
+        return filt
+
+    def recording_refine(*args, **kwargs):
+        refines.append([None, []])
+        refines[-1][0] = refine(*args, **kwargs)
+        return refines[-1][0]
+
+    monkeypatch.setattr(tdsofdm.combiner, "build_wiener", recording_build)
+    monkeypatch.setattr(tdsofdm.combiner, "_refine", recording_refine)
+    cfg = resolve_config(
+        {"estimator": "wiener2x1d", "block_len": block_len, "trials": 2, "snr_db": "5,25", "seed": 3}
+    )
+    rows = run(cfg)
+    for r in rows:
+        assert np.isfinite([r.mse_empirical, r.eps_analytic, r.ber_uncoded]).all()
+    assert len(refines) == 2 * 2 * cfg.iterations
+    chunks = cfg.num_symbols // block_len
+    for h2, resid in refines:
+        assert len(resid) == chunks
+        assert h2.mask.reshape(chunks, -1).all(axis=1).all()
+        assert h2.eps == np.mean(resid)
+
+
 QAM_CASES = [(e, c) for e in ("wiener1d", "wiener2x1d") for c in ("qam16", "qam64")]
 
 
@@ -177,8 +222,7 @@ def test_pn_estimator_reports_one_stage():
 
 
 def test_genie_floor_is_error_free_at_high_snr():
-    cfg = resolve_config({"trials": 20, "snr_db": "60"})
-    rows = genie_mode(cfg)
+    rows = run(resolve_config({"trials": 20, "snr_db": "60", "estimator": "genie"}))
     assert len(rows) == 1
     assert rows[0].estimator == "genie"
     assert rows[0].ber_uncoded == 0.0
@@ -188,7 +232,7 @@ def test_genie_floor_is_error_free_at_high_snr():
 def test_genie_lower_bounds_the_estimator():
     base = {"trials": 30, "snr_db": "10,20", "seed": 11}
     rows_est = run(resolve_config(base))
-    rows_gen = genie_mode(resolve_config(base))
+    rows_gen = run(resolve_config({**base, "estimator": "genie"}))
     for snr in (10.0, 20.0):
         ber_est = [r.ber_uncoded for r in rows_est if r.snr_db == snr][-1]
         ber_gen = [r.ber_uncoded for r in rows_gen if r.snr_db == snr][0]

@@ -22,7 +22,7 @@ from conftest import crandn, naive_stream_conv, naive_unitary_dft
 
 def static_channel(taps, blocks):
     taps = np.asarray(taps, dtype=np.complex128)
-    return ChannelRealization(taps=np.tile(taps, (blocks, 1)), fd_hz=0.0, tb_s=0.0)
+    return ChannelRealization(taps=np.tile(taps, (blocks, 1)))
 
 
 def test_modulator_impulse_and_tone():
@@ -65,14 +65,6 @@ def test_assemble_layout_and_guard_power(desk_gi):
     assert gp / dp == pytest.approx(2.0, rel=0.1)
 
 
-def test_assemble_without_guard_is_passthrough():
-    rng = np.random.default_rng(4)
-    bodies = crandn(rng, (3, 32))
-    sig = assemble(bodies, None)
-    assert np.array_equal(sig.blocks, bodies)
-    assert sig.tail.size == 0
-
-
 def test_propagate_identity_channel(gi3_16):
     rng = np.random.default_rng(5)
     sig = assemble(crandn(rng, (4, 64)), gi3_16)
@@ -90,7 +82,7 @@ def test_propagate_matches_per_sample_convolution():
     gi = build_gi(generate_mseq(2), 4, 2.0)       # nu=4, n_pn=3
     sig = assemble(bodies, gi)
     taps = crandn(rng, (3, 3))
-    out = propagate(sig, ChannelRealization(taps=taps, fd_hz=0.0, tb_s=0.0), 0.0, rng)
+    out = propagate(sig, ChannelRealization(taps=taps), 0.0, rng)
     want = naive_stream_conv(sig.blocks, sig.tail, taps)
     got = np.concatenate([out.blocks.ravel(), out.tail])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -118,7 +110,7 @@ def test_propagate_warns_when_channel_outruns_guard(gi3_16):
     taps[:, 0] = 1.0
     taps[:, 17] = 0.5
     with pytest.warns(UserWarning, match="guard"):
-        propagate(sig, ChannelRealization(taps=taps, fd_hz=0.0, tb_s=0.0), 0.0, rng)
+        propagate(sig, ChannelRealization(taps=taps), 0.0, rng)
 
 
 def test_remove_pn_perfect_estimate_clears_guard(gi3_16):
@@ -208,7 +200,7 @@ def test_equalize_inverts_known_gains():
     rng = np.random.default_rng(16)
     x = crandn(rng, (3, 32))
     h = crandn(rng, 32)
-    z = equalize(FrameGrid(data=x * h, role="rx_freq"), h)
+    z = equalize(FrameGrid(data=x * h), h)
     assert np.max(np.abs(z.data - x)) < 1e-10
     assert z.mask.all()
 
@@ -217,7 +209,7 @@ def test_equalize_flags_spectral_nulls():
     rng = np.random.default_rng(17)
     h = np.ones(16, dtype=np.complex128)
     h[5] = 0.0
-    y = FrameGrid(data=crandn(rng, (2, 16)), role="rx_freq")
+    y = FrameGrid(data=crandn(rng, (2, 16)))
     z = equalize(y, h)
     assert not z.mask[:, 5].any()
     assert np.all(z.data[:, 5] == 0.0)
@@ -226,7 +218,7 @@ def test_equalize_flags_spectral_nulls():
 
 def test_equalize_scaling_consistency():
     rng = np.random.default_rng(18)
-    y = FrameGrid(data=crandn(rng, (2, 16)), role="rx_freq")
+    y = FrameGrid(data=crandn(rng, (2, 16)))
     h = crandn(rng, 16)
     z1 = equalize(y, h)
     z2 = equalize(y, 2.0 * h)

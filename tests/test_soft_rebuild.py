@@ -40,7 +40,7 @@ def test_qpsk_llrs_match_closed_form():
     z = crandn(rng, (2, 16))
     h = crandn(rng, 16) + 2.0     # bounded away from zero
     nv = 0.4
-    llr = demap(FrameGrid(data=z, role="rx_freq"), h, nv, QPSK, llr_max=1e6)
+    llr = demap(FrameGrid(data=z), h, nv, QPSK, llr_max=1e6)
     sigma2 = nv / np.abs(h) ** 2
     want_i = 2.0 * np.sqrt(2.0) * z.real / sigma2
     want_q = 2.0 * np.sqrt(2.0) * z.imag / sigma2
@@ -49,7 +49,7 @@ def test_qpsk_llrs_match_closed_form():
 
 
 def test_llrs_clip_at_default_limit():
-    z = FrameGrid(data=np.full((1, 4), 10.0 + 10.0j), role="rx_freq")
+    z = FrameGrid(data=np.full((1, 4), 10.0 + 10.0j))
     llr = demap(z, np.ones(4), 0.01, QPSK)
     assert llr.llr_max == 30.0
     assert np.all(np.abs(llr.values) == 30.0)
@@ -62,17 +62,17 @@ def test_uninformative_cells_get_zero_llrs():
     mask[0, 3] = False
     h = np.ones(8, dtype=np.complex128)
     h[5] = 0.0                     # spectral null
-    llr = demap(FrameGrid(data=data, role="rx_freq", mask=mask), h, 0.1, QPSK)
+    llr = demap(FrameGrid(data=data, mask=mask), h, 0.1, QPSK)
     assert np.all(llr.values[0, 3] == 0.0)
     assert np.all(llr.values[:, 5] == 0.0)
     assert np.any(llr.values[1, 0] != 0.0)
     # a zero observation is equidistant from all points
-    z0 = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128), role="rx_freq")
+    z0 = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128))
     assert np.all(demap(z0, np.ones(2), 0.1, QPSK).values == 0.0)
 
 
 def test_demap_rejects_negative_noise():
-    z = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128), role="rx_freq")
+    z = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128))
     with pytest.raises(ValueError):
         demap(z, np.ones(2), -0.1, QPSK)
 
@@ -122,7 +122,7 @@ def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null
     if null >= 0:
         h[null] = 0.0                              # spectral null
     nv = 10.0**log_nv
-    grid = FrameGrid(data=z, role="equalized", mask=mask)
+    grid = FrameGrid(data=z, mask=mask)
     llr = demap(grid, h, nv, c)
     # the generic form rounds each |z - p|^2 / sigma2 on the scale of the
     # largest one, which includes the other axis's distance: at z = 1.6e-8 +
@@ -154,7 +154,7 @@ def test_zero_cells_match_the_generic_form(c):
     z = np.zeros((2, 4), dtype=np.complex128)
     mask = np.ones(z.shape, dtype=bool)
     mask[1, 2] = False
-    grid = FrameGrid(data=z, role="equalized", mask=mask)
+    grid = FrameGrid(data=z, mask=mask)
     h = np.ones(4)
     for nv in (1e-8, 0.1, 10.0):
         llr = demap(grid, h, nv, c)
@@ -167,7 +167,7 @@ def test_zero_cells_match_the_generic_form(c):
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 def test_noiseless_points_match_the_generic_form(c):
     z = np.tile(c.points, (2, 1))
-    grid = FrameGrid(data=z, role="equalized")
+    grid = FrameGrid(data=z)
     h = np.ones(z.shape[1])
     for nv in (1e-8, 0.1, 10.0):
         llr = demap(grid, h, nv, c, llr_max=1e6)
@@ -190,7 +190,7 @@ def test_high_snr_rebuild_recovers_sent_symbols():
     rng = np.random.default_rng(34)
     x = random_symbols(rng, 4000, QAM16).reshape(4, 1000)
     nv = 10.0 ** (-2.5)
-    z = FrameGrid(data=x + crandn(rng, x.shape, var=nv), role="rx_freq")
+    z = FrameGrid(data=x + crandn(rng, x.shape, var=nv))
     soft = soft_symbols(demap(z, np.ones(1000), nv, QAM16), QAM16)
     hard = QAM16.points[np.argmin(np.abs(soft.x_hat[..., None] - QAM16.points), axis=-1)]
     assert np.mean(hard != x) < 1e-3
@@ -200,7 +200,7 @@ def test_instantaneous_perfect_rebuild_recovers_cfr():
     rng = np.random.default_rng(35)
     x = random_symbols(rng, 256, QPSK).reshape(2, 128)
     h = crandn(rng, 128)
-    y = FrameGrid(data=h * x, role="rx_freq")
+    y = FrameGrid(data=h * x)
     soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2, eta_bar=1.0)
     inst = instantaneous_estimate(soft, y, QPSK)
     assert inst.mask.all()
@@ -212,7 +212,7 @@ def test_instantaneous_divides_by_bin_power_for_mixed_constellations():
     rng = np.random.default_rng(36)
     x = random_symbols(rng, 512, QAM16).reshape(1, 512)
     h = crandn(rng, 512)
-    y = FrameGrid(data=h * x, role="rx_freq")
+    y = FrameGrid(data=h * x)
     soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2, eta_bar=1.0)
     inst = instantaneous_estimate(soft, y, QAM16)
     assert np.max(np.abs(inst.values - h)) < 1e-12
@@ -226,7 +226,7 @@ def test_instantaneous_floor_and_mask():
     xh[0, 2] *= 0.01               # rebuilt power 1e-4, far below the floor
     ymask = np.ones((1, 16), dtype=bool)
     ymask[0, 7] = False
-    y = FrameGrid(data=x.copy(), role="rx_freq", mask=ymask)
+    y = FrameGrid(data=x.copy(), mask=ymask)
     soft = SoftSymbolGrid(x_hat=xh, eta=np.abs(xh) ** 2, eta_bar=1.0)
     inst = instantaneous_estimate(soft, y, QPSK)
     assert not inst.mask[0, 2] and not inst.mask[0, 7]
@@ -240,7 +240,7 @@ def test_instantaneous_error_variance_tracks_weights():
     x = random_symbols(rng, 10000, QAM16)
     h = crandn(rng, 10000)
     w = crandn(rng, 10000, var=nv)
-    y = FrameGrid(data=(h * x + w)[None, :], role="rx_freq")
+    y = FrameGrid(data=(h * x + w)[None, :])
     soft = SoftSymbolGrid(
         x_hat=x[None, :], eta=np.abs(x[None, :]) ** 2, eta_bar=1.0
     )
