@@ -47,9 +47,11 @@ class VirtualPilotPlan:
 class WienerFilter:
     """MMSE interpolator for one domain.
 
-    coefficients maps pilot samples to the full axis; for frequency filters
-    the phase vectors shift the effective delay profile to zero mean so the
-    system is (near-)real, and are undone on application.
+    coefficients is the (n_out, k) matrix that maps the k pilot samples to
+    the full axis, and residual_mse the interpolation MSE averaged over the
+    n_out outputs; for frequency filters the phase vectors shift the
+    effective delay profile to zero mean so the system is (near-)real, and
+    are undone on application.
     """
 
     coefficients: np.ndarray
@@ -198,21 +200,15 @@ def build_wiener(
     Frequency filters take their correlation from a measured delay profile
     or, by default, a uniform profile over [0, design_len); a phase-center
     shift moves the profile centroid to delay zero, which makes the uniform
-    system real-symmetric and better conditioned.  Time filters use the
-    Jakes block correlation.  Both priors are stationary, so the correlation
-    is evaluated once over the 2n-1 lags of an n-point axis and indexed into
-    the pilot system and the pilot-to-output cross-correlation.
+    system real-symmetric.  Time filters use the Jakes block correlation.
 
-    input_err_var is used exactly as given; zero gets a trace-scaled jitter
-    on the diagonal so the solve stays finite.  One Cholesky factorization
-    yields both the coefficients and the residual MSE, and a system that is
-    not positive definite raises numpy.linalg.LinAlgError.
+    input_err_var is used exactly as given; zero gets a jitter of 1e-12
+    times the prior power r(0) so the solve stays finite.  A prior that is
+    not a correlation raises numpy.linalg.LinAlgError.
     """
     if input_err_var < 0:
         raise ValueError("input_err_var must be nonnegative")
     if domain == "freq":
-        n_out = plan.n_fft
-        pil = plan.freq_idx
         if profile is not None:
             delays = profile.delays.astype(np.float64)
             powers = profile.powers
@@ -221,22 +217,58 @@ def build_wiener(
                 raise ValueError("design_len required for the uniform-profile mode")
             delays = np.arange(design_len, dtype=np.float64)
             powers = np.full(design_len, 1.0 / design_len)
-        center = float(powers @ delays)
-        lags = np.arange(1 - n_out, n_out)
-        r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays - center) / n_out) @ powers
-        phase_in = np.exp(2j * np.pi * pil * center / n_out)
-        phase_out = np.exp(2j * np.pi * np.arange(n_out) * center / n_out)
-    elif domain == "time":
-        n_out = plan.block_len
-        pil = plan.time_idx
+        return _freq_wiener(plan, input_err_var, delays, powers)
+    if domain == "time":
         if fd_hz < 0 or tb_s < 0:
             raise ValueError("fd_hz and tb_s must be nonnegative")
-        r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
-        phase_in = None
-        phase_out = None
-    else:
-        raise ValueError(f"unknown filter domain {domain!r}")
+        return _time_wiener(plan, input_err_var, fd_hz, tb_s)
+    raise ValueError(f"unknown filter domain {domain!r}")
 
+
+def _freq_wiener(plan, input_err_var, delays, powers) -> WienerFilter:
+    """Frequency design in the prior's delay domain: one D x D solve.
+
+    The prior is D complex exponentials.  With w = 2 pi (delays - center)
+    / n_fft, U = exp(j pil w) sqrt(P) on the k pilots, V = exp(j m w)
+    sqrt(P) on the n_fft outputs m and the ridge s, conj(Phi) = U U^H + s I
+    and Theta = U V^H, so the push-through identity gives the coefficients
+    conj(Phi)^-1 Theta = U (U^H U + s I)^-1 V^H.  Delays that coincide
+    modulo n_fft are one exponential on the grid and are merged; distinct
+    ones make V^H V = n_fft P, so the output-mean residual r(0) - mean(
+    Theta^H conj(Phi)^-1 Theta) is s tr((U^H U + s I)^-1 P).  See Edfors
+    et al., IEEE Trans. Commun. 46(7), 1998.
+    """
+    n_out, pil = plan.n_fft, plan.freq_idx
+    if np.any(powers < 0):
+        raise np.linalg.LinAlgError("a delay profile with a negative power is not a correlation")
+    center = float(powers @ delays)
+    delays, tap = np.unique(delays % n_out, return_inverse=True)
+    powers = np.bincount(tap, weights=powers)
+    w = 2 * np.pi * (delays - center) / n_out
+    sq = np.sqrt(powers)
+    u = np.exp(1j * np.multiply.outer(pil, w)) * sq
+    v = np.exp(1j * np.multiply.outer(np.arange(n_out), w)) * sq
+    ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
+    eye = np.eye(w.size)
+    m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(u.conj().T @ u + ridge * eye), eye)
+    x = (u @ m_inv) @ v.conj().T
+    return WienerFilter(
+        coefficients=x.T,
+        pilot_idx=pil.copy(),
+        residual_mse=float(ridge * (np.diag(m_inv).real @ powers)),
+        phase_in=np.exp(2j * np.pi * pil * center / n_out),
+        phase_out=np.exp(2j * np.pi * np.arange(n_out) * center / n_out),
+    )
+
+
+def _time_wiener(plan, input_err_var, fd_hz, tb_s) -> WienerFilter:
+    """Time design from the Jakes correlation over the 2n-1 block lags.
+
+    One Cholesky factorization of the k x k pilot system yields both the
+    coefficients and the residual's quadratic form.
+    """
+    n_out, pil = plan.block_len, plan.time_idx
+    r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
     # r[q + n_out - 1] is the correlation at lag q
     k = pil.size
     phi = r[pil[:, None] - pil[None, :] + n_out - 1] + input_err_var * np.eye(k)
@@ -247,14 +279,7 @@ def build_wiener(
     x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.conj(phi)), theta)
     quad = np.einsum("pk,pk->k", theta, np.conj(x)).real
     resid = np.maximum(r[n_out - 1].real - quad, 0.0)
-
-    return WienerFilter(
-        coefficients=x.T,
-        pilot_idx=pil.copy(),
-        residual_mse=float(resid.mean()),
-        phase_in=phase_in,
-        phase_out=phase_out,
-    )
+    return WienerFilter(coefficients=x.T, pilot_idx=pil.copy(), residual_mse=float(resid.mean()))
 
 
 def _impute_invalid(values: np.ndarray, mask: np.ndarray, positions: np.ndarray) -> np.ndarray:

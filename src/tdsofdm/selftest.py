@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, r_t
+from .channel import ChannelRealization, preset_profile, r_t
 from .combiner import combine
 from .modulation import CONSTELLATIONS, constellation, hard_decisions, map_bits
 from .phy import FrameGrid, assemble, equalize, ofdm_modulate, ola, propagate, remove_pn
@@ -15,6 +15,7 @@ from .pn_estimator import (
     ls_pn,
     mean_interference_power,
 )
+from .refiners import build_wiener, plan_pilots
 from .sequences import build_gi, generate_mseq
 from .soft_rebuild import demap, soft_symbols
 from .harness import resolve_config, run
@@ -94,6 +95,19 @@ def _check_bessel() -> None:
     assert abs(r_t(1, arg, 1.0)) < 1e-6
 
 
+def _check_wiener_design() -> None:
+    # a flat channel is one constant across the band: every output averages
+    # the k pilots with weight 1 / (k + var) and keeps var / (k + var) error
+    plan = plan_pilots(32, 1, 1, 0.0, 0.0, 4, 1)
+    k = plan.k_f
+    for var in (0.25, 1e-3):
+        filt = build_wiener("freq", plan, input_err_var=var, profile=preset_profile("flat", 1.0))
+        err = np.abs(filt.coefficients - 1.0 / (k + var)).max()
+        assert err < 1e-12, f"flat-profile coefficients off by {err} at var {var}"
+        want = var / (k + var)
+        assert abs(filt.residual_mse - want) < 1e-9 * want, f"flat-profile residual {filt.residual_mse} vs {want}"
+
+
 def _check_soft_symbols() -> None:
     z = FrameGrid(data=np.zeros((1, 8), dtype=complex))
     for name in CONSTELLATIONS:
@@ -133,6 +147,7 @@ _CHECKS = [
     ("interference mean consistency", _check_interference_mean),
     ("MMSE combiner", _check_combiner),
     ("Jakes correlation", _check_bessel),
+    ("Wiener design", _check_wiener_design),
     ("soft rebuild neutrality", _check_soft_symbols),
     ("equalize and slice", _check_equalizer_slicer),
     ("run determinism", _check_determinism),

@@ -5,6 +5,7 @@ library (matrix DFTs instead of FFTs, per-sample convolution loops) so that
 agreement between the two is meaningful.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,26 +53,31 @@ def naive_stream_conv(blocks: np.ndarray, tail: np.ndarray, taps: np.ndarray) ->
     return out
 
 
-def reference_wiener(
+def _prior_taps(profile, design_len):
+    """Delays and powers of a frequency prior: the profile, or uniform over design_len taps."""
+    if profile is not None:
+        return profile.delays.astype(np.float64), profile.powers
+    return np.arange(design_len, dtype=np.float64), np.full(design_len, 1.0 / design_len)
+
+
+def reference_system(
     domain, plan, input_err_var, profile=None, design_len=None, fd_hz=0.0, tb_s=0.0
 ):
-    """Dense MMSE interpolator design: (coefficients, residual_mse).
+    """The dense MMSE interpolation system: (phi, theta, r0).
 
-    Every correlation entry is evaluated directly from the prior through a
-    (rows, cols, taps) exponential tensor, and the coefficients and the
-    residual come from two separate positive-definite solves.
+    Every correlation entry is evaluated directly from the prior, once per
+    distinct lag for frequency filters; phi carries the input error
+    variance, or at zero the 1e-12 r(0) jitter, on its diagonal.
     """
     if domain == "freq":
         n_out, pil = plan.n_fft, plan.freq_idx
-        if profile is not None:
-            delays, powers = profile.delays.astype(np.float64), profile.powers
-        else:
-            delays = np.arange(design_len, dtype=np.float64)
-            powers = np.full(design_len, 1.0 / design_len)
+        delays, powers = _prior_taps(profile, design_len)
         center = float(powers @ delays)
 
         def corr(q):
-            return np.exp(-2j * np.pi * np.multiply.outer(q, delays - center) / n_out) @ powers
+            lags, inv = np.unique(q, return_inverse=True)
+            r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays - center) / n_out) @ powers
+            return r[inv].reshape(q.shape)
 
     else:
         n_out, pil = plan.block_len, plan.time_idx
@@ -84,10 +90,55 @@ def reference_wiener(
     if input_err_var == 0.0:
         phi = phi + (1e-12 * np.trace(phi).real / k) * np.eye(k)
     theta = corr(np.arange(n_out)[None, :] - pil[:, None])
+    return phi, theta, corr(np.array([0]))[0].real
+
+
+def reference_wiener(
+    domain, plan, input_err_var, profile=None, design_len=None, fd_hz=0.0, tb_s=0.0
+):
+    """Dense MMSE interpolator design: (coefficients, residual_mse).
+
+    The coefficients and the residual come from two separate
+    positive-definite solves of the reference_system.
+    """
+    phi, theta, r0 = reference_system(domain, plan, input_err_var, profile, design_len, fd_hz, tb_s)
     coeff = scipy.linalg.solve(np.conj(phi), theta, assume_a="pos").T
     quad = np.einsum("pk,pk->k", theta, scipy.linalg.solve(phi, np.conj(theta), assume_a="pos")).real
-    resid = np.maximum(corr(np.array([0]))[0].real - quad, 0.0)
+    resid = np.maximum(r0 - quad, 0.0)
     return coeff, float(resid.mean())
+
+
+def exact_freq_wiener(plan, input_err_var, profile=None, design_len=None):
+    """The frequency design solved in mpmath at 40 digits: (coefficients, residual_mse).
+
+    Solves the same system as build_wiener, prior, phase centre and
+    zero-variance jitter included, exactly enough that a near-singular
+    phi (rank D plus a tiny ridge) costs no float64 digits.
+    """
+    delays, powers = _prior_taps(profile, design_len)
+    n_out, pil = plan.n_fft, [int(i) for i in plan.freq_idx]
+    with mpmath.workdps(40):
+        taps = [(mpmath.mpf(float(d)), mpmath.mpf(float(p))) for d, p in zip(delays, powers)]
+        center = mpmath.fsum(p * d for d, p in taps)
+        r = {
+            q: mpmath.fsum(p * mpmath.expjpi(-2 * q * (d - center) / n_out) for d, p in taps)
+            for q in range(1 - n_out, n_out)
+        }
+        r0 = mpmath.re(r[0])
+        ridge = mpmath.mpf(input_err_var) if input_err_var > 0 else mpmath.mpf(1e-12) * r0
+        k = len(pil)
+        phi_conj = mpmath.matrix(k, k)
+        theta = mpmath.matrix(k, n_out)
+        for i, a in enumerate(pil):
+            for j, b in enumerate(pil):
+                phi_conj[i, j] = mpmath.conj(r[a - b]) + (ridge if i == j else 0)
+            for m in range(n_out):
+                theta[i, m] = r[m - a]
+        x = mpmath.inverse(phi_conj) * theta
+        quad = mpmath.fsum(theta[i, m] * mpmath.conj(x[i, m]) for i in range(k) for m in range(n_out))
+        resid = r0 - mpmath.re(quad) / n_out
+        coeff = np.array([[complex(x[i, m]) for i in range(k)] for m in range(n_out)])
+        return coeff, float(resid)
 
 
 def reference_demap(z, h, noise_var, c, llr_max=30.0):

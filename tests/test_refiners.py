@@ -14,11 +14,12 @@ from tdsofdm import (
     plan_pilots,
     preset_profile,
     realize,
+    resolve_config,
     wiener_1d,
     wiener_2x1d,
 )
 
-from conftest import crandn, reference_wiener
+from conftest import crandn, exact_freq_wiener, reference_system, reference_wiener
 
 
 def test_ma_window_of_one_is_identity():
@@ -194,10 +195,14 @@ def test_wiener_build_rejects_bad_arguments():
 
 # an asymmetric profile: its centred correlation is complex
 _SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5, 0.25, 0.15, 0.1]))
+# an echo one FFT period (64 samples) behind the tap at 3: on the grid
+# the two are one exponential
+_ALIASED = PowerDelayProfile(delays=np.array([0, 3, 67]), powers=np.array([0.6, 0.3, 0.1]))
 _DESIGNS = {
     "freq-uniform": (plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1), dict(design_len=4)),
     "freq-uniform-ragged": (plan_pilots(70, 4, 1, 0.0, 0.0, 4, 1), dict(design_len=4)),
     "freq-profile": (plan_pilots(64, 7, 1, 0.0, 0.0, 2, 1), dict(profile=_SKEWED)),
+    "freq-profile-aliased": (plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1), dict(profile=_ALIASED)),
     "freq-profile-ragged": (plan_pilots(71, 4, 1, 0.0, 0.0, 3, 1), dict(profile=_SKEWED)),
     "time": (plan_pilots(32, 4, 10, 0.05, 1.0, 2, 2), dict(fd_hz=0.05, tb_s=1.0)),
     "time-ragged": (plan_pilots(32, 4, 9, 0.02, 1.0, 4, 4), dict(fd_hz=0.02, tb_s=1.0)),
@@ -210,12 +215,50 @@ def test_wiener_matches_dense_reference(case, var):
     plan, kw = _DESIGNS[case]
     domain = case.split("-")[0]
     filt = build_wiener(domain, plan, input_err_var=var, **kw)
-    want_coeff, want_resid = reference_wiener(domain, plan, var, **kw)
+    # a frequency phi is rank D plus a small ridge, so a float64 solve of
+    # it is itself off by up to 6e-3 (3.5e-2 aliased) at var = 0: solve
+    # those exactly
+    if domain == "freq":
+        want_coeff, want_resid = exact_freq_wiener(plan, var, **kw)
+    else:
+        want_coeff, want_resid = reference_wiener(domain, plan, var, **kw)
     assert filt.coefficients.shape == want_coeff.shape
     assert np.max(np.abs(filt.coefficients - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
     # residual_mse is r(0) - quad with r(0) = 1, so at var = 0 the absolute
     # floor is 1e-12 of the prior power rather than of the tiny residual
     assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "profile"])
+@pytest.mark.parametrize("preset", ["desk", "dtmb"])
+def test_wiener_solves_the_full_size_system(preset, prior):
+    # the wiener1d frequency design of each preset, checked against its own
+    # dense system rather than against another solver
+    cfg = resolve_config({"preset": preset})
+    profile = cfg.profile()
+    plan = plan_pilots(cfg.fft_size, profile.length, 1, 0.0, 0.0, cfg.m, 1)
+    kw = dict(profile=profile) if prior == "profile" else dict(design_len=cfg.cir_len)
+    for var in (0.0, 1e-3, 0.1):
+        filt = build_wiener("freq", plan, input_err_var=var, **kw)
+        phi, theta, _ = reference_system("freq", plan, var, **kw)
+        err = np.max(np.abs(np.conj(phi) @ filt.coefficients.T - theta))
+        assert err <= 1e-13 * np.max(np.abs(theta)), f"var {var}: {err:.3g}"
+    _, want_resid = reference_wiener("freq", plan, 0.1, **kw)
+    assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12)
+
+
+def test_wiener_ignores_zero_power_taps():
+    plan = plan_pilots(64, 7, 1, 0.0, 0.0, 2, 1)
+    padded = PowerDelayProfile(
+        delays=np.append(_SKEWED.delays, 4), powers=np.append(_SKEWED.powers, 0.0)
+    )
+    for var in (0.0, 1e-3, 0.1):
+        want = build_wiener("freq", plan, input_err_var=var, profile=_SKEWED)
+        got = build_wiener("freq", plan, input_err_var=var, profile=padded)
+        assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-12 * np.max(
+            np.abs(want.coefficients)
+        )
+        assert got.residual_mse == pytest.approx(want.residual_mse, rel=1e-12, abs=1e-12)
 
 
 def test_wiener_non_positive_definite_system_raises():
