@@ -245,10 +245,13 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
+    length = cfg.profile().length
+    if length > cfg.fft_size:
+        raise ConfigError(f"channel length {length} exceeds fft_size {cfg.fft_size}; shorten sfn_delay_us")
     if cfg.cir_len == 0:
         # dimension the receiver's CIR window to the deployment's maximum
         # excess delay, capped by what the core can resolve
-        cfg = replace(cfg, cir_len=min(cfg.profile().length, n_pn))
+        cfg = replace(cfg, cir_len=min(length, n_pn))
     return cfg
 
 

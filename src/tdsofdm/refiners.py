@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import PowerDelayProfile, r_t
+from .channel import PowerDelayProfile, cfr, r_t
 
 
 class ConstraintError(ValueError):
@@ -47,18 +47,17 @@ class VirtualPilotPlan:
 class WienerFilter:
     """MMSE interpolator for one domain.
 
-    coefficients is the (n_out, k) matrix that maps the k pilot samples to
-    the full axis, and residual_mse the interpolation MSE averaged over the
-    n_out outputs; for frequency filters the phase vectors shift the
-    effective delay profile to zero mean so the system is (near-)real, and
-    are undone on application.
+    v @ coefficients.T maps k pilot samples v to the outputs: the block_len
+    blocks for a time filter, or for a frequency filter the channel taps at
+    delays 0 .. L-1, whose DFT fills the n_fft grid (n_fft is None for time
+    filters).  residual_mse is the interpolation MSE averaged over the full
+    axis.
     """
 
     coefficients: np.ndarray
     pilot_idx: np.ndarray
     residual_mse: float
-    phase_in: np.ndarray | None = None
-    phase_out: np.ndarray | None = None
+    n_fft: int | None = None
 
 
 def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
@@ -162,15 +161,10 @@ def plan_pilots(
         )
     l_f = min(m, f_cap)
     nyq = fd_hz * tb_s
-    if nyq > 0:
-        t_cap = int(1.0 / (4.0 * nyq))
-        if t_cap < 1:
-            raise ConstraintError(
-                f"time sampling rule unsatisfiable: fd*tb={nyq:.4g} exceeds 1/4"
-            )
-        l_t = min(m_t, t_cap)
-    else:
-        l_t = m_t
+    if nyq > 0.25:
+        raise ConstraintError(f"time sampling rule unsatisfiable: fd*tb={nyq:.4g} exceeds 1/4")
+    # min() before int(): 0.25 / nyq overflows to inf for a subnormal fd*tb
+    l_t = int(min(m_t, 0.25 / nyq)) if nyq > 0 else m_t
     k_f = n_fft // l_f
     k_t = block_len // l_t
     return VirtualPilotPlan(
@@ -197,10 +191,10 @@ def build_wiener(
 ) -> WienerFilter:
     """Solve the regularized MMSE interpolation system for one domain.
 
-    Frequency filters take their correlation from a measured delay profile
-    or, by default, a uniform profile over [0, design_len); a phase-center
-    shift moves the profile centroid to delay zero, which makes the uniform
-    system real-symmetric.  Time filters use the Jakes block correlation.
+    Frequency filters estimate the taps of a prior made of a measured delay
+    profile or, by default, a uniform profile over [0, design_len); their
+    outputs are taps, which wiener_1d and wiener_2x1d expand onto the
+    n_fft grid.  Time filters use the Jakes block correlation.
 
     input_err_var is used exactly as given; zero gets a jitter of 1e-12
     times the prior power r(0) so the solve stays finite.  A prior that is
@@ -210,12 +204,11 @@ def build_wiener(
         raise ValueError("input_err_var must be nonnegative")
     if domain == "freq":
         if profile is not None:
-            delays = profile.delays.astype(np.float64)
-            powers = profile.powers
+            delays, powers = profile.delays, profile.powers
         else:
             if design_len is None or design_len < 1:
                 raise ValueError("design_len required for the uniform-profile mode")
-            delays = np.arange(design_len, dtype=np.float64)
+            delays = np.arange(design_len)
             powers = np.full(design_len, 1.0 / design_len)
         return _freq_wiener(plan, input_err_var, delays, powers)
     if domain == "time":
@@ -226,38 +219,33 @@ def build_wiener(
 
 
 def _freq_wiener(plan, input_err_var, delays, powers) -> WienerFilter:
-    """Frequency design in the prior's delay domain: one D x D solve.
+    """Frequency design in the prior's delay domain: pilots -> D taps.
 
-    The prior is D complex exponentials.  With w = 2 pi (delays - center)
-    / n_fft, U = exp(j pil w) sqrt(P) on the k pilots, V = exp(j m w)
-    sqrt(P) on the n_fft outputs m and the ridge s, conj(Phi) = U U^H + s I
-    and Theta = U V^H, so the push-through identity gives the coefficients
-    conj(Phi)^-1 Theta = U (U^H U + s I)^-1 V^H.  Delays that coincide
-    modulo n_fft are one exponential on the grid and are merged; distinct
-    ones make V^H V = n_fft P, so the output-mean residual r(0) - mean(
-    Theta^H conj(Phi)^-1 Theta) is s tr((U^H U + s I)^-1 P).  See Edfors
-    et al., IEEE Trans. Commun. 46(7), 1998.
+    The prior is D complex exponentials on the grid; delays that coincide
+    modulo n_fft are one exponential and are merged.  With U = exp(j 2 pi
+    pil delays / n_fft) sqrt(P) on the k pilots, ridge s and M = U^H U + s I,
+    the MMSE tap estimate from pilot row v is v U M^-1 sqrt(P): one D x D
+    solve, scattered onto rows 0 .. L-1 of the integer delays.  Its DFT is
+    the MMSE interpolator on the n_fft outputs, whose mean residual is
+    s tr(M^-1 P).  See Edfors et al., IEEE Trans. Commun. 46(7), 1998.
     """
-    n_out, pil = plan.n_fft, plan.freq_idx
+    n_fft, pil = plan.n_fft, plan.freq_idx
     if np.any(powers < 0):
         raise np.linalg.LinAlgError("a delay profile with a negative power is not a correlation")
-    center = float(powers @ delays)
-    delays, tap = np.unique(delays % n_out, return_inverse=True)
+    delays, tap = np.unique(delays % n_fft, return_inverse=True)
     powers = np.bincount(tap, weights=powers)
-    w = 2 * np.pi * (delays - center) / n_out
     sq = np.sqrt(powers)
-    u = np.exp(1j * np.multiply.outer(pil, w)) * sq
-    v = np.exp(1j * np.multiply.outer(np.arange(n_out), w)) * sq
+    u = np.exp(2j * np.pi * (np.multiply.outer(pil, delays) % n_fft) / n_fft) * sq
     ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
-    eye = np.eye(w.size)
+    eye = np.eye(delays.size)
     m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(u.conj().T @ u + ridge * eye), eye)
-    x = (u @ m_inv) @ v.conj().T
+    coefficients = np.zeros((delays[-1] + 1, pil.size), dtype=np.complex128)
+    coefficients[delays] = ((u @ m_inv) * sq).T
     return WienerFilter(
-        coefficients=x.T,
+        coefficients=coefficients,
         pilot_idx=pil.copy(),
         residual_mse=float(ridge * (np.diag(m_inv).real @ powers)),
-        phase_in=np.exp(2j * np.pi * pil * center / n_out),
-        phase_out=np.exp(2j * np.pi * np.arange(n_out) * center / n_out),
+        n_fft=n_fft,
     )
 
 
@@ -300,17 +288,8 @@ def _impute_invalid(values: np.ndarray, mask: np.ndarray, positions: np.ndarray)
     return v.reshape(values.shape)
 
 
-def wiener_1d(
-    pilot_values: np.ndarray,
-    filt: WienerFilter,
-    pilot_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interpolate pilot samples onto the full axis with a prebuilt filter.
-
-    Invalid pilots (pilot_mask False) are imputed from their valid
-    neighbors first; a row with no valid pilot at all comes back as zeros.
-    The output MSE is the filter's residual_mse.
-    """
+def _pilot_product(pilot_values, filt: WienerFilter, pilot_mask) -> np.ndarray:
+    """Check the pilot count, impute invalid pilots, and apply the coefficients."""
     v = np.asarray(pilot_values, dtype=np.complex128)
     if v.shape[-1] != filt.pilot_idx.size:
         raise ValueError(
@@ -318,12 +297,23 @@ def wiener_1d(
         )
     if pilot_mask is not None and not np.all(pilot_mask):
         v = _impute_invalid(v, pilot_mask, filt.pilot_idx)
-    if filt.phase_in is not None:
-        v = v * filt.phase_in
-    out = v @ filt.coefficients.T
-    if filt.phase_out is not None:
-        out = out * np.conj(filt.phase_out)
-    return out
+    return v @ filt.coefficients.T
+
+
+def wiener_1d(
+    pilot_values: np.ndarray,
+    filt: WienerFilter,
+    pilot_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Interpolate pilot samples onto the full axis with a prebuilt filter.
+
+    A frequency filter's taps come back as their n_fft-point DFT.  Invalid
+    pilots (pilot_mask False) are imputed from their valid neighbors first;
+    a row with no valid pilot at all comes back as zeros.  The output MSE is
+    the filter's residual_mse.
+    """
+    out = _pilot_product(pilot_values, filt, pilot_mask)
+    return out if filt.n_fft is None else cfr(out, filt.n_fft)
 
 
 def wiener_2x1d(
@@ -334,7 +324,9 @@ def wiener_2x1d(
 ) -> np.ndarray:
     """Separable interpolation of a (k_t, k_f) pilot grid to (block_len, n_fft).
 
-    One frequency pass per pilot block, then one time pass per subcarrier.
+    The taps of each pilot block, then the time pass over the (k_t, L) taps,
+    then one DFT per block: the time pass commutes with the DFT, so it runs
+    on L columns instead of n_fft.
     """
     grid = np.asarray(pilot_grid, dtype=np.complex128)
     if grid.ndim != 2:
@@ -343,5 +335,5 @@ def wiener_2x1d(
         raise ValueError(
             f"expected {time_filter.pilot_idx.size} pilot blocks, got {grid.shape[0]}"
         )
-    freq_full = wiener_1d(grid, freq_filter, pilot_mask)
-    return time_filter.coefficients @ freq_full
+    taps = _pilot_product(grid, freq_filter, pilot_mask)
+    return cfr(time_filter.coefficients @ taps, freq_filter.n_fft)

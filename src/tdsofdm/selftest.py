@@ -96,8 +96,8 @@ def _check_bessel() -> None:
 
 
 def _check_wiener_design() -> None:
-    # a flat channel is one constant across the band: every output averages
-    # the k pilots with weight 1 / (k + var) and keeps var / (k + var) error
+    # a flat channel is one tap, constant across the band: its estimate
+    # averages the k pilots with weight 1 / (k + var) and keeps var / (k + var) error
     plan = plan_pilots(32, 1, 1, 0.0, 0.0, 4, 1)
     k = plan.k_f
     for var in (0.25, 1e-3):

@@ -72,11 +72,10 @@ def reference_system(
     if domain == "freq":
         n_out, pil = plan.n_fft, plan.freq_idx
         delays, powers = _prior_taps(profile, design_len)
-        center = float(powers @ delays)
 
         def corr(q):
             lags, inv = np.unique(q, return_inverse=True)
-            r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays - center) / n_out) @ powers
+            r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays) / n_out) @ powers
             return r[inv].reshape(q.shape)
 
     else:
@@ -111,17 +110,16 @@ def reference_wiener(
 def exact_freq_wiener(plan, input_err_var, profile=None, design_len=None):
     """The frequency design solved in mpmath at 40 digits: (coefficients, residual_mse).
 
-    Solves the same system as build_wiener, prior, phase centre and
-    zero-variance jitter included, exactly enough that a near-singular
-    phi (rank D plus a tiny ridge) costs no float64 digits.
+    Solves the same system as build_wiener, prior and zero-variance jitter
+    included, exactly enough that a near-singular phi (rank D plus a tiny
+    ridge) costs no float64 digits.
     """
     delays, powers = _prior_taps(profile, design_len)
     n_out, pil = plan.n_fft, [int(i) for i in plan.freq_idx]
     with mpmath.workdps(40):
         taps = [(mpmath.mpf(float(d)), mpmath.mpf(float(p))) for d, p in zip(delays, powers)]
-        center = mpmath.fsum(p * d for d, p in taps)
         r = {
-            q: mpmath.fsum(p * mpmath.expjpi(-2 * q * (d - center) / n_out) for d, p in taps)
+            q: mpmath.fsum(p * mpmath.expjpi(-2 * q * d / n_out) for d, p in taps)
             for q in range(1 - n_out, n_out)
         }
         r0 = mpmath.re(r[0])
@@ -139,6 +137,17 @@ def exact_freq_wiener(plan, input_err_var, profile=None, design_len=None):
         resid = r0 - mpmath.re(quad) / n_out
         coeff = np.array([[complex(x[i, m]) for i in range(k)] for m in range(n_out)])
         return coeff, float(resid)
+
+
+def dense_coefficients(filt):
+    """A filter's pilot -> output map as one (n_out, k) matrix.
+
+    A frequency filter's tap rows are expanded by their n_fft-point DFT;
+    a time filter's coefficients already are that map.
+    """
+    if filt.n_fft is None:
+        return filt.coefficients
+    return np.fft.fft(filt.coefficients, n=filt.n_fft, axis=0)
 
 
 def reference_demap(z, h, noise_var, c, llr_max=30.0):

@@ -64,6 +64,14 @@ def test_missing_config_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_sfn_echo_past_the_fft_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "sfn.cfg"
+    cfgfile.write_text("sfn_delay_us = 500\ntrials = 1\nsnr_db = 20\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "exceeds fft_size" in capsys.readouterr().err
+
+
 def test_unknown_estimator_flag(capsys):
     rc = main(["sweep", "--estimator", "kalman", "--trials", "1", "--snr", "10"])
     assert rc == 2

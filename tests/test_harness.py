@@ -65,6 +65,17 @@ def test_config_rejections():
         resolve_config({"gi_len": 32})
 
 
+@pytest.mark.parametrize("preset, length, fft_size", [("desk", 518, 512), ("dtmb", 3819, 3780)])
+def test_sfn_echo_past_the_fft_is_a_config_error(preset, length, fft_size):
+    # both presets span 500 us per FFT: an echo at 494 us still fits, one
+    # at 495 us does not, and run() would fail on it inside channel.cfr
+    assert resolve_config({"preset": preset, "sfn_delay_us": 494}).profile().length <= fft_size
+    with pytest.raises(ConfigError, match=f"length {length} exceeds fft_size {fft_size}"):
+        resolve_config({"preset": preset, "sfn_delay_us": 500})
+    with pytest.raises(ConfigError, match="exceeds fft_size"):
+        resolve_config({"preset": preset, "sfn_delay_us": 495})
+
+
 def test_config_value_parsing():
     cfg = resolve_config({"pn_poly": "0x43", "snr_db": "0,5, 10", "trials": "3"})
     assert cfg.pn_poly == 0x43

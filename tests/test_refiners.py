@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdsofdm import (
     ConstraintError,
@@ -19,7 +21,13 @@ from tdsofdm import (
     wiener_2x1d,
 )
 
-from conftest import crandn, exact_freq_wiener, reference_system, reference_wiener
+from conftest import (
+    crandn,
+    dense_coefficients,
+    exact_freq_wiener,
+    reference_system,
+    reference_wiener,
+)
 
 
 def test_ma_window_of_one_is_identity():
@@ -140,6 +148,36 @@ def test_pilot_plan_caps_spacings():
     assert fast.l_t == 5                       # 1 / (4 * 0.05)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n_fft=st.integers(1, 4096),
+    cir_len=st.integers(1, 512),
+    block_len=st.integers(1, 64),
+    fd_hz=st.floats(0.0, 1000.0),
+    tb_s=st.floats(0.0, 2e-3),
+    m=st.integers(1, 64),
+    m_t=st.integers(1, 16),
+)
+def test_pilot_plan_spacings_obey_both_sampling_rules(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t):
+    nyq = fd_hz * tb_s
+    if 4 * cir_len > n_fft or nyq > 0.25:
+        with pytest.raises(ConstraintError):
+            plan_pilots(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t)
+        return
+    plan = plan_pilots(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t)
+    # l_f cir_len / n_fft <= 1/4 and l_t fd tb <= 1/4
+    assert 4 * plan.l_f * cir_len <= n_fft
+    assert plan.l_t * nyq <= 0.25
+    # each spacing is its window unless the rule caps it, and then the
+    # largest spacing the rule allows
+    assert 1 <= plan.l_f <= m and 1 <= plan.l_t <= m_t
+    assert plan.l_f == m or 4 * (plan.l_f + 1) * cir_len > n_fft
+    assert plan.l_t == m_t or (plan.l_t + 1) * nyq > 0.25
+    assert plan.k_f == n_fft // plan.l_f and plan.k_t == block_len // plan.l_t
+    assert np.array_equal(plan.freq_idx, np.arange(plan.k_f) * plan.l_f)
+    assert np.array_equal(plan.time_idx, np.arange(plan.k_t) * plan.l_t)
+
+
 def test_pilot_plan_unsatisfiable_rules():
     with pytest.raises(ConstraintError, match="frequency"):
         plan_pilots(64, 20, 8, 0.0, 0.0, 9, 2)
@@ -174,13 +212,6 @@ def test_wiener_flat_profile_closed_form():
     assert filt.residual_mse == pytest.approx(var / (k + var), rel=1e-9)
 
 
-def test_wiener_uniform_design_is_real():
-    plan = plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1)
-    filt = build_wiener("freq", plan, input_err_var=0.1, design_len=4)
-    assert np.max(np.abs(filt.coefficients.imag)) < 1e-9
-    assert 0.0 < filt.residual_mse < 0.1
-
-
 def test_wiener_build_rejects_bad_arguments():
     plan = plan_pilots(64, 4, 4, 0.0, 0.0, 4, 1)
     with pytest.raises(ValueError):
@@ -193,7 +224,7 @@ def test_wiener_build_rejects_bad_arguments():
         build_wiener("time", plan, input_err_var=0.1, fd_hz=-1.0, tb_s=1.0)
 
 
-# an asymmetric profile: its centred correlation is complex
+# an asymmetric profile
 _SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5, 0.25, 0.15, 0.1]))
 # an echo one FFT period (64 samples) behind the tap at 3: on the grid
 # the two are one exponential
@@ -222,8 +253,9 @@ def test_wiener_matches_dense_reference(case, var):
         want_coeff, want_resid = exact_freq_wiener(plan, var, **kw)
     else:
         want_coeff, want_resid = reference_wiener(domain, plan, var, **kw)
-    assert filt.coefficients.shape == want_coeff.shape
-    assert np.max(np.abs(filt.coefficients - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
+    got = dense_coefficients(filt)
+    assert got.shape == want_coeff.shape
+    assert np.max(np.abs(got - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
     # residual_mse is r(0) - quad with r(0) = 1, so at var = 0 the absolute
     # floor is 1e-12 of the prior power rather than of the tiny residual
     assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
@@ -241,7 +273,7 @@ def test_wiener_solves_the_full_size_system(preset, prior):
     for var in (0.0, 1e-3, 0.1):
         filt = build_wiener("freq", plan, input_err_var=var, **kw)
         phi, theta, _ = reference_system("freq", plan, var, **kw)
-        err = np.max(np.abs(np.conj(phi) @ filt.coefficients.T - theta))
+        err = np.max(np.abs(np.conj(phi) @ dense_coefficients(filt).T - theta))
         assert err <= 1e-13 * np.max(np.abs(theta)), f"var {var}: {err:.3g}"
     _, want_resid = reference_wiener("freq", plan, 0.1, **kw)
     assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12)
@@ -371,6 +403,26 @@ def test_wiener_2x1d_single_pilot_block_replicates_freq_pass():
     out = wiener_2x1d(grid, ff, tf)
     row = wiener_1d(grid, ff)[0]
     assert np.max(np.abs(out - row)) < 1e-6
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("prior", ["uniform", "profile"])
+def test_wiener_2x1d_time_pass_commutes_with_the_dft(prior, masked):
+    # the time pass on the taps, then the DFT, equals the time pass on the
+    # full frequency pass of every pilot block
+    rng = np.random.default_rng(52)
+    plan = plan_pilots(70, 7, 8, 0.01, 1.0, 2, 2)
+    kw = dict(profile=_SKEWED) if prior == "profile" else dict(design_len=7)
+    ff = build_wiener("freq", plan, input_err_var=0.05, **kw)
+    tf = build_wiener("time", plan, input_err_var=ff.residual_mse, fd_hz=0.01, tb_s=1.0)
+    grid = crandn(rng, (plan.k_t, plan.k_f))
+    mask = None
+    if masked:
+        mask = rng.random(grid.shape) > 0.3
+        mask[1] = False                  # a pilot block with no valid pilot
+    want = tf.coefficients @ wiener_1d(grid, ff, mask)
+    got = wiener_2x1d(grid, ff, tf, mask)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_wiener_2x1d_cascade_tracks_residual():
