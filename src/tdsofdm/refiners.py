@@ -148,7 +148,8 @@ def plan_pilots(
 
     The CFR sampled every l_f subcarriers resolves a cir_len-tap response only
     if l_f * cir_len / n_fft <= 1/4; likewise l_t * fd * tb <= 1/4 across
-    blocks.  Spacings take the averaging window lengths, capped by the rules.
+    blocks.  Spacings take the averaging window lengths, capped by the rules,
+    and a block of block_len symbols must hold at least one time pilot.
     """
     if min(n_fft, cir_len, block_len, m, m_t) < 1:
         raise ValueError("all plan dimensions must be positive")
@@ -167,6 +168,11 @@ def plan_pilots(
     l_t = int(min(m_t, 0.25 / nyq)) if nyq > 0 else m_t
     k_f = n_fft // l_f
     k_t = block_len // l_t
+    if k_t < 1:
+        raise ConstraintError(
+            f"time pilot spacing {l_t} exceeds block_len={block_len}, so a block "
+            "holds no time pilot; lengthen block_len or shorten M_t"
+        )
     return VirtualPilotPlan(
         l_f=l_f,
         l_t=l_t,

@@ -108,6 +108,24 @@ def _check_wiener_design() -> None:
         assert abs(filt.residual_mse - want) < 1e-9 * want, f"flat-profile residual {filt.residual_mse} vs {want}"
 
 
+def _check_demap() -> None:
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    h = rng.standard_normal(8) + 1j * rng.standard_normal(8) + 2.0
+    sigma2 = 0.4 / np.abs(h) ** 2
+    llr = demap(FrameGrid(data=z), h, 0.4, constellation("qpsk"), llr_max=1e6).values
+    want = 2.0 * np.sqrt(2.0) * np.stack([z.real, z.imag], axis=-1) / sigma2[:, None]
+    err = np.abs(llr - want).max()
+    assert err < 1e-9 * np.abs(want).max(), f"QPSK LLRs off the closed form 2*sqrt(2)*x/sigma2 by {err}"
+    # far out, (z - level)^2 overflows; each axis keeps its outermost level's label
+    far = FrameGrid(data=np.array([[1e160 - 1e160j]]))
+    for name in CONSTELLATIONS:
+        c = constellation(name)
+        got = demap(far, np.ones(1), 0.0, c).values[0, 0]
+        want = 30.0 * (2.0 * np.concatenate([c.axis_labels[-1], c.axis_labels[0]]) - 1.0)
+        assert np.all(np.isfinite(got)) and np.array_equal(got, want), f"{name}: far-out LLRs {got}, want {want}"
+
+
 def _check_soft_symbols() -> None:
     z = FrameGrid(data=np.zeros((1, 8), dtype=complex))
     for name in CONSTELLATIONS:
@@ -148,6 +166,7 @@ _CHECKS = [
     ("MMSE combiner", _check_combiner),
     ("Jakes correlation", _check_bessel),
     ("Wiener design", _check_wiener_design),
+    ("demap", _check_demap),
     ("soft rebuild neutrality", _check_soft_symbols),
     ("equalize and slice", _check_equalizer_slicer),
     ("run determinism", _check_determinism),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .modulation import Constellation
 from .phy import FrameGrid
@@ -15,6 +15,7 @@ from .phy import FrameGrid
 RELIABILITY_FLOOR = 0.05
 
 _TINY_VAR = 1e-30
+_FAR = 1e150
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,10 @@ class LlrGrid:
 
 @dataclass(frozen=True)
 class SoftSymbolGrid:
-    """Posterior-mean symbols with per-bin power eta and its grid average."""
+    """Posterior-mean symbols with per-bin power eta."""
 
     x_hat: np.ndarray
     eta: np.ndarray
-    eta_bar: float
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,11 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     noise_var is the effective pre-equalization noise power; bin k sees
     noise_var/|H[k]|^2 after equalization.  The noise is circular, so each
     bit's likelihood terms from the other axis cancel and its LLR is a
-    log-sum-exp over the sqrt(M) levels of its own axis.  Cells masked out
-    upstream get zero LLRs (no information).
+    log-sum-exp over the sqrt(M) levels of its own axis, shifted by the
+    largest term of each label class.  A value so far beyond the outermost
+    level that every LLR saturates is clamped before squaring and gets that
+    level's label at +-llr_max, so every LLR of a finite input is finite.
+    Cells masked out upstream get zero LLRs (no information).
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
@@ -64,13 +67,40 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
         ok = ok & z.mask
     sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), _TINY_VAR)
 
+    # past reach, the gap between a bit's two class maxima exceeds
+    # 2 (llr_max + q) and the rest of the class sums moves it by at most
+    # log(q / 2), so the LLR saturates; clamping there, and at _FAR for a
+    # huge sigma2, keeps every square finite
+    q = c.levels.size
+    reach = ((llr_max + q) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1])[..., None]
     axes = np.stack([z.data.real, z.data.imag], axis=-1)
-    ll = -((axes[..., None] - c.levels) ** 2) / sigma2[..., None, None]
+    far = np.abs(axes) > reach
+    bound = np.minimum(reach, _FAR)
+    np.clip(axes, -bound, bound, out=axes)
+
     half = c.axis_labels.shape[1]
     out = np.empty(axes.shape + (half,), dtype=np.float64)
     for l in range(half):
-        one = c.axis_labels[:, l] == 1
-        out[..., l] = logsumexp(ll[..., one], axis=-1) - logsumexp(ll[..., ~one], axis=-1)
+        # (class, level, ..., 2 axes): |x - level|^2 / sigma2 over the bit's
+        # two label classes, class 0 first; a class's log-likelihood sum is
+        # log(sum exp(low - terms)) - low with low its smallest term
+        classes = c.levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
+        terms = axes - classes.reshape(classes.shape + (1,) * axes.ndim)
+        np.square(terms, out=terms)
+        terms /= sigma2[..., None]
+        low = terms.min(axis=1, keepdims=True)
+        np.subtract(low, terms, out=terms)
+        # a term under e^-700 cannot move a sum that holds a 1, and exp runs
+        # many times slower where it underflows
+        np.maximum(terms, -700.0, out=terms)
+        np.exp(terms, out=terms)
+        lse = terms.sum(axis=1)
+        np.log(lse, out=lse)
+        lse -= low[:, 0]
+        out[..., l] = lse[1] - lse[0]
+    if far.any():
+        outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
+        out[far] = llr_max * (2.0 * outer - 1.0)
     out = out.reshape(z.data.shape + (2 * half,))
     np.clip(out, -llr_max, llr_max, out=out)
     out[~ok] = 0.0
@@ -78,7 +108,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
 
 
 def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
-    """Posterior-mean symbol per cell and its power statistics.
+    """Posterior-mean symbol per cell and its power.
 
     Bits are treated as independent given the LLRs, so the posterior
     factorizes into one level distribution per axis and the mean symbol is
@@ -91,8 +121,7 @@ def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
         prob *= np.where(c.axis_labels[:, l] == 1, pl, 1.0 - pl)
     mean = np.einsum("...q,q->...", prob, c.levels)
     x_hat = mean[..., 0] + 1j * mean[..., 1]
-    eta = np.abs(x_hat) ** 2
-    return SoftSymbolGrid(x_hat=x_hat, eta=eta, eta_bar=float(eta.mean()))
+    return SoftSymbolGrid(x_hat=x_hat, eta=np.abs(x_hat) ** 2)
 
 
 def instantaneous_estimate(

@@ -88,6 +88,14 @@ def test_unsatisfiable_pilot_spacing_exits_3(tmp_path, capsys):
     assert "constraint error" in capsys.readouterr().err
 
 
+def test_block_shorter_than_the_time_spacing_exits_3(tmp_path, capsys):
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("estimator = wiener2x1d\nblock_len = 1\ntrials = 1\nsnr_db = 20\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 3
+    assert "block_len" in capsys.readouterr().err
+
+
 def test_trial_subcommand(capsys):
     rc = main(["trial", "--snr", "15", "--seed", "3"])
     assert rc == 0

@@ -185,6 +185,16 @@ def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
         assert h2.eps == np.mean(resid)
 
 
+@pytest.mark.parametrize("block_len, m_t", [(1, 2), (2, 3)])
+def test_wiener2x1d_block_shorter_than_its_time_spacing_is_a_constraint_error(block_len, m_t):
+    # no block would hold a time pilot, and every chunk would silently keep PN
+    cfg = resolve_config(
+        {"estimator": "wiener2x1d", "block_len": block_len, "M_t": m_t, "trials": 1, "snr_db": "20"}
+    )
+    with pytest.raises(ConstraintError, match="block_len"):
+        run(cfg)
+
+
 QAM_CASES = [(e, c) for e in ("wiener1d", "wiener2x1d") for c in ("qam16", "qam64")]
 
 

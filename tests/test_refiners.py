@@ -164,6 +164,12 @@ def test_pilot_plan_spacings_obey_both_sampling_rules(n_fft, cir_len, block_len,
         with pytest.raises(ConstraintError):
             plan_pilots(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t)
         return
+    # a block of m_t symbols always holds a pilot, since l_t <= m_t
+    l_t = plan_pilots(n_fft, cir_len, m_t, fd_hz, tb_s, m, m_t).l_t
+    if block_len < l_t:
+        with pytest.raises(ConstraintError, match="block_len"):
+            plan_pilots(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t)
+        return
     plan = plan_pilots(n_fft, cir_len, block_len, fd_hz, tb_s, m, m_t)
     # l_f cir_len / n_fft <= 1/4 and l_t fd tb <= 1/4
     assert 4 * plan.l_f * cir_len <= n_fft

@@ -1,5 +1,7 @@
 """LLR demapping, posterior symbol means, and per-bin CFR re-estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,6 @@ def test_soft_symbols_are_scaled_tanh():
     want = (np.tanh(2.0) - 1j * np.tanh(2.0)) / np.sqrt(2.0)
     assert abs(soft.x_hat[0, 0] - want) < 1e-12
     assert soft.eta[0, 0] == pytest.approx(abs(want) ** 2, rel=1e-12)
-    assert soft.eta_bar == pytest.approx(abs(want) ** 2, rel=1e-12)
 
 
 def test_saturated_llrs_rebuild_the_exact_point():
@@ -96,7 +97,6 @@ def test_zero_llrs_rebuild_nothing():
     soft = soft_symbols(LlrGrid(values=np.zeros((2, 3, 2)), llr_max=30.0), QPSK)
     assert np.all(soft.x_hat == 0.0)
     assert np.all(soft.eta == 0.0)
-    assert soft.eta_bar == 0.0
 
 
 SHAPE = (2, 6)
@@ -178,6 +178,58 @@ def test_noiseless_points_match_the_generic_form(c):
     assert np.array_equal(hard_decisions(z, c), np.tile(c.bit_labels, (2, 1)).reshape(-1))
 
 
+def _tol(z, h, nv, c):
+    """The per-axis property's bound on |LLR - reference_demap| per cell."""
+    sigma2 = np.maximum(nv / np.maximum(np.abs(h) ** 2, 1e-300), 1e-30)
+    d_max = np.max(np.abs(z[..., None] - c.points) ** 2, axis=-1)
+    return (1e-8 + 16 * np.finfo(float).eps * d_max / sigma2)[..., None]
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("scale", [3.0, 1e3])
+@pytest.mark.parametrize("nv, llr_max", [(0.0, 30.0), (1e-14, 30.0), (1e-14, 1e6), (1e-3, 1e6)])
+def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max):
+    # unshifted, exp(-|z - level|^2 / sigma2) underflows to log(0) here, and
+    # one shift per cell instead of per class leaves LLRs of about 1e3 at
+    # nv = 1e-3 as log(0) differences; the grid holds every level of each
+    # axis, midpoints between them and values beyond the outermost one
+    lv = np.unique(np.concatenate([c.levels, (c.levels[1:] + c.levels[:-1]) / 2]))
+    axis = np.concatenate([lv, np.linspace(-scale, scale, 23)])
+    z = (axis[:, None] + 1j * axis[None, ::-1]).reshape(2, -1)
+    h = np.linspace(0.1, 3.0, z.shape[1]) * np.exp(1j * np.linspace(0.0, 6.0, z.shape[1]))
+    mask = np.ones(z.shape, dtype=bool)
+    mask[1, ::7] = False
+    grid = FrameGrid(data=z, mask=mask)
+    got = demap(grid, h, nv, c, llr_max=llr_max).values
+    want = reference_demap(grid, h, nv, c, llr_max=llr_max)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= _tol(z, h, nv, c))
+    # the bound is loose where sigma2 is tiny; beyond the outermost level,
+    # where demap clamps, saturated LLRs must match exactly
+    beyond = np.abs(np.stack([z.real, z.imag], axis=-1)) > c.levels[-1]
+    sat = np.repeat(beyond, c.bits_per_symbol // 2, axis=-1) & (np.abs(want) == llr_max)
+    assert np.array_equal(got[sat], want[sat])
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("nv", [0.0, 1e-14, 1.0, 1e20])
+@pytest.mark.parametrize("v", [1e160 + 1e160j, -1e160 + 1e160j, 1e308 - 1e308j, -1e200 - 3.0j])
+def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
+    # (z - level)^2 overflows, and at nv = 1e20 the squares of any value
+    # far enough out to saturate cancel to zero; the LLRs must still take
+    # the outermost level's label on each axis at +-llr_max, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        llr = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c).values[0, 0]
+    half = c.bits_per_symbol // 2
+    for x, got in ((v.real, llr[:half]), (v.imag, llr[half:])):
+        if abs(x) < 10:
+            continue
+        outer = c.axis_labels[-1] if x > 0 else c.axis_labels[0]
+        assert np.array_equal(got, 30.0 * (2.0 * outer - 1.0))
+    assert np.all(np.isfinite(llr))
+
+
 def test_rebuilt_magnitude_grows_with_confidence():
     mags = []
     for lam in (0.5, 1.0, 2.0, 4.0):
@@ -201,7 +253,7 @@ def test_instantaneous_perfect_rebuild_recovers_cfr():
     x = random_symbols(rng, 256, QPSK).reshape(2, 128)
     h = crandn(rng, 128)
     y = FrameGrid(data=h * x)
-    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2, eta_bar=1.0)
+    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2)
     inst = instantaneous_estimate(soft, y, QPSK)
     assert inst.mask.all()
     assert np.max(np.abs(inst.values - h)) < 1e-12
@@ -213,7 +265,7 @@ def test_instantaneous_divides_by_bin_power_for_mixed_constellations():
     x = random_symbols(rng, 512, QAM16).reshape(1, 512)
     h = crandn(rng, 512)
     y = FrameGrid(data=h * x)
-    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2, eta_bar=1.0)
+    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2)
     inst = instantaneous_estimate(soft, y, QAM16)
     assert np.max(np.abs(inst.values - h)) < 1e-12
     assert np.allclose(inst.weights, 1.0 / np.abs(x) ** 2, rtol=1e-12)
@@ -227,7 +279,7 @@ def test_instantaneous_floor_and_mask():
     ymask = np.ones((1, 16), dtype=bool)
     ymask[0, 7] = False
     y = FrameGrid(data=x.copy(), mask=ymask)
-    soft = SoftSymbolGrid(x_hat=xh, eta=np.abs(xh) ** 2, eta_bar=1.0)
+    soft = SoftSymbolGrid(x_hat=xh, eta=np.abs(xh) ** 2)
     inst = instantaneous_estimate(soft, y, QPSK)
     assert not inst.mask[0, 2] and not inst.mask[0, 7]
     assert inst.values[0, 2] == 0.0 and inst.weights[0, 7] == 0.0
@@ -241,9 +293,7 @@ def test_instantaneous_error_variance_tracks_weights():
     h = crandn(rng, 10000)
     w = crandn(rng, 10000, var=nv)
     y = FrameGrid(data=(h * x + w)[None, :])
-    soft = SoftSymbolGrid(
-        x_hat=x[None, :], eta=np.abs(x[None, :]) ** 2, eta_bar=1.0
-    )
+    soft = SoftSymbolGrid(x_hat=x[None, :], eta=np.abs(x[None, :]) ** 2)
     inst = instantaneous_estimate(soft, y, QAM16)
     err2 = np.abs(inst.values[0] - h) ** 2
     for weight in np.unique(np.round(inst.weights[0], 9)):
