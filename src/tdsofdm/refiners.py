@@ -61,16 +61,27 @@ class WienerFilter:
 
 
 def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
-    """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges."""
+    """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges.
+
+    Each sum is a difference of two prefix sums.  The positions whose
+    window lies inside the axis and starts after its first element take
+    one slice subtraction; the at most back + fwd + 1 others, near the
+    edges, are filled one at a time.
+    """
     if back == 0 and fwd == 0:
         return arr
-    a = np.moveaxis(np.asarray(arr), axis, -1)
-    n = a.shape[-1]
-    zero = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
-    cs = np.concatenate([zero, np.cumsum(a, axis=-1)], axis=-1)
-    hi = np.minimum(np.arange(n) + fwd + 1, n)
-    lo = np.maximum(np.arange(n) - back, 0)
-    return np.moveaxis(cs[..., hi] - cs[..., lo], -1, axis)
+    a = np.asarray(arr)
+    n = a.shape[axis]
+    # the axis leads in these views, so cs[j] and out[i] are whole slices
+    cs = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)  # cs[j] = a[0] + ... + a[j]
+    out = np.empty_like(cs)
+    lo, hi = back + 1, max(n - fwd, back + 1)
+    np.subtract(cs[lo + fwd : hi + fwd], cs[: hi - lo], out=out[lo:hi])
+    for i in range(min(lo, n)):
+        out[i] = cs[min(i + fwd, n - 1)]
+    for i in range(hi, n):
+        out[i] = cs[n - 1] - cs[i - lo]
+    return np.moveaxis(out, 0, axis)
 
 
 def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:

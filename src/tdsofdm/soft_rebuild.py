@@ -65,46 +65,55 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     ok = p > 0
     if z.mask is not None:
         ok = ok & z.mask
-    sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), _TINY_VAR)
 
     # past reach, the gap between a bit's two class maxima exceeds
     # 2 (llr_max + q) and the rest of the class sums moves it by at most
     # log(q / 2), so the LLR saturates; clamping there, and at _FAR for a
-    # huge sigma2, keeps every square finite
+    # huge sigma2, keeps every square finite.  A sigma2 or reach past the
+    # float range is inf, the limit where every LLR is zero.
     q = c.levels.size
-    reach = ((llr_max + q) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1])[..., None]
-    axes = np.stack([z.data.real, z.data.imag], axis=-1)
+    with np.errstate(over="ignore"):
+        sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), _TINY_VAR)
+        reach = (llr_max + q) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1]
+    # I/Q on the leading axis, so every pass below runs over whole cell grids
+    axes = np.stack([z.data.real, z.data.imag])
     far = np.abs(axes) > reach
     bound = np.minimum(reach, _FAR)
     np.clip(axes, -bound, bound, out=axes)
 
     half = c.axis_labels.shape[1]
-    out = np.empty(axes.shape + (half,), dtype=np.float64)
+    out = np.empty((2, half) + z.data.shape, dtype=np.float64)
+    # (class, level, 2 axes, ...) and its per-class minimum and sum, reused
+    # by every bit
+    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
+    low = np.empty((2, 1) + axes.shape, dtype=np.float64)
+    lse = np.empty((2,) + axes.shape, dtype=np.float64)
     for l in range(half):
-        # (class, level, ..., 2 axes): |x - level|^2 / sigma2 over the bit's
-        # two label classes, class 0 first; a class's log-likelihood sum is
-        # log(sum exp(low - terms)) - low with low its smallest term
+        # |x - level|^2 / sigma2 over the bit's two label classes, class 0
+        # first; a class's log-likelihood sum is log(sum exp(low - terms)) - low
+        # with low its smallest term
         classes = c.levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
-        terms = axes - classes.reshape(classes.shape + (1,) * axes.ndim)
+        np.subtract(axes, classes.reshape(classes.shape + (1,) * axes.ndim), out=terms)
         np.square(terms, out=terms)
-        terms /= sigma2[..., None]
-        low = terms.min(axis=1, keepdims=True)
+        terms /= sigma2
+        np.min(terms, axis=1, keepdims=True, out=low)
         np.subtract(low, terms, out=terms)
         # a term under e^-700 cannot move a sum that holds a 1, and exp runs
         # many times slower where it underflows
         np.maximum(terms, -700.0, out=terms)
         np.exp(terms, out=terms)
-        lse = terms.sum(axis=1)
+        np.sum(terms, axis=1, out=lse)
         np.log(lse, out=lse)
         lse -= low[:, 0]
-        out[..., l] = lse[1] - lse[0]
+        np.subtract(lse[1], lse[0], out=out[:, l])
     if far.any():
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
-        out[far] = llr_max * (2.0 * outer - 1.0)
-    out = out.reshape(z.data.shape + (2 * half,))
+        np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
+    out = out.reshape((2 * half,) + z.data.shape)
     np.clip(out, -llr_max, llr_max, out=out)
-    out[~ok] = 0.0
-    return LlrGrid(values=out, llr_max=float(llr_max))
+    out[:, ~ok] = 0.0
+    # bit-major in memory; the (..., bits) view costs no transpose
+    return LlrGrid(values=np.moveaxis(out, 0, -1), llr_max=float(llr_max))
 
 
 def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
@@ -114,13 +123,16 @@ def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
     factorizes into one level distribution per axis and the mean symbol is
     E[I] + jE[Q].
     """
-    p1 = expit(llr.values).reshape(llr.values.shape[:-1] + (2, -1))
-    prob = np.ones(p1.shape[:-1] + (c.levels.size,), dtype=np.float64)
-    for l in range(p1.shape[-1]):
-        pl = p1[..., l : l + 1]
-        prob *= np.where(c.axis_labels[:, l] == 1, pl, 1.0 - pl)
-    mean = np.einsum("...q,q->...", prob, c.levels)
-    x_hat = mean[..., 0] + 1j * mean[..., 1]
+    # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...)
+    p1 = expit(np.moveaxis(llr.values, -1, 0))
+    p1 = p1.reshape((2, -1) + p1.shape[1:])
+    prob = np.ones((c.levels.size,) + p1[:, 0].shape, dtype=np.float64)
+    for l in range(p1.shape[1]):
+        factor = (1.0 - p1[:, l], p1[:, l])
+        for k, bit in enumerate(c.axis_labels[:, l]):
+            prob[k] *= factor[bit]
+    mean = np.einsum("q...,q->...", prob, c.levels)
+    x_hat = mean[0] + 1j * mean[1]
     return SoftSymbolGrid(x_hat=x_hat, eta=np.abs(x_hat) ** 2)
 
 

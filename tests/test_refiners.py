@@ -20,6 +20,7 @@ from tdsofdm import (
     wiener_1d,
     wiener_2x1d,
 )
+from tdsofdm.refiners import _window_sum
 
 from conftest import (
     crandn,
@@ -27,6 +28,7 @@ from conftest import (
     exact_freq_wiener,
     reference_system,
     reference_wiener,
+    reference_window_sum,
 )
 
 
@@ -130,6 +132,36 @@ def test_ma_2d_time_pairing_is_trailing_and_halves_noise():
     assert np.allclose(out.per_bin_var[1:], var / 2)
     emp = np.mean(np.abs(out.values[1:]) ** 2)
     assert emp == pytest.approx(var / 2, rel=0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    other=st.integers(1, 3),
+    axis=st.sampled_from([0, -1]),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_sum_matches_the_gather_form(data, n, other, axis, is_complex, seed):
+    # windows from a single bin to far past both ends of the axis
+    back = data.draw(st.integers(0, n + 3), label="back")
+    fwd = data.draw(st.integers(0, n + 3), label="fwd")
+    rng = np.random.default_rng(seed)
+    shape = (n, other) if axis == 0 else (other, n)
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    if is_complex:
+        a = a + 1j * rng.standard_normal(shape)
+    got = _window_sum(a, back, fwd, axis)
+    assert got.shape == a.shape and got.dtype == a.dtype
+    assert np.array_equal(got, reference_window_sum(a, back, fwd, axis))
+
+
+@pytest.mark.parametrize("back, fwd, axis", [(1, 0, 0), (2, 3, 0), (7, 7, -1), (0, 12, -1)])
+def test_window_sum_matches_the_gather_form_on_a_dtmb_grid(back, fwd, axis):
+    rng = np.random.default_rng(46)
+    a = crandn(rng, (10, 3780))
+    assert np.array_equal(_window_sum(a, back, fwd, axis), reference_window_sum(a, back, fwd, axis))
 
 
 def test_pilot_plan_wide_grid():

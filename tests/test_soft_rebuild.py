@@ -230,6 +230,31 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
     assert np.all(np.isfinite(llr))
 
 
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("h, llr_max, tol", [(1e-5, 30.0, 0.0), (1e-3, 1e6, 1e-300)])
+def test_noise_past_the_float_range_gives_zero_llrs(c, h, llr_max, tol):
+    # noise_var / |h|^2 overflows at h = 1e-5, and the saturation reach
+    # (llr_max + q) * sigma2 at h = 1e-3 with llr_max = 1e6; either way the
+    # cell carries no information, and that must come without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = FrameGrid(data=np.array([[1e3 - 1e3j]]))
+        llr = demap(grid, np.array([h]), 1e300, c, llr_max=llr_max).values
+    assert np.all(np.abs(llr) <= tol)
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+def test_soft_symbols_do_not_depend_on_the_llr_layout(c):
+    rng = np.random.default_rng(37)
+    z = crandn(rng, (3, 40))
+    h = crandn(rng, 40) + 1.5
+    llr = demap(FrameGrid(data=z), h, 0.3, c)
+    assert llr.values.shape == (3, 40, c.bits_per_symbol)
+    copy = LlrGrid(values=np.ascontiguousarray(llr.values), llr_max=llr.llr_max)
+    assert copy.values.strides != llr.values.strides
+    assert np.array_equal(soft_symbols(copy, c).x_hat, soft_symbols(llr, c).x_hat)
+
+
 def test_rebuilt_magnitude_grows_with_confidence():
     mags = []
     for lam in (0.5, 1.0, 2.0, 4.0):
