@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.special import j0
 
 # TU-6 profile: excess delays in microseconds, tap powers in dB.
@@ -103,8 +104,6 @@ def _jakes_spectral(
     autocorrelation of the long grid match the Bessel target to O(p/n_grid)
     at lag p, so the grid is kept much longer than the requested series.
     """
-    from scipy.fft import next_fast_len
-
     n_grid = next_fast_len(max(4096, 8 * num_blocks))
     f = np.fft.fftfreq(n_grid, d=1.0)
     lo = np.abs(f) - 0.5 / n_grid

@@ -31,22 +31,26 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# (flag, config key, type, help) of every flag that sets one config key
+_FLAGS = (
+    ("--preset", "preset", str, "parameter preset: desk or dtmb"),
+    ("--estimator", "estimator", str, "genie, pn, ma1d, ma2d, wiener1d or wiener2x1d"),
+    ("--snr", "snr_db", str, "SNR grid in dB, comma separated"),
+    ("--trials", "trials", int, "Monte-Carlo realizations per SNR point"),
+    ("--iterations", "iterations", int, "estimate-rebuild-combine rounds"),
+    ("--seed", "seed", int, "master seed for all randomness"),
+    ("--out", "out", str, "CSV output path (JSON sidecar goes next to it)"),
+    ("--threads", "threads", int, "worker threads across (snr, trial) shards"),
+)
+
+
 def _gather_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.config:
         overrides.update(_read_config_file(args.config))
     # command-line flags win over file values
-    for key, attr in (
-        ("preset", "preset"),
-        ("estimator", "estimator"),
-        ("snr_db", "snr"),
-        ("trials", "trials"),
-        ("iterations", "iterations"),
-        ("seed", "seed"),
-        ("out", "out"),
-        ("threads", "threads"),
-    ):
-        val = getattr(args, attr, None)
+    for flag, key, _, _ in _FLAGS:
+        val = getattr(args, flag[2:])
         if val is not None:
             overrides[key] = val
     return overrides
@@ -54,14 +58,8 @@ def _gather_overrides(args: argparse.Namespace) -> dict:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--preset", help="parameter preset: desk or dtmb")
-    p.add_argument("--estimator", help="genie, pn, ma1d, ma2d, wiener1d or wiener2x1d")
-    p.add_argument("--snr", help="SNR grid in dB, comma separated")
-    p.add_argument("--trials", type=int, help="Monte-Carlo realizations per SNR point")
-    p.add_argument("--iterations", type=int, help="estimate-rebuild-combine rounds")
-    p.add_argument("--seed", type=int, help="master seed for all randomness")
-    p.add_argument("--out", help="CSV output path (JSON sidecar goes next to it)")
-    p.add_argument("--threads", type=int, help="worker threads across (snr, trial) shards")
+    for flag, _, kind, text in _FLAGS:
+        p.add_argument(flag, type=kind, help=text)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -32,12 +32,12 @@ REFINERS = ("ma1d", "ma2d", "wiener1d", "wiener2x1d")
 class ReceiverParams:
     """Everything the estimation loop needs besides the received signal.
 
-    plan_len is the measured channel length driving the pilot-spacing rules;
-    design_len is the support of the uniform worst-case prior the frequency
-    Wiener filters are designed for; each refine step designs them afresh
-    from the pooled input variance of its own pilots. Both fall back to
-    cir_len when unset. pn_leak_var is the window_leak_variance of the
-    deployment profile, folded into the PN estimate's error model.
+    plan_len is the measured channel length driving the pilot-spacing rules
+    (cir_len when unset); design_len is the support of the uniform worst-case
+    prior the frequency Wiener filters are designed for (0 = cir_len); each
+    refine step designs them afresh from the pooled input variance of its own
+    pilots. pn_leak_var is the window_leak_variance of the deployment
+    profile, folded into the PN estimate's error model.
     """
 
     constellation: Constellation
@@ -50,12 +50,11 @@ class ReceiverParams:
     m_f: int = 9
     block_len: int | None = None
     plan_len: int | None = None
-    design_len: int | None = None
+    design_len: int = 0
     corr_profile: PowerDelayProfile | None = None
     pn_leak_var: float = 0.0
     fd_hz: float = 0.0
     tb_s: float = 0.0
-    llr_max: float = 30.0
 
 
 @dataclass
@@ -205,7 +204,7 @@ def iterate(
         if it > 0:
             tap_err = np.full(params.cir_len, est.eps / params.cir_len)
             sigma_eff = boost * params.noise_var + mean_interference_power(gi, tap_err, n)
-            llr = demap(z, est.values, sigma_eff, c, params.llr_max)
+            llr = demap(z, est.values, sigma_eff, c)
             soft = soft_symbols(llr, c)
             inst = instantaneous_estimate(soft, y, c)
             h2 = _refine(inst, params, n, sigma_eff)

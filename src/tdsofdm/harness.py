@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,37 +38,44 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fully resolved simulation setup; every field has a concrete value."""
+    """Fully resolved simulation setup; every field has a concrete value.
+
+    The first five fields come from the preset; every other field carries
+    its default, and its annotation picks the parser for text values.  A
+    value of 0 means "auto" for m and m_f (9, or 3 with an SFN echo),
+    block_len (num_symbols), cir_len (the channel length, capped by the PN
+    core) and design_len (cir_len).
+    """
 
     preset: str
     fft_size: int
     gi_len: int
     sample_rate_hz: float
     pn_order: int
-    pn_poly: int | None
-    pn_seed: int
-    pn_power_boost: float
-    constellation: str
-    channel: str
-    sfn_delay_us: float
-    sfn_atten_db: float
-    velocity_kmh: float
-    fc_hz: float
-    estimator: str
-    m: int
-    m_t: int
-    m_f: int
-    block_len: int
-    iterations: int
-    cir_len: int
-    design_len: int
-    corr_mode: str
-    snr_db: tuple
-    trials: int
-    num_symbols: int
-    seed: int
-    threads: int
-    out: str | None
+    pn_poly: int | None = None
+    pn_seed: int = 1
+    pn_power_boost: float = 2.0
+    constellation: str = "qpsk"
+    channel: str = "tu6"
+    sfn_delay_us: float = 0.0
+    sfn_atten_db: float = 10.0
+    velocity_kmh: float = 30.0
+    fc_hz: float = 500e6
+    estimator: str = "wiener1d"
+    m: int = 0
+    m_t: int = 2
+    m_f: int = 0
+    block_len: int = 0
+    iterations: int = 2
+    cir_len: int = 0
+    design_len: int = 0
+    corr_mode: str = "uniform"
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+    trials: int = 500
+    num_symbols: int = 10
+    seed: int = 1234
+    threads: int = 1
+    out: str | None = None
 
     @property
     def fd_hz(self) -> float:
@@ -104,55 +112,43 @@ _PRESETS = {
     "dtmb": dict(fft_size=3780, gi_len=420, sample_rate_hz=7.56e6, pn_order=8),
 }
 
-# key -> caster for text values coming from config files or CLI flags
+
+def _parse_int(v) -> int:
+    if isinstance(v, str):
+        return int(v, 0)
+    n = int(v)
+    if n != v:
+        raise ValueError("not an integer")
+    return n
+
+
+def _parse_float(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
 def _parse_snr(v) -> tuple:
     if isinstance(v, (list, tuple, np.ndarray)):
-        return tuple(float(x) for x in v)
+        return tuple(_parse_float(x) for x in v)
     if isinstance(v, (int, float)):
-        return (float(v),)
+        return (_parse_float(v),)
     parts = [p for p in str(v).replace(" ", "").split(",") if p]
     if not parts:
         raise ValueError("empty SNR grid")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
-def _parse_int(v) -> int:
-    return int(str(v), 0) if isinstance(v, str) else int(v)
+# text values from config files or CLI flags are parsed by their field's type
+_PARSERS = {"int": _parse_int, "float": _parse_float, "str": str, "tuple[float, ...]": _parse_snr}
 
-
-_CASTERS = {
-    "preset": str,
-    "fft_size": _parse_int,
-    "gi_len": _parse_int,
-    "sample_rate_hz": float,
-    "pn_order": _parse_int,
-    "pn_poly": _parse_int,
-    "pn_seed": _parse_int,
-    "pn_power_boost": float,
-    "constellation": str,
-    "channel": str,
-    "sfn_delay_us": float,
-    "sfn_atten_db": float,
-    "velocity_kmh": float,
-    "fc_hz": float,
-    "estimator": str,
-    "M": _parse_int,
-    "M_t": _parse_int,
-    "M_f": _parse_int,
-    "block_len": _parse_int,
-    "iterations": _parse_int,
-    "cir_len": _parse_int,
-    "design_len": _parse_int,
-    "corr_mode": str,
-    "snr_db": _parse_snr,
-    "trials": _parse_int,
-    "num_symbols": _parse_int,
-    "seed": _parse_int,
-    "threads": _parse_int,
-    "out": str,
+# config key -> (field, parser); M, M_t and M_f keep their capitalized spelling
+_KEYS = {
+    {"m": "M", "m_t": "M_t", "m_f": "M_f"}.get(f.name, f.name):
+        (f.name, _PARSERS[f.type.removesuffix(" | None")])
+    for f in fields(SimConfig)
 }
-
-_FIELD_FOR_KEY = {"M": "m", "M_t": "m_t", "M_f": "m_f"}
 
 
 def resolve_config(overrides: dict | None = None) -> SimConfig:
@@ -163,60 +159,28 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     spelling.
     """
     overrides = dict(overrides or {})
-    preset = str(overrides.get("preset", "desk"))
+    preset = str(overrides.pop("preset", "desk"))
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
 
-    values: dict = dict(
-        preset=preset,
-        pn_poly=None,
-        pn_seed=1,
-        pn_power_boost=2.0,
-        constellation="qpsk",
-        channel="tu6",
-        sfn_delay_us=0.0,
-        sfn_atten_db=10.0,
-        velocity_kmh=30.0,
-        fc_hz=500e6,
-        estimator="wiener1d",
-        m=0,
-        m_t=2,
-        m_f=0,
-        block_len=0,
-        iterations=2,
-        cir_len=0,
-        design_len=0,
-        corr_mode="uniform",
-        snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0),
-        trials=500,
-        num_symbols=10,
-        seed=1234,
-        threads=1,
-        out=None,
-    )
-    values.update(_PRESETS[preset])
-
-    overrides.pop("preset", None)
+    values = dict(_PRESETS[preset])
     for key, raw in overrides.items():
-        if key not in _CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if raw is None:
             continue
+        name, parse = _KEYS[key]
         try:
-            val = _CASTERS[key](raw)
-        except (TypeError, ValueError) as exc:
+            values[name] = parse(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-        values[_FIELD_FOR_KEY.get(key, key)] = val
+    cfg = SimConfig(preset=preset, **values)
 
     # contextual defaults: window lengths shrink when an SFN echo is present
-    wide = values["sfn_delay_us"] <= 0
-    if values["m"] == 0:
-        values["m"] = 9 if wide else 3
-    if values["m_f"] == 0:
-        values["m_f"] = 9 if wide else 3
-    if values["block_len"] == 0:
-        values["block_len"] = values["num_symbols"]
-    cfg = SimConfig(**values)
+    window = 9 if cfg.sfn_delay_us <= 0 else 3
+    cfg = replace(
+        cfg, m=cfg.m or window, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols
+    )
 
     n_pn = (1 << cfg.pn_order) - 1
     checks = [
@@ -265,7 +229,6 @@ def _receiver_params(
     # pilot spacing follows the measured channel length; the Wiener prior
     # spans the longest channel the receiver is dimensioned for (cir_len)
     # unless a design_len override widens or narrows it
-    design = cfg.design_len if cfg.design_len > 0 else None
     return ReceiverParams(
         constellation=c,
         noise_var=noise_var,
@@ -277,7 +240,7 @@ def _receiver_params(
         m_f=cfg.m_f,
         block_len=cfg.block_len,
         plan_len=profile.length,
-        design_len=design,
+        design_len=cfg.design_len,
         corr_profile=profile if cfg.corr_mode == "profile" else None,
         pn_leak_var=window_leak_variance(gi, profile.dense_powers()),
         fd_hz=cfg.fd_hz,

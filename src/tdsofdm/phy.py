@@ -101,10 +101,9 @@ def propagate(
 def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal:
     """Subtract the channel-filtered guard from every guard region.
 
-    cir_est is one tap vector shared by all blocks, or one row per block
-    (optionally one extra row for the trailing guard; otherwise the last row
-    is reused there).  The subtraction spans the guard plus the le-1 samples
-    it spills into each data head.
+    cir_est is one tap vector shared by all blocks, or one row per block;
+    the trailing guard reuses the last row.  The subtraction spans the guard
+    plus the le-1 samples it spills into each data head.
     """
     cir = np.atleast_2d(np.asarray(cir_est, dtype=np.complex128))
     s, row = rx.blocks.shape
@@ -112,8 +111,8 @@ def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal
     le = cir.shape[1]
     if le > nu:
         raise ValueError(f"CIR length {le} exceeds guard length {nu}")
-    if cir.shape[0] not in (1, s, s + 1):
-        raise ValueError(f"expected 1, {s} or {s + 1} CIR rows, got {cir.shape[0]}")
+    if cir.shape[0] not in (1, s):
+        raise ValueError(f"expected 1 or {s} CIR rows, got {cir.shape[0]}")
 
     span = nu + le - 1
     nfft = next_fast_len(span)
@@ -121,8 +120,7 @@ def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal
     est = np.fft.ifft(g_spec * np.fft.fft(cir, n=nfft, axis=1), axis=1)[:, :span]
 
     blocks = rx.blocks.copy()
-    rows = np.minimum(np.arange(s), cir.shape[0] - 1)
-    blocks[:, :span] -= est[rows]
+    blocks[:, :span] -= est
     tail = rx.tail.copy()
     tail -= est[-1][: tail.size]
     return TimeSignal(blocks=blocks, tail=tail)
@@ -144,7 +142,7 @@ def ola(cleaned: TimeSignal) -> FrameGrid:
     if nu:
         bodies[:-1, :nu] += cleaned.blocks[1:, :nu]
         bodies[-1, :nu] += cleaned.tail
-    return FrameGrid(data=np.fft.fft(bodies, axis=1, norm="ortho"))
+    return FrameGrid(data=ofdm_demodulate(bodies))
 
 
 def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:

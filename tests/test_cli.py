@@ -2,8 +2,8 @@
 
 import pytest
 
-from tdsofdm import CSV_HEADER, resolve_config, run
-from tdsofdm.cli import main
+from tdsofdm import CSV_HEADER, ConfigError, resolve_config, run
+from tdsofdm.cli import _FLAGS, main
 
 
 def test_sweep_prints_csv_to_stdout(capsys):
@@ -70,6 +70,21 @@ def test_sfn_echo_past_the_fft_exits_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfgfile)])
     assert rc == 2
     assert "exceeds fft_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [(flag, key) for flag, key, _, _ in _FLAGS])
+def test_every_flag_names_a_config_key(flag, key):
+    # whatever the value, the resolver must know the key the flag sets
+    try:
+        resolve_config({key: "?"})
+    except ConfigError as exc:
+        assert "unknown config key" not in str(exc)
+
+
+def test_non_finite_snr_exits_2(capsys):
+    rc = main(["sweep", "--snr", "10,nan", "--trials", "1"])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_unknown_estimator_flag(capsys):

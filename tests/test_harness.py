@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tdsofdm import (
     CSV_HEADER,
     ConfigError,
     ConstraintError,
+    SimConfig,
     resolve_config,
     run,
     sidecar_path,
@@ -83,6 +85,86 @@ def test_config_value_parsing():
     assert cfg.trials == 3
     assert resolve_config({"snr_db": 15}).snr_db == (15.0,)
     assert resolve_config({"snr_db": [10, 20]}).snr_db == (10.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"snr_db": "nan"},
+        {"snr_db": "-inf"},
+        {"snr_db": [10, float("nan")]},
+        {"velocity_kmh": "inf"},
+        {"pn_power_boost": "inf"},
+        {"sfn_atten_db": "nan", "sfn_delay_us": 20},
+        {"trials": 2.7},
+        {"trials": float("inf")},
+    ],
+)
+def test_non_finite_floats_and_fractional_ints_are_config_errors(override):
+    # accepted, these would run with all-NaN rows, a NaN SNR label or a
+    # truncated trial count
+    with pytest.raises(ConfigError, match="bad value"):
+        resolve_config({"trials": 2, "snr_db": 20, **override})
+
+
+def test_whole_floats_still_parse_as_ints():
+    cfg = resolve_config({"trials": 3.0, "M": np.int64(5)})
+    assert (cfg.trials, cfg.m) == (3, 5)
+    assert type(cfg.trials) is int and type(cfg.m) is int
+
+
+# one valid typed value per config key; each key is its SimConfig field's
+# name, with M, M_t and M_f capitalized
+_TYPED = {
+    "preset": "dtmb",
+    "fft_size": 1024,
+    "gi_len": 128,
+    "sample_rate_hz": 2.048e6,
+    "pn_order": 5,
+    "pn_poly": 0x43,
+    "pn_seed": 5,
+    "pn_power_boost": 1.5,
+    "constellation": "qam16",
+    "channel": "two_tap",
+    "sfn_delay_us": 20.0,
+    "sfn_atten_db": 3.0,
+    "velocity_kmh": 120.0,
+    "fc_hz": 5e9,
+    "estimator": "ma2d",
+    "M": 7,
+    "M_t": 3,
+    "M_f": 5,
+    "block_len": 5,
+    "iterations": 1,
+    "cir_len": 4,
+    "design_len": 9,
+    "corr_mode": "profile",
+    "snr_db": (5.0, 12.5),
+    "trials": 3,
+    "num_symbols": 20,
+    "seed": 7,
+    "threads": 2,
+    "out": "x.csv",
+}
+
+
+def test_the_typed_samples_cover_every_config_key():
+    assert {key.lower() for key in _TYPED} == {f.name for f in fields(SimConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(_TYPED))
+def test_every_key_parses_its_text_form_like_its_typed_form(key):
+    typed = _TYPED[key]
+    text = ",".join(map(str, typed)) if isinstance(typed, tuple) else str(typed)
+    cfg = resolve_config({key: typed})
+    assert getattr(cfg, key.lower()) == typed
+    assert resolve_config({key: text}) == cfg
+
+
+@pytest.mark.parametrize("key", ["m", "m_t", "m_f"])
+def test_lowercase_window_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown config key {key!r}"):
+        resolve_config({key: 3})
 
 
 def test_guard_builder_silences_only_the_guard_extension_warning(monkeypatch):
@@ -291,6 +373,7 @@ def test_sidecar_echoes_the_resolved_config(tmp_path):
     assert doc["seed"] == cfg.seed
     assert doc["wall_time_s"] > 0
     assert doc["config"]["cir_len"] == 6
+    assert doc["config"]["design_len"] == 0      # 0 = cir_len, echoed as set
     assert doc["config"]["snr_db"] == [10.0]
     assert doc["config"]["estimator"] == "wiener1d"
 

@@ -157,7 +157,9 @@ def test_remove_pn_rejects_bad_shapes(gi3_16):
     with pytest.raises(ValueError):
         remove_pn(sig, gi3_16, np.ones(17))        # longer than the guard
     with pytest.raises(ValueError):
-        remove_pn(sig, gi3_16, np.ones((3, 4)))    # neither 1, s nor s+1 rows
+        remove_pn(sig, gi3_16, np.ones((3, 4)))    # neither 1 nor s rows
+    with pytest.raises(ValueError):
+        remove_pn(sig, gi3_16, np.ones((5, 4)))    # no extra row for the tail
 
 
 def test_overlap_add_restores_circular_convolution(gi3_16):
