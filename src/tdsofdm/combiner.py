@@ -101,13 +101,13 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
     """Run the configured noise-suppression stage on an instantaneous estimate.
 
     All four refiners share one pipeline, run per chunk of block_len blocks:
-    moving-average smoothing, then for the Wiener refiners virtual pilots
-    sampled from the smoothed grid, their pooled error variance, a frequency
-    design and pass, and for wiener2x1d a time design and pass.  They differ
-    only in the smoothing window ((1, m) for ma1d and wiener1d, (m_t, m_f)
-    for ma2d and wiener2x1d), in whether the time pass follows, and in the
-    mask: wiener1d masks blocks that had no valid pilot, wiener2x1d masks
-    chunks whose pilots were all invalid.  Only wiener2x1d splits the frame
+    moving-average smoothing, which the Wiener refiners evaluate at their
+    virtual pilots alone, then for those the pilots' pooled error variance,
+    a frequency design and pass, and for wiener2x1d a time design and pass.
+    They differ only in the smoothing window ((1, m) for ma1d and wiener1d,
+    (m_t, m_f) for ma2d and wiener2x1d), in whether the time pass follows,
+    and in the mask: wiener1d masks blocks that had no valid pilot,
+    wiener2x1d masks chunks whose pilots were all invalid.  Only wiener2x1d splits the frame
     into chunks, and only it plans its pilots under the time sampling rule.
     """
     name = params.refiner
@@ -120,32 +120,32 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
     b = (params.block_len or s) if timed else s
     if s % b:
         raise ValueError(f"block_len {b} does not divide {s} symbols")
-    plan = None
+    plan = at = None
     if name.startswith("wiener"):
         # the time sampling rule binds only when a time pass follows
         fd_hz = params.fd_hz if timed else 0.0
         plan = plan_pilots(n_fft, params.plan_len or params.cir_len, b, fd_hz, params.tb_s, m_f, m_t)
-        grid = np.ix_(plan.time_idx, plan.freq_idx)
+        at = (plan.time_idx, plan.freq_idx)
 
     out = np.zeros_like(inst.values)
     mask = np.zeros(inst.values.shape, dtype=bool)
     eps_parts = []
     for c0 in range(0, s, b):
         sl = slice(c0, c0 + b)
-        kw = dict(mask=inst.mask[sl], weights=inst.weights[sl], noise_var=noise_var)
+        kw = dict(mask=inst.mask[sl], weights=inst.weights[sl], noise_var=noise_var, at=at)
         r = ma_2d(inst.values[sl], m_t, m_f, **kw) if two_d else ma_1d(inst.values[sl], m_f, **kw)
         if plan is None:
             out[sl], mask[sl] = r.values, r.mask
             eps_parts.append(r.eps)
             continue
-        pv, pm = r.values[grid], r.mask[grid]
+        pv, pm = r.values, r.mask  # the (k_t, k_f) pilot lattice
         if not pm.any():
             eps_parts.append(float("inf"))
             continue
         ff = build_wiener(
             "freq",
             plan,
-            input_err_var=float(r.per_bin_var[grid][pm].mean()),
+            input_err_var=r.eps,
             profile=params.corr_profile,
             design_len=params.design_len or params.cir_len,
         )

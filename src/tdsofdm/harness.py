@@ -182,6 +182,8 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         cfg, m=cfg.m or window, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols
     )
 
+    if cfg.pn_order < 1:
+        raise ConfigError("pn_order must be positive")
     n_pn = (1 << cfg.pn_order) - 1
     checks = [
         (cfg.estimator in ESTIMATORS, f"unknown estimator {cfg.estimator!r}"),
@@ -209,6 +211,11 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
+    # the guard check above bounds the register's period, so this is cheap
+    try:
+        generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad PN register: {exc}") from exc
     length = cfg.profile().length
     if length > cfg.fft_size:
         raise ConfigError(f"channel length {length} exceeds fft_size {cfg.fft_size}; shorten sfn_delay_us")

@@ -86,10 +86,16 @@ def hard_decisions(symbols: np.ndarray, c: Constellation) -> np.ndarray:
 
     A value exactly between two levels goes to the lower one.  At zero, which
     equalize writes into masked cells, that is the tied point with the
-    smallest label.
+    smallest label.  A level index is the number of midpoints a value is
+    not at or below, so NaN slices to the top level.  The interleaved I/Q
+    values of the symbols are sliced in one pass, which yields each symbol's
+    in-phase then quadrature labels in symbol order.
     """
-    z = np.asarray(symbols)
-    mid = (c.levels[1:] + c.levels[:-1]) / 2
-    i = np.searchsorted(mid, z.real)
-    q = np.searchsorted(mid, z.imag)
-    return np.concatenate([c.axis_labels[i], c.axis_labels[q]], axis=-1).reshape(-1)
+    v = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64).reshape(-1)
+    level = np.zeros(v.shape, dtype=np.intp)
+    above = np.empty(v.shape, dtype=bool)
+    for mid in (c.levels[1:] + c.levels[:-1]) / 2:
+        np.less_equal(v, mid, out=above)
+        np.logical_not(above, out=above)
+        level += above
+    return c.axis_labels[level].reshape(-1)

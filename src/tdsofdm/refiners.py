@@ -60,20 +60,30 @@ class WienerFilter:
     n_fft: int | None = None
 
 
-def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
+def _window_sum(
+    arr: np.ndarray, back: int, fwd: int, axis: int, at: np.ndarray | None = None
+) -> np.ndarray:
     """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges.
 
     Each sum is a difference of two prefix sums.  The positions whose
     window lies inside the axis and starts after its first element take
     one slice subtraction; the at most back + fwd + 1 others, near the
-    edges, are filled one at a time.
+    edges, are filled one at a time.  With at, only the sums at those
+    positions along axis are formed, from the same prefix sums by the same
+    subtractions, so each equals its full-axis value bit for bit.
     """
     if back == 0 and fwd == 0:
-        return arr
+        return arr if at is None else np.take(arr, at, axis=axis)
     a = np.asarray(arr)
     n = a.shape[axis]
     # the axis leads in these views, so cs[j] and out[i] are whole slices
     cs = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)  # cs[j] = a[0] + ... + a[j]
+    if at is not None:
+        out = cs[np.minimum(at + fwd, n - 1)]
+        start = at - back - 1
+        inner = start >= 0
+        out[inner] -= cs[start[inner]]
+        return np.moveaxis(out, 0, axis)
     out = np.empty_like(cs)
     lo, hi = back + 1, max(n - fwd, back + 1)
     np.subtract(cs[lo + fwd : hi + fwd], cs[: hi - lo], out=out[lo:hi])
@@ -84,7 +94,7 @@ def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:
+def _moving_average(values, m_t, m_f, mask, weights, noise_var, at=None) -> Refined:
     """Masked moving average over a block-by-subcarrier window.
 
     The frequency window on the last axis is centered (even m_f rounds up
@@ -92,18 +102,25 @@ def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:
     back and (m_t - 1) // 2 forward.  Windows truncate at the edges, skip
     masked bins and divide by the live bin count; the per-bin variance is
     noise_var times the window's summed weights over the squared count, and
-    eps averages it over bins that had any live neighbor.
+    eps averages it over bins that had any live neighbor.  at = (rows, cols)
+    evaluates it on that lattice alone; see ma_2d.
     """
     if m_t < 1 or m_f < 1:
         raise ValueError("window lengths must be positive")
     half = m_f // 2
     back, fwd = m_t // 2, (m_t - 1) // 2
+    rows, cols = (None, None) if at is None else at
     mv = np.ones(values.shape) if mask is None else mask.astype(np.float64)
     if weights is None:
         weights = np.ones(values.shape)
 
+    # a one-block time window is the identity, so its rows are picked after
+    # the frequency pass, from k_f columns instead of the whole grid
+    time_rows = None if back == fwd == 0 else rows
+
     def wsum(a):
-        return _window_sum(_window_sum(a, back, fwd, 0), half, half, -1)
+        out = _window_sum(_window_sum(a, back, fwd, 0, time_rows), half, half, -1, cols)
+        return out if time_rows is rows else out[rows]
 
     cnt = np.round(wsum(mv))
     ok = cnt > 0.5
@@ -121,9 +138,14 @@ def ma_1d(
     mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
+    at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Refined:
-    """Moving average across subcarriers: the single-block window (1, m)."""
-    return _moving_average(np.asarray(values), 1, m, mask, weights, noise_var)
+    """Moving average across subcarriers: the single-block window (1, m).
+
+    at = (rows, cols) evaluates it only on that lattice of a 2-D grid; see
+    ma_2d.
+    """
+    return _moving_average(np.asarray(values), 1, m, mask, weights, noise_var, at)
 
 
 def ma_2d(
@@ -134,16 +156,24 @@ def ma_2d(
     mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
+    at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Refined:
     """Moving average over an (m_t, m_f) block-by-subcarrier window.
 
     An even m_t reaches one block further into the past: m_t = 2 averages
     blocks {i-1, i}.
+
+    at = (rows, cols), two index arrays, asks for the pilot lattice
+    rows x cols alone: the window sums are taken from the same prefix sums
+    as on the full grid, but values, per_bin_var and mask are formed only
+    there, with shape (rows.size, cols.size), each bin equal to the
+    full-grid one bit for bit.  eps is then the mean per_bin_var over the
+    lattice bins that had any live neighbor.
     """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("expected a (num_blocks, n_fft) grid")
-    return _moving_average(values, m_t, m_f, mask, weights, noise_var)
+    return _moving_average(values, m_t, m_f, mask, weights, noise_var, at)
 
 
 def plan_pilots(
@@ -211,7 +241,9 @@ def build_wiener(
     Frequency filters estimate the taps of a prior made of a measured delay
     profile or, by default, a uniform profile over [0, design_len); their
     outputs are taps, which wiener_1d and wiener_2x1d expand onto the
-    n_fft grid.  Time filters use the Jakes block correlation.
+    n_fft grid.  Pilots every l_f subcarriers resolve at most n_fft // l_f
+    taps, so a wider uniform prior raises ConstraintError.  Time filters
+    use the Jakes block correlation.
 
     input_err_var is used exactly as given; zero gets a jitter of 1e-12
     times the prior power r(0) so the solve stays finite.  A prior that is
@@ -225,6 +257,12 @@ def build_wiener(
         else:
             if design_len is None or design_len < 1:
                 raise ValueError("design_len required for the uniform-profile mode")
+            if design_len * plan.l_f > plan.n_fft:
+                raise ConstraintError(
+                    f"a uniform prior over {design_len} taps aliases at pilot spacing "
+                    f"{plan.l_f} on {plan.n_fft} subcarriers; design_len may be at "
+                    f"most {plan.n_fft // plan.l_f}"
+                )
             delays = np.arange(design_len)
             powers = np.full(design_len, 1.0 / design_len)
         return _freq_wiener(plan, input_err_var, delays, powers)
@@ -252,7 +290,10 @@ def _freq_wiener(plan, input_err_var, delays, powers) -> WienerFilter:
     delays, tap = np.unique(delays % n_fft, return_inverse=True)
     powers = np.bincount(tap, weights=powers)
     sq = np.sqrt(powers)
-    u = np.exp(2j * np.pi * (np.multiply.outer(pil, delays) % n_fft) / n_fft) * sq
+    # pil delays mod n_fft takes at most n_fft values: gather them from a
+    # table of the n_fft twiddles, each formed by the same expression
+    twiddle = np.exp(2j * np.pi * np.arange(n_fft) / n_fft)
+    u = twiddle[np.multiply.outer(pil, delays) % n_fft] * sq
     ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
     eye = np.eye(delays.size)
     m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(u.conj().T @ u + ridge * eye), eye)

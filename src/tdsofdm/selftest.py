@@ -15,7 +15,7 @@ from .pn_estimator import (
     ls_pn,
     mean_interference_power,
 )
-from .refiners import build_wiener, plan_pilots
+from .refiners import build_wiener, ma_2d, plan_pilots
 from .sequences import build_gi, generate_mseq
 from .soft_rebuild import demap, soft_symbols
 from .harness import resolve_config, run
@@ -108,6 +108,19 @@ def _check_wiener_design() -> None:
         assert abs(filt.residual_mse - want) < 1e-9 * want, f"flat-profile residual {filt.residual_mse} vs {want}"
 
 
+def _check_lattice_smoothing() -> None:
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+    kw = dict(mask=rng.random((6, 40)) > 0.2, weights=rng.random((6, 40)), noise_var=0.3)
+    rows, cols = np.array([0, 2, 5]), np.arange(0, 40, 3)
+    full = ma_2d(values, 2, 5, **kw)
+    lattice = ma_2d(values, 2, 5, at=(rows, cols), **kw)
+    for name in ("values", "per_bin_var", "mask"):
+        got, want = getattr(lattice, name), getattr(full, name)[np.ix_(rows, cols)]
+        same = got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert same, f"lattice {name} differs from the full grid's"
+
+
 def _check_demap() -> None:
     rng = np.random.default_rng(13)
     z = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
@@ -166,6 +179,7 @@ _CHECKS = [
     ("MMSE combiner", _check_combiner),
     ("Jakes correlation", _check_bessel),
     ("Wiener design", _check_wiener_design),
+    ("lattice smoothing", _check_lattice_smoothing),
     ("demap", _check_demap),
     ("soft rebuild neutrality", _check_soft_symbols),
     ("equalize and slice", _check_equalizer_slicer),

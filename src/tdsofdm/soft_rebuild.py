@@ -96,6 +96,11 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
         np.subtract(axes, classes.reshape(classes.shape + (1,) * axes.ndim), out=terms)
         np.square(terms, out=terms)
         terms /= sigma2
+        if q == 2:
+            # one level per class: low is the term itself and the sum is
+            # log(exp(0)) - low = -term exactly, so the LLR is t0 - t1
+            np.subtract(terms[0, 0], terms[1, 0], out=out[:, l])
+            continue
         np.min(terms, axis=1, keepdims=True, out=low)
         np.subtract(low, terms, out=terms)
         # a term under e^-700 cannot move a sum that holds a 1, and exp runs
@@ -126,8 +131,11 @@ def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
     # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...)
     p1 = expit(np.moveaxis(llr.values, -1, 0))
     p1 = p1.reshape((2, -1) + p1.shape[1:])
-    prob = np.ones((c.levels.size,) + p1[:, 0].shape, dtype=np.float64)
-    for l in range(p1.shape[1]):
+    # each level's probability is the product of its bits' factors; the
+    # first bit's factors start the product
+    factor = (1.0 - p1[:, 0], p1[:, 0])
+    prob = np.stack([factor[bit] for bit in c.axis_labels[:, 0]])
+    for l in range(1, p1.shape[1]):
         factor = (1.0 - p1[:, l], p1[:, l])
         for k, bit in enumerate(c.axis_labels[:, l]):
             prob[k] *= factor[bit]

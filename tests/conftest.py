@@ -208,6 +208,16 @@ def reference_hard_decisions(symbols, c):
     return c.bit_labels[idx].reshape(z.shape + (c.bits_per_symbol,)).reshape(-1)
 
 
+def reference_searchsorted_hard_decisions(symbols, c):
+    """Per-axis slicer by binary search over the level midpoints: a value on
+    a midpoint goes to the lower level, NaN to the top one."""
+    z = np.asarray(symbols)
+    mid = (c.levels[1:] + c.levels[:-1]) / 2
+    i = np.searchsorted(mid, z.real)
+    q = np.searchsorted(mid, z.imag)
+    return np.concatenate([c.axis_labels[i], c.axis_labels[q]], axis=-1).reshape(-1)
+
+
 def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
     """Circular complex Gaussian with the given total variance."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(var / 2.0)

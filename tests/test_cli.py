@@ -111,6 +111,26 @@ def test_block_shorter_than_the_time_spacing_exits_3(tmp_path, capsys):
     assert "block_len" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["pn_seed = 0", "pn_poly = 5", "pn_poly = 0x42"])
+def test_invalid_pn_register_exits_2(tmp_path, capsys, line):
+    cfgfile = tmp_path / "pn.cfg"
+    cfgfile.write_text(f"{line}\ntrials = 1\nsnr_db = 20\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "config error: bad PN register" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design_len, code", [(4, 0), (9, 0), (60, 3), (500, 3)])
+def test_uniform_prior_wider_than_the_pilot_spacing_exits_3(tmp_path, capsys, design_len, code):
+    # desk pilots sit every 9 of 512 subcarriers and resolve at most 56 taps
+    cfgfile = tmp_path / "prior.cfg"
+    cfgfile.write_text(f"design_len = {design_len}\ntrials = 1\nsnr_db = 20\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == code
+    if code:
+        assert "constraint error" in capsys.readouterr().err
+
+
 def test_trial_subcommand(capsys):
     rc = main(["trial", "--snr", "15", "--seed", "3"])
     assert rc == 0

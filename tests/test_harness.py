@@ -67,6 +67,23 @@ def test_config_rejections():
         resolve_config({"gi_len": 32})
 
 
+@pytest.mark.parametrize(
+    "override, match",
+    [
+        ({"pn_seed": 0}, "nonzero 6-bit state"),
+        ({"pn_seed": 64}, "nonzero 6-bit state"),
+        ({"pn_poly": 5}, "degree 2 does not match order 6"),
+        ({"pn_poly": "0x42"}, "constant term"),
+        ({"pn_order": 0}, "pn_order must be positive"),
+        ({"pn_order": -1}, "pn_order must be positive"),
+    ],
+)
+def test_invalid_pn_register_is_a_config_error(override, match):
+    # the register fails in resolve_config, not later inside run()
+    with pytest.raises(ConfigError, match=match):
+        resolve_config(override)
+
+
 @pytest.mark.parametrize("preset, length, fft_size", [("desk", 518, 512), ("dtmb", 3819, 3780)])
 def test_sfn_echo_past_the_fft_is_a_config_error(preset, length, fft_size):
     # both presets span 500 us per FFT: an echo at 494 us still fits, one

@@ -7,6 +7,8 @@ import pytest
 
 from tdsofdm import constellation, hard_decisions, map_bits
 
+from conftest import reference_searchsorted_hard_decisions
+
 ALL_NAMES = ("qpsk", "qam16", "qam64")
 
 
@@ -62,6 +64,26 @@ def test_map_then_slice_roundtrip(name):
     rng = np.random.default_rng(42)
     bits = rng.integers(0, 2, 3000 * c.bits_per_symbol).astype(np.uint8)
     assert np.array_equal(hard_decisions(map_bits(bits, c), c), bits)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_slicer_matches_the_binary_search_form_on_ties_and_specials(name):
+    # every midpoint and its two neighbouring floats, every level, signed
+    # zeros, infinities, NaN and extremes, on both axes in every pairing
+    c = constellation(name)
+    mid = (c.levels[1:] + c.levels[:-1]) / 2
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324]
+    axis = np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf), c.levels, specials])
+    z = np.empty((axis.size, axis.size), dtype=np.complex128)
+    z.real, z.imag = axis[:, None], axis[None, :]
+    for grid in (z, z.T, z[::2, 1::3], z.real):
+        got = hard_decisions(grid, c)
+        want = reference_searchsorted_hard_decisions(grid, c)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # a value on a midpoint takes the lower level; NaN takes the top one
+    top = hard_decisions(np.array([complex(np.nan, mid[0])]), c).reshape(2, -1)
+    assert np.array_equal(top, c.axis_labels[[-1, 0]])
 
 
 def test_uniform_power_flag():

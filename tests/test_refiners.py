@@ -164,6 +164,83 @@ def test_window_sum_matches_the_gather_form_on_a_dtmb_grid(back, fwd, axis):
     assert np.array_equal(_window_sum(a, back, fwd, axis), reference_window_sum(a, back, fwd, axis))
 
 
+def _lattice(size):
+    """Index sets along one axis: plan_pilots' regular spacing from any
+    offset, or any sorted subset, which covers both edge bins."""
+    regular = st.integers(1, size).flatmap(
+        lambda step: st.integers(0, step - 1).map(lambda start: np.arange(start, size, step))
+    )
+    chosen = st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True).map(
+        lambda idx: np.array(sorted(idx))
+    )
+    return st.one_of(regular, chosen)
+
+
+def _assert_lattice_matches_the_full_grid(smooth, rows, cols):
+    full, lat = smooth(None), smooth((rows, cols))
+    grid = np.ix_(rows, cols)
+    for name in ("values", "per_bin_var", "mask"):
+        got, want = getattr(lat, name), getattr(full, name)[grid]
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    live = full.per_bin_var[grid][full.mask[grid]]
+    assert lat.eps == (float(live.mean()) if live.size else float("inf"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    s=st.integers(1, 8),
+    n=st.integers(1, 40),
+    m_t=st.integers(1, 5),
+    m_f=st.integers(1, 12),
+    one_d=st.booleans(),
+    masked=st.sampled_from([None, 0.0, 0.3, 0.9, 1.0]),
+    weighted=st.booleans(),
+    is_complex=st.booleans(),
+    noise_var=st.sampled_from([0.0, 0.1, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_smoothing_equals_the_full_grid_at_the_lattice(
+    data, s, n, m_t, m_f, one_d, masked, weighted, is_complex, noise_var, seed
+):
+    rows = data.draw(_lattice(s), label="rows")
+    cols = data.draw(_lattice(n), label="cols")
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 3, (s, n))
+    if is_complex:
+        values = values + 1j * rng.standard_normal((s, n))
+    # a drop fraction of 1 masks every bin, so no window has a live bin
+    mask = None if masked is None else rng.random((s, n)) >= masked
+    weights = rng.random((s, n)) * 10.0 ** rng.uniform(-2, 2, (s, n)) if weighted else None
+    kw = dict(mask=mask, weights=weights, noise_var=noise_var)
+    if one_d:
+        smooth = lambda at: ma_1d(values, m_f, at=at, **kw)
+    else:
+        smooth = lambda at: ma_2d(values, m_t, m_f, at=at, **kw)
+    _assert_lattice_matches_the_full_grid(smooth, rows, cols)
+
+
+@pytest.mark.parametrize("m_t, m_f", [(1, 9), (2, 9), (3, 5)])
+def test_lattice_smoothing_equals_the_full_grid_on_a_dtmb_plan(m_t, m_f):
+    rng = np.random.default_rng(47)
+    values = crandn(rng, (10, 3780))
+    mask = rng.random(values.shape) > 0.01
+    weights = rng.random(values.shape)
+    plan = plan_pilots(3780, 39, 10, 0.0, 0.0, m_f, m_t)
+    smooth = lambda at: ma_2d(values, m_t, m_f, mask=mask, weights=weights, noise_var=0.2, at=at)
+    _assert_lattice_matches_the_full_grid(smooth, plan.time_idx, plan.freq_idx)
+
+
+def test_uniform_prior_wider_than_the_pilot_spacing_resolves_is_a_constraint_error():
+    # pilots every l_f = 4 of 64 subcarriers resolve at most 16 taps
+    plan = plan_pilots(64, 4, 1, 0.0, 0.0, 4, 1)
+    assert plan.l_f == 4
+    assert build_wiener("freq", plan, input_err_var=0.1, design_len=16).coefficients.shape[0] == 16
+    with pytest.raises(ConstraintError, match="at most 16"):
+        build_wiener("freq", plan, input_err_var=0.1, design_len=17)
+
+
 def test_pilot_plan_wide_grid():
     plan = plan_pilots(3780, 39, 10, 0.0, 0.0, 9, 2)
     assert (plan.l_f, plan.k_f) == (9, 420)

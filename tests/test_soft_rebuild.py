@@ -50,6 +50,34 @@ def test_qpsk_llrs_match_closed_form():
     assert np.allclose(llr.values[..., 1], want_q, rtol=1e-9, atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    nv=st.sampled_from([0.0, 1e-14, 1e-3, 0.4, 50.0]),
+    llr_max=st.sampled_from([30.0, 1e6]),
+)
+def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
+    # each QPSK label class holds one level, so the log-sum-exp of a class is
+    # minus its one term t and the LLR must be t(class 0) - t(class 1) to the
+    # last bit; cells beyond demap's clamp saturate either way
+    rng = np.random.default_rng(seed)
+    z = crandn(rng, (3, 20)) * scale
+    h = crandn(rng, 20) * 10.0 ** rng.uniform(-3, 1, 20)
+    h[::6] = 0.0
+    mask = rng.random(z.shape) > 0.1
+    got = demap(FrameGrid(data=z, mask=mask), h, nv, QPSK, llr_max=llr_max).values
+
+    ok = mask & (np.abs(h) ** 2 > 0)
+    sigma2 = np.maximum(nv / np.where(ok, np.abs(h) ** 2, 1.0), 1e-30)
+    level0, level1 = QPSK.levels[np.argsort(QPSK.axis_labels[:, 0])]
+    want = np.stack([(x - level0) ** 2 / sigma2 - (x - level1) ** 2 / sigma2 for x in (z.real, z.imag)], axis=-1)
+    want = np.clip(want, -llr_max, llr_max)
+    want[~ok] = 0.0
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_llrs_clip_at_default_limit():
     z = FrameGrid(data=np.full((1, 4), 10.0 + 10.0j))
     llr = demap(z, np.ones(4), 0.01, QPSK)
