@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .sequences import PRIMITIVE_POLYS, PnSequence, build_gi, generate_mseq
 from .modulation import Constellation, constellation, hard_decisions, map_bits
 from .channel import (
-    ChannelRealization,
     PowerDelayProfile,
     cfr,
     coherence_bandwidth,
@@ -38,8 +37,6 @@ from .pn_estimator import (
 )
 from .soft_rebuild import (
     InstantEstimate,
-    LlrGrid,
-    SoftSymbolGrid,
     demap,
     instantaneous_estimate,
     soft_symbols,

@@ -33,13 +33,6 @@ class PowerDelayProfile:
         return out
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-block tap vectors of one channel draw; row i applies to block i."""
-
-    taps: np.ndarray
-
-
 def _make_profile(delays: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
     """Sort, merge duplicate sample delays, and normalize to unit power."""
     delays = np.asarray(delays, dtype=np.int64)
@@ -125,10 +118,12 @@ def realize(
     tb_s: float,
     num_blocks: int,
     rng: np.random.Generator,
-) -> ChannelRealization:
+) -> np.ndarray:
     """Draw one channel realization: independent Rayleigh taps, Jakes fading.
 
-    Taps are quasi-static within a block and evolve block to block with
+    Returns the per-block tap vectors, a complex128 array of shape
+    (num_blocks, profile.length) whose row i applies to block i.  Taps are
+    quasi-static within a block and evolve block to block with
     autocorrelation J0(2 pi fd tb p).  fd_hz = 0 freezes the draw.
     """
     if num_blocks < 1:
@@ -146,7 +141,7 @@ def realize(
 
     taps = np.zeros((num_blocks, profile.length), dtype=np.complex128)
     taps[:, profile.delays] = (np.sqrt(profile.powers)[:, None] * series).T
-    return ChannelRealization(taps=taps)
+    return taps
 
 
 def cfr(taps: np.ndarray, n_fft: int) -> np.ndarray:

@@ -204,9 +204,8 @@ def iterate(
         if it > 0:
             tap_err = np.full(params.cir_len, est.eps / params.cir_len)
             sigma_eff = boost * params.noise_var + mean_interference_power(gi, tap_err, n)
-            llr = demap(z, est.values, sigma_eff, c)
-            soft = soft_symbols(llr, c)
-            inst = instantaneous_estimate(soft, y, c)
+            x_hat = soft_symbols(demap(z, est.values, sigma_eff, c), c)
+            inst = instantaneous_estimate(x_hat, y, c)
             h2 = _refine(inst, params, n, sigma_eff)
             diag.h2_eps.append(h2.eps)
             if truth_cfr is not None:

@@ -185,6 +185,8 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     if cfg.pn_order < 1:
         raise ConfigError("pn_order must be positive")
     n_pn = (1 << cfg.pn_order) - 1
+    # rows are labelled by %g and raw trials keyed by the point
+    labels = [f"{x:g}" for x in cfg.snr_db]
     checks = [
         (cfg.estimator in ESTIMATORS, f"unknown estimator {cfg.estimator!r}"),
         (cfg.constellation in CONSTELLATIONS, f"unknown constellation {cfg.constellation!r}"),
@@ -201,6 +203,7 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (cfg.trials >= 1, "trials must be positive"),
         (cfg.num_symbols >= 1, "num_symbols must be positive"),
         (len(cfg.snr_db) >= 1, "snr_db grid is empty"),
+        (len(set(labels)) == len(labels), f"snr_db points {','.join(labels)} repeat a label"),
         (cfg.m >= 1 and cfg.m_t >= 1 and cfg.m_f >= 1, "window lengths must be positive"),
         (cfg.block_len >= 1, "block_len must be positive"),
         (cfg.num_symbols % cfg.block_len == 0, "block_len must divide num_symbols"),
@@ -288,12 +291,12 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     s, n = cfg.num_symbols, cfg.fft_size
     noise_var = c.eta_alpha * 10.0 ** (-snr_db / 10.0)
 
-    ch = realize(profile, cfg.fd_hz, cfg.tb_s, s + 1, rng)
-    truth = cfr(ch.taps[:s], n)
+    taps = realize(profile, cfg.fd_hz, cfg.tb_s, s + 1, rng)
+    truth = cfr(taps[:s], n)
     bits = rng.integers(0, 2, s * n * c.bits_per_symbol, dtype=np.int64).astype(np.uint8)
     x = map_bits(bits, c).reshape(s, n)
     tx = assemble(ofdm_modulate(x), gi)
-    rx = propagate(tx, ch, noise_var, rng)
+    rx = propagate(tx, taps, noise_var, rng)
 
     params = _receiver_params(cfg, gi, profile, c, noise_var)
     if cfg.estimator == "genie":
@@ -303,7 +306,6 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     else:
         _, _, diag = iterate(rx, gi, params, truth_cfr=truth)
 
-    total_bits = bits.size
     ber = np.array(
         [np.mean(hard_decisions(z.data, c) != bits) for z in diag.z_grids]
     )
@@ -313,7 +315,6 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
         "ber": ber,
         "h2_mse": np.array(diag.h2_mse),
         "h2_eps": np.array(diag.h2_eps),
-        "bits": total_bits,
     }
 
 

@@ -55,20 +55,19 @@ def assemble(bodies: np.ndarray, gi: PnSequence) -> TimeSignal:
 
 def propagate(
     sig: TimeSignal,
-    ch,
+    taps: np.ndarray,
     noise_var: float,
     rng: np.random.Generator,
 ) -> TimeSignal:
     """Convolve the continuous block stream with the per-block CIR and add AWGN.
 
     The stream is treated as one linear convolution: samples of block i use
-    tap vector i (quasi-static switching at block boundaries), so each
+    tap vector taps[i] (quasi-static switching at block boundaries), so each
     block's head also carries the tail of what the previous block sent.  The
     trailing guard region reuses the last available tap vector.
     """
     blocks = sig.blocks
     s, row = blocks.shape
-    taps = ch.taps
     if taps.ndim != 2 or taps.shape[0] < s:
         raise ValueError(f"need at least {s} tap vectors, got {taps.shape}")
     le = taps.shape[1]

@@ -30,17 +30,24 @@ class VirtualPilotPlan:
     """Virtual-pilot spacings and the resulting pilot grids.
 
     l_f and l_t are the subcarrier and block spacings; freq_idx/time_idx are
-    the pilot positions on an n_fft grid and a block_len window.
+    the pilot positions on an n_fft grid and a block_len window, and k_f/k_t
+    their counts.
     """
 
     l_f: int
     l_t: int
-    k_f: int
-    k_t: int
     n_fft: int
     block_len: int
     freq_idx: np.ndarray
     time_idx: np.ndarray
+
+    @property
+    def k_f(self) -> int:
+        return self.freq_idx.size
+
+    @property
+    def k_t(self) -> int:
+        return self.time_idx.size
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,6 @@ def plan_pilots(
     return VirtualPilotPlan(
         l_f=l_f,
         l_t=l_t,
-        k_f=k_f,
-        k_t=k_t,
         n_fft=n_fft,
         block_len=block_len,
         freq_idx=np.arange(k_f) * l_f,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, preset_profile, r_t
+from .channel import preset_profile, r_t
 from .combiner import combine
 from .modulation import CONSTELLATIONS, constellation, hard_decisions, map_bits
 from .phy import FrameGrid, assemble, equalize, ofdm_modulate, ola, propagate, remove_pn
@@ -40,7 +40,7 @@ def _check_ola_identity() -> None:
     tx = assemble(ofdm_modulate(x), gi)
     taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     h = np.tile(taps, (5, 1))
-    rx = propagate(tx, ChannelRealization(taps=h), 0.0, rng)
+    rx = propagate(tx, h, 0.0, rng)
     y = ola(remove_pn(rx, gi, taps))
     want = np.fft.fft(taps, n) * x
     err = np.abs(y.data - want).max()
@@ -126,7 +126,7 @@ def _check_demap() -> None:
     z = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8) + 2.0
     sigma2 = 0.4 / np.abs(h) ** 2
-    llr = demap(FrameGrid(data=z), h, 0.4, constellation("qpsk"), llr_max=1e6).values
+    llr = demap(FrameGrid(data=z), h, 0.4, constellation("qpsk"), llr_max=1e6)
     want = 2.0 * np.sqrt(2.0) * np.stack([z.real, z.imag], axis=-1) / sigma2[:, None]
     err = np.abs(llr - want).max()
     assert err < 1e-9 * np.abs(want).max(), f"QPSK LLRs off the closed form 2*sqrt(2)*x/sigma2 by {err}"
@@ -134,7 +134,7 @@ def _check_demap() -> None:
     far = FrameGrid(data=np.array([[1e160 - 1e160j]]))
     for name in CONSTELLATIONS:
         c = constellation(name)
-        got = demap(far, np.ones(1), 0.0, c).values[0, 0]
+        got = demap(far, np.ones(1), 0.0, c)[0, 0]
         want = 30.0 * (2.0 * np.concatenate([c.axis_labels[-1], c.axis_labels[0]]) - 1.0)
         assert np.all(np.isfinite(got)) and np.array_equal(got, want), f"{name}: far-out LLRs {got}, want {want}"
 
@@ -144,9 +144,9 @@ def _check_soft_symbols() -> None:
     for name in CONSTELLATIONS:
         c = constellation(name)
         llr = demap(z, np.ones((1, 8)), 1.0, c)
-        sign_bits = llr.values[..., [0, c.bits_per_symbol // 2]]
+        sign_bits = llr[..., [0, c.bits_per_symbol // 2]]
         assert np.abs(sign_bits).max() < 1e-12, f"{name}: zero observation must give zero sign-bit LLRs"
-        x_hat = soft_symbols(llr, c).x_hat
+        x_hat = soft_symbols(llr, c)
         assert np.abs(x_hat).max() < 1e-12, f"{name}: zero observation must rebuild zero symbols"
 
 

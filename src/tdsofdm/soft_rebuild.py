@@ -19,22 +19,6 @@ _FAR = 1e150
 
 
 @dataclass(frozen=True)
-class LlrGrid:
-    """Per-bit log-likelihood ratios, shape (num_symbols, n_fft, bits_per_symbol)."""
-
-    values: np.ndarray
-    llr_max: float
-
-
-@dataclass(frozen=True)
-class SoftSymbolGrid:
-    """Posterior-mean symbols with per-bin power eta."""
-
-    x_hat: np.ndarray
-    eta: np.ndarray
-
-
-@dataclass(frozen=True)
 class InstantEstimate:
     """Raw per-bin CFR re-estimate before any smoothing.
 
@@ -47,8 +31,11 @@ class InstantEstimate:
     weights: np.ndarray
 
 
-def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, llr_max: float = 30.0) -> LlrGrid:
+def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, llr_max: float = 30.0) -> np.ndarray:
     """Exact per-bit LLRs of equalized cells under Gaussian noise.
+
+    Returns a float64 array of shape z.data.shape + (bits_per_symbol,): a
+    view of a bit-major buffer, the I bits of each cell before its Q bits.
 
     noise_var is the effective pre-equalization noise power; bin k sees
     noise_var/|H[k]|^2 after equalization.  The noise is circular, so each
@@ -118,18 +105,18 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     np.clip(out, -llr_max, llr_max, out=out)
     out[:, ~ok] = 0.0
     # bit-major in memory; the (..., bits) view costs no transpose
-    return LlrGrid(values=np.moveaxis(out, 0, -1), llr_max=float(llr_max))
+    return np.moveaxis(out, 0, -1)
 
 
-def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
-    """Posterior-mean symbol per cell and its power.
+def soft_symbols(llr: np.ndarray, c: Constellation) -> np.ndarray:
+    """Posterior-mean symbol per cell from demap's (..., bits_per_symbol) LLRs.
 
-    Bits are treated as independent given the LLRs, so the posterior
-    factorizes into one level distribution per axis and the mean symbol is
-    E[I] + jE[Q].
+    Returns a complex128 array of shape llr.shape[:-1].  Bits are treated
+    as independent given the LLRs, so the posterior factorizes into one
+    level distribution per axis and the mean symbol is E[I] + jE[Q].
     """
     # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...)
-    p1 = expit(np.moveaxis(llr.values, -1, 0))
+    p1 = expit(np.moveaxis(llr, -1, 0))
     p1 = p1.reshape((2, -1) + p1.shape[1:])
     # each level's probability is the product of its bits' factors; the
     # first bit's factors start the product
@@ -140,34 +127,30 @@ def soft_symbols(llr: LlrGrid, c: Constellation) -> SoftSymbolGrid:
         for k, bit in enumerate(c.axis_labels[:, l]):
             prob[k] *= factor[bit]
     mean = np.einsum("q...,q->...", prob, c.levels)
-    x_hat = mean[0] + 1j * mean[1]
-    return SoftSymbolGrid(x_hat=x_hat, eta=np.abs(x_hat) ** 2)
+    return mean[0] + 1j * mean[1]
 
 
-def instantaneous_estimate(
-    soft: SoftSymbolGrid,
-    y: FrameGrid,
-    c: Constellation,
-    floor: float = RELIABILITY_FLOOR,
-) -> InstantEstimate:
-    """Per-bin CFR re-estimate from rebuilt symbols.
+def instantaneous_estimate(x_hat: np.ndarray, y: FrameGrid, c: Constellation) -> InstantEstimate:
+    """Per-bin CFR re-estimate from rebuilt symbols x_hat.
 
     Uniform-power constellations normalize by the constellation power, so a
-    rebuilt bin of power eta carries noise amplified by eta/eta_alpha^2;
-    mixed-power constellations divide by the bin's own rebuilt power, with
-    noise amplification 1/eta.  Bins whose rebuilt power falls under
-    floor * eta_alpha are marked unreliable and zeroed.
+    rebuilt bin of power eta = |x_hat|^2 carries noise amplified by
+    eta/eta_alpha^2; mixed-power constellations divide by the bin's own
+    rebuilt power, with noise amplification 1/eta.  Bins whose rebuilt power
+    falls under RELIABILITY_FLOOR * eta_alpha are marked unreliable and
+    zeroed.
     """
     ea = c.eta_alpha
-    reliable = soft.eta >= floor * ea
+    eta = np.abs(x_hat) ** 2
+    reliable = eta >= RELIABILITY_FLOOR * ea
     if y.mask is not None:
         reliable = reliable & y.mask
-    safe_eta = np.where(reliable, soft.eta, 1.0)
+    safe_eta = np.where(reliable, eta, 1.0)
     if c.uniform_power:
-        values = np.conj(soft.x_hat) * y.data / ea
-        weights = soft.eta / ea**2
+        values = np.conj(x_hat) * y.data / ea
+        weights = eta / ea**2
     else:
-        values = np.conj(soft.x_hat) * y.data / safe_eta
+        values = np.conj(x_hat) * y.data / safe_eta
         weights = 1.0 / safe_eta
     values = np.where(reliable, values, 0.0)
     weights = np.where(reliable, weights, 0.0)

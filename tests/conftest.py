@@ -5,6 +5,12 @@ library (matrix DFTs instead of FFTs, per-sample convolution loops) so that
 agreement between the two is meaningful.
 """
 
+import os
+
+# one trial's solves and products are too small to gain from BLAS threads,
+# which only add hand-off time; this must precede the first numpy import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import mpmath
 import numpy as np
 import pytest

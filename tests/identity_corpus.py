@@ -1,0 +1,78 @@
+"""Identity corpus: stored sweep CSVs that a change meant to keep every
+number must reproduce.
+
+    python tests/identity_corpus.py --check   # compare with the stored files
+    python tests/identity_corpus.py --write   # regenerate tests/data/identity/
+
+--check prints, per configuration, whether csv_text is byte-identical to
+the stored file and the SHA-256 of the fresh text, and exits 1 on any
+difference.  Write the corpus only from a commit whose numbers are the
+reference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+# the tiny solves and products of one trial lose time to BLAS thread hand-off
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data" / "identity"
+sys.path.insert(0, str(ROOT / "src"))
+
+from tdsofdm.harness import csv_text, resolve_config, run  # noqa: E402
+
+_DESK = {"preset": "desk", "trials": 2, "snr_db": "5,25", "seed": 3}
+_DTMB = {"preset": "dtmb", "trials": 1, "snr_db": "10,30", "seed": 3, "corr_mode": "profile"}
+
+# file stem -> resolve_config overrides
+CONFIGS = {
+    **{
+        f"desk_{est}_{con}": {**_DESK, "estimator": est, "constellation": con}
+        for est in ("pn", "genie", "ma1d", "ma2d", "wiener1d", "wiener2x1d")
+        for con in ("qpsk", "qam16", "qam64")
+    },
+    **{f"dtmb_{est}_profile": {**_DTMB, "estimator": est} for est in ("wiener1d", "wiener2x1d")},
+}
+
+
+def fresh_text(name: str) -> str:
+    """csv_text of one corpus configuration, run now."""
+    return csv_text(run(resolve_config(CONFIGS[name])))
+
+
+def stored_text(name: str) -> str:
+    return (DATA / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="compare with the stored corpus")
+    mode.add_argument("--write", action="store_true", help="overwrite the stored corpus")
+    args = p.parse_args(argv)
+
+    differ = 0
+    for name in CONFIGS:
+        text = fresh_text(name)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if args.write:
+            DATA.mkdir(parents=True, exist_ok=True)
+            (DATA / f"{name}.csv").write_text(text, encoding="utf-8")
+            print(f"wrote     {digest}  {name}")
+            continue
+        same = text == stored_text(name)
+        differ += not same
+        print(f"{'identical' if same else 'DIFFERS  '} {digest}  {name}")
+    if args.check:
+        print(f"{len(CONFIGS) - differ} of {len(CONFIGS)} configurations byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,19 @@
-"""The benchmark tracer's bindings name public program functions."""
+"""The benchmark tracer's bindings name public program functions, and a
+traced benchmark run goes through end to end."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _bindings():
@@ -25,3 +32,33 @@ def test_binding_resolves_to_the_public_function(mod_name, attr, span):
     assert getattr(defining, fn.__name__) is fn
     assert not fn.__name__.startswith("_")
     assert span == f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+
+
+def test_traced_worker_run_reports_layers():
+    # the traced mode wraps every binding and reads the demap and
+    # instantaneous_estimate arguments and outputs for its counters
+    overrides = {
+        "preset": "desk",
+        "estimator": "wiener2x1d",
+        "constellation": "qam16",
+        "snr_db": "5,30",
+        "trials": 1,
+        "threads": 1,
+    }
+    cmd = [
+        sys.executable,
+        str(PERFBENCH / "worker.py"),
+        "--config", json.dumps(overrides),
+        "--seed", "7",
+        "--mode", "traced",
+        "--t-spawn", repr(time.monotonic()),
+    ]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["failed"] == 0
+    assert out["checks"] == []
+    layers = out["layers"]
+    assert layers["soft_rebuild.demap.point_evals"] > 0
+    assert 0.0 <= layers["soft_rebuild.masked_frac"] <= 1.0

@@ -87,6 +87,13 @@ def test_non_finite_snr_exits_2(capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_repeated_snr_point_exits_2(capsys):
+    rc = main(["sweep", "--snr", "10,10", "--trials", "1", "--estimator", "pn"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "snr_db" in captured.err and captured.out == ""
+
+
 def test_unknown_estimator_flag(capsys):
     rc = main(["sweep", "--estimator", "kalman", "--trials", "1", "--snr", "10"])
     assert rc == 2

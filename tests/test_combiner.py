@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tdsofdm import (
     CfrEstimate,
-    ChannelRealization,
     ReceiverParams,
     assemble,
     cfr,
@@ -32,8 +31,7 @@ QPSK = constellation("qpsk")
 def make_rx(rng, gi, taps, s, noise_var, c=QPSK):
     bits = rng.integers(0, 2, s * 64 * c.bits_per_symbol).astype(np.uint8)
     x = map_bits(bits, c).reshape(s, 64)
-    ch = ChannelRealization(taps=np.tile(taps, (s, 1)))
-    rx = propagate(assemble(ofdm_modulate(x), gi), ch, noise_var, rng)
+    rx = propagate(assemble(ofdm_modulate(x), gi), np.tile(taps, (s, 1)), noise_var, rng)
     return rx, x
 
 

@@ -124,6 +124,21 @@ def test_non_finite_floats_and_fractional_ints_are_config_errors(override):
         resolve_config({"trials": 2, "snr_db": 20, **override})
 
 
+@pytest.mark.parametrize("grid", ["10,10", "10,10.0000000001", [5, 20, 5.0]])
+def test_snr_points_with_one_label_are_config_errors(grid):
+    # the CSV labels rows by %g and run() keys raw trials by the point, so a
+    # repeat would print two rows with one label and drop a point's trials
+    with pytest.raises(ConfigError, match="snr_db"):
+        resolve_config({"snr_db": grid, "trials": 2})
+
+
+def test_distinct_snr_labels_keep_every_point():
+    cfg = resolve_config({"snr_db": "10,10.5,-10", "estimator": "pn", "trials": 2})
+    rows, raw = run(cfg, keep_trials=True)
+    assert sorted(raw) == [-10.0, 10.0, 10.5]
+    assert [f"{r.snr_db:g}" for r in rows] == ["10", "10.5", "-10"]
+
+
 def test_whole_floats_still_parse_as_ints():
     cfg = resolve_config({"trials": 3.0, "M": np.int64(5)})
     assert (cfg.trials, cfg.m) == (3, 5)

@@ -1,0 +1,31 @@
+"""Sweeps reproduce the stored identity corpus row for row."""
+
+import csv
+import io
+
+import pytest
+
+from identity_corpus import CONFIGS, fresh_text, stored_text
+
+from tdsofdm import CSV_HEADER
+
+FLOAT_COLUMNS = ("mse_empirical", "eps_analytic", "ber_uncoded")
+
+
+def _rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sweep_matches_the_stored_corpus(name):
+    want = stored_text(name)
+    got = fresh_text(name)
+    assert got.splitlines()[0] == want.splitlines()[0] == CSV_HEADER
+    got_rows, want_rows = _rows(got), _rows(want)
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows, want_rows):
+        for key in w:
+            if key in FLOAT_COLUMNS:
+                assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-10, abs=0.0), (key, g, w)
+            else:
+                assert g[key] == w[key], (key, g, w)

@@ -249,6 +249,17 @@ def test_pilot_plan_wide_grid():
     assert np.array_equal(plan.time_idx, np.arange(5) * 2)
 
 
+def test_pilot_counts_follow_the_index_arrays():
+    # a time pilot on the chunk's last block breaks the arange(k_t) * l_t
+    # pattern; the counts still come from the positions
+    plan = VirtualPilotPlan(
+        l_f=3, l_t=2, n_fft=30, block_len=5, freq_idx=np.arange(10) * 3, time_idx=np.array([0, 2, 4])
+    )
+    assert (plan.k_f, plan.k_t) == (10, 3)
+    with pytest.raises(AttributeError):
+        plan.k_t = 2
+
+
 def test_pilot_plan_caps_spacings():
     plan = plan_pilots(64, 4, 8, 0.0, 0.0, 9, 2)
     assert plan.l_f == 4                       # 64 / (4*4)
@@ -431,8 +442,6 @@ def test_wiener_residual_tracks_simulation():
     plan = VirtualPilotPlan(
         l_f=4,
         l_t=1,
-        k_f=8,
-        k_t=1,
         n_fft=32,
         block_len=1,
         freq_idx=np.arange(8) * 4,
@@ -504,8 +513,6 @@ def test_wiener_2x1d_single_pilot_block_replicates_freq_pass():
     plan = VirtualPilotPlan(
         l_f=2,
         l_t=1,
-        k_f=16,
-        k_t=1,
         n_fft=32,
         block_len=3,
         freq_idx=np.arange(16) * 2,
@@ -555,8 +562,7 @@ def test_wiener_2x1d_cascade_tracks_residual():
         )
         total, count = 0.0, 0
         for _ in range(400):
-            ch = realize(prof, 0.01, 1.0, 8, rng)
-            truth = cfr(ch.taps, 32)
+            truth = cfr(realize(prof, 0.01, 1.0, 8, rng), 32)
             grid = truth[plan.time_idx][:, plan.freq_idx] + crandn(
                 rng, (plan.k_t, plan.k_f), var=var
             )

@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from tdsofdm import (
     FrameGrid,
-    LlrGrid,
-    SoftSymbolGrid,
     constellation,
     demap,
     hard_decisions,
@@ -46,8 +44,8 @@ def test_qpsk_llrs_match_closed_form():
     sigma2 = nv / np.abs(h) ** 2
     want_i = 2.0 * np.sqrt(2.0) * z.real / sigma2
     want_q = 2.0 * np.sqrt(2.0) * z.imag / sigma2
-    assert np.allclose(llr.values[..., 0], want_i, rtol=1e-9, atol=1e-9)
-    assert np.allclose(llr.values[..., 1], want_q, rtol=1e-9, atol=1e-9)
+    assert np.allclose(llr[..., 0], want_i, rtol=1e-9, atol=1e-9)
+    assert np.allclose(llr[..., 1], want_q, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +64,7 @@ def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
     h = crandn(rng, 20) * 10.0 ** rng.uniform(-3, 1, 20)
     h[::6] = 0.0
     mask = rng.random(z.shape) > 0.1
-    got = demap(FrameGrid(data=z, mask=mask), h, nv, QPSK, llr_max=llr_max).values
+    got = demap(FrameGrid(data=z, mask=mask), h, nv, QPSK, llr_max=llr_max)
 
     ok = mask & (np.abs(h) ** 2 > 0)
     sigma2 = np.maximum(nv / np.where(ok, np.abs(h) ** 2, 1.0), 1e-30)
@@ -81,8 +79,7 @@ def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
 def test_llrs_clip_at_default_limit():
     z = FrameGrid(data=np.full((1, 4), 10.0 + 10.0j))
     llr = demap(z, np.ones(4), 0.01, QPSK)
-    assert llr.llr_max == 30.0
-    assert np.all(np.abs(llr.values) == 30.0)
+    assert np.all(np.abs(llr) == 30.0)
 
 
 def test_uninformative_cells_get_zero_llrs():
@@ -93,12 +90,12 @@ def test_uninformative_cells_get_zero_llrs():
     h = np.ones(8, dtype=np.complex128)
     h[5] = 0.0                     # spectral null
     llr = demap(FrameGrid(data=data, mask=mask), h, 0.1, QPSK)
-    assert np.all(llr.values[0, 3] == 0.0)
-    assert np.all(llr.values[:, 5] == 0.0)
-    assert np.any(llr.values[1, 0] != 0.0)
+    assert np.all(llr[0, 3] == 0.0)
+    assert np.all(llr[:, 5] == 0.0)
+    assert np.any(llr[1, 0] != 0.0)
     # a zero observation is equidistant from all points
     z0 = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128))
-    assert np.all(demap(z0, np.ones(2), 0.1, QPSK).values == 0.0)
+    assert np.all(demap(z0, np.ones(2), 0.1, QPSK) == 0.0)
 
 
 def test_demap_rejects_negative_noise():
@@ -108,23 +105,18 @@ def test_demap_rejects_negative_noise():
 
 
 def test_soft_symbols_are_scaled_tanh():
-    llr = LlrGrid(values=np.array([[[4.0, -4.0]]]), llr_max=30.0)
-    soft = soft_symbols(llr, QPSK)
+    x_hat = soft_symbols(np.array([[[4.0, -4.0]]]), QPSK)
     want = (np.tanh(2.0) - 1j * np.tanh(2.0)) / np.sqrt(2.0)
-    assert abs(soft.x_hat[0, 0] - want) < 1e-12
-    assert soft.eta[0, 0] == pytest.approx(abs(want) ** 2, rel=1e-12)
+    assert abs(x_hat[0, 0] - want) < 1e-12
 
 
 def test_saturated_llrs_rebuild_the_exact_point():
     vals = np.full((1, 1, 4), 30.0)
-    soft = soft_symbols(LlrGrid(values=vals, llr_max=30.0), QAM16)
-    assert abs(soft.x_hat[0, 0] - QAM16.points[15]) < 1e-10
+    assert abs(soft_symbols(vals, QAM16)[0, 0] - QAM16.points[15]) < 1e-10
 
 
 def test_zero_llrs_rebuild_nothing():
-    soft = soft_symbols(LlrGrid(values=np.zeros((2, 3, 2)), llr_max=30.0), QPSK)
-    assert np.all(soft.x_hat == 0.0)
-    assert np.all(soft.eta == 0.0)
+    assert np.all(soft_symbols(np.zeros((2, 3, 2)), QPSK) == 0.0)
 
 
 SHAPE = (2, 6)
@@ -158,9 +150,9 @@ def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null
     sigma2 = nv / np.maximum(np.abs(h) ** 2, 1e-300)
     d_max = np.max(np.abs(z[..., None] - c.points) ** 2, axis=-1)
     tol = 1e-8 + 16 * np.finfo(float).eps * d_max / sigma2
-    assert np.all(np.abs(llr.values - reference_demap(grid, h, nv, c)) <= tol[..., None])
-    x_hat = soft_symbols(llr, c).x_hat
-    assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+    assert np.all(np.abs(llr - reference_demap(grid, h, nv, c)) <= tol[..., None])
+    x_hat = soft_symbols(llr, c)
+    assert np.max(np.abs(x_hat - reference_soft_symbols(llr, c))) <= 1e-12
     # the argmin breaks rounding ties (|z.real| ~ 1e-223 puts both QPSK
     # columns at distance 1.0) by label order; the slicer must pick a nearest
     # point, and the argmin's point wherever the nearest one is clear
@@ -186,9 +178,9 @@ def test_zero_cells_match_the_generic_form(c):
     h = np.ones(4)
     for nv in (1e-8, 0.1, 10.0):
         llr = demap(grid, h, nv, c)
-        assert np.max(np.abs(llr.values - reference_demap(grid, h, nv, c))) <= 1e-8
-        x_hat = soft_symbols(llr, c).x_hat
-        assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+        assert np.max(np.abs(llr - reference_demap(grid, h, nv, c))) <= 1e-8
+        x_hat = soft_symbols(llr, c)
+        assert np.max(np.abs(x_hat - reference_soft_symbols(llr, c))) <= 1e-12
     assert np.array_equal(hard_decisions(z, c), reference_hard_decisions(z, c))
 
 
@@ -199,9 +191,9 @@ def test_noiseless_points_match_the_generic_form(c):
     h = np.ones(z.shape[1])
     for nv in (1e-8, 0.1, 10.0):
         llr = demap(grid, h, nv, c, llr_max=1e6)
-        assert np.max(np.abs(llr.values - reference_demap(grid, h, nv, c, llr_max=1e6))) <= 1e-8
-        x_hat = soft_symbols(llr, c).x_hat
-        assert np.max(np.abs(x_hat - reference_soft_symbols(llr.values, c))) <= 1e-12
+        assert np.max(np.abs(llr - reference_demap(grid, h, nv, c, llr_max=1e6))) <= 1e-8
+        x_hat = soft_symbols(llr, c)
+        assert np.max(np.abs(x_hat - reference_soft_symbols(llr, c))) <= 1e-12
     assert np.array_equal(hard_decisions(z, c), reference_hard_decisions(z, c))
     assert np.array_equal(hard_decisions(z, c), np.tile(c.bit_labels, (2, 1)).reshape(-1))
 
@@ -228,7 +220,7 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max)
     mask = np.ones(z.shape, dtype=bool)
     mask[1, ::7] = False
     grid = FrameGrid(data=z, mask=mask)
-    got = demap(grid, h, nv, c, llr_max=llr_max).values
+    got = demap(grid, h, nv, c, llr_max=llr_max)
     want = reference_demap(grid, h, nv, c, llr_max=llr_max)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= _tol(z, h, nv, c))
@@ -248,7 +240,7 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
     # the outermost level's label on each axis at +-llr_max, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        llr = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c).values[0, 0]
+        llr = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c)[0, 0]
     half = c.bits_per_symbol // 2
     for x, got in ((v.real, llr[:half]), (v.imag, llr[half:])):
         if abs(x) < 10:
@@ -267,7 +259,7 @@ def test_noise_past_the_float_range_gives_zero_llrs(c, h, llr_max, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = FrameGrid(data=np.array([[1e3 - 1e3j]]))
-        llr = demap(grid, np.array([h]), 1e300, c, llr_max=llr_max).values
+        llr = demap(grid, np.array([h]), 1e300, c, llr_max=llr_max)
     assert np.all(np.abs(llr) <= tol)
 
 
@@ -277,17 +269,18 @@ def test_soft_symbols_do_not_depend_on_the_llr_layout(c):
     z = crandn(rng, (3, 40))
     h = crandn(rng, 40) + 1.5
     llr = demap(FrameGrid(data=z), h, 0.3, c)
-    assert llr.values.shape == (3, 40, c.bits_per_symbol)
-    copy = LlrGrid(values=np.ascontiguousarray(llr.values), llr_max=llr.llr_max)
-    assert copy.values.strides != llr.values.strides
-    assert np.array_equal(soft_symbols(copy, c).x_hat, soft_symbols(llr, c).x_hat)
+    assert llr.shape == (3, 40, c.bits_per_symbol) and llr.dtype == np.float64
+    copy = np.ascontiguousarray(llr)
+    assert copy.strides != llr.strides
+    x_hat = soft_symbols(llr, c)
+    assert x_hat.shape == (3, 40) and x_hat.dtype == np.complex128
+    assert np.array_equal(soft_symbols(copy, c), x_hat)
 
 
 def test_rebuilt_magnitude_grows_with_confidence():
     mags = []
     for lam in (0.5, 1.0, 2.0, 4.0):
-        llr = LlrGrid(values=np.array([[[lam, lam]]]), llr_max=30.0)
-        mags.append(abs(soft_symbols(llr, QPSK).x_hat[0, 0]))
+        mags.append(abs(soft_symbols(np.array([[[lam, lam]]]), QPSK)[0, 0]))
     assert np.all(np.diff(mags) > 0)
 
 
@@ -296,8 +289,8 @@ def test_high_snr_rebuild_recovers_sent_symbols():
     x = random_symbols(rng, 4000, QAM16).reshape(4, 1000)
     nv = 10.0 ** (-2.5)
     z = FrameGrid(data=x + crandn(rng, x.shape, var=nv))
-    soft = soft_symbols(demap(z, np.ones(1000), nv, QAM16), QAM16)
-    hard = QAM16.points[np.argmin(np.abs(soft.x_hat[..., None] - QAM16.points), axis=-1)]
+    x_hat = soft_symbols(demap(z, np.ones(1000), nv, QAM16), QAM16)
+    hard = QAM16.points[np.argmin(np.abs(x_hat[..., None] - QAM16.points), axis=-1)]
     assert np.mean(hard != x) < 1e-3
 
 
@@ -306,8 +299,7 @@ def test_instantaneous_perfect_rebuild_recovers_cfr():
     x = random_symbols(rng, 256, QPSK).reshape(2, 128)
     h = crandn(rng, 128)
     y = FrameGrid(data=h * x)
-    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2)
-    inst = instantaneous_estimate(soft, y, QPSK)
+    inst = instantaneous_estimate(x, y, QPSK)
     assert inst.mask.all()
     assert np.max(np.abs(inst.values - h)) < 1e-12
     assert np.allclose(inst.weights, 1.0, atol=1e-12)
@@ -318,8 +310,7 @@ def test_instantaneous_divides_by_bin_power_for_mixed_constellations():
     x = random_symbols(rng, 512, QAM16).reshape(1, 512)
     h = crandn(rng, 512)
     y = FrameGrid(data=h * x)
-    soft = SoftSymbolGrid(x_hat=x, eta=np.abs(x) ** 2)
-    inst = instantaneous_estimate(soft, y, QAM16)
+    inst = instantaneous_estimate(x, y, QAM16)
     assert np.max(np.abs(inst.values - h)) < 1e-12
     assert np.allclose(inst.weights, 1.0 / np.abs(x) ** 2, rtol=1e-12)
 
@@ -332,8 +323,7 @@ def test_instantaneous_floor_and_mask():
     ymask = np.ones((1, 16), dtype=bool)
     ymask[0, 7] = False
     y = FrameGrid(data=x.copy(), mask=ymask)
-    soft = SoftSymbolGrid(x_hat=xh, eta=np.abs(xh) ** 2)
-    inst = instantaneous_estimate(soft, y, QPSK)
+    inst = instantaneous_estimate(xh, y, QPSK)
     assert not inst.mask[0, 2] and not inst.mask[0, 7]
     assert inst.values[0, 2] == 0.0 and inst.weights[0, 7] == 0.0
     assert inst.mask.sum() == 14
@@ -346,8 +336,7 @@ def test_instantaneous_error_variance_tracks_weights():
     h = crandn(rng, 10000)
     w = crandn(rng, 10000, var=nv)
     y = FrameGrid(data=(h * x + w)[None, :])
-    soft = SoftSymbolGrid(x_hat=x[None, :], eta=np.abs(x[None, :]) ** 2)
-    inst = instantaneous_estimate(soft, y, QAM16)
+    inst = instantaneous_estimate(x[None, :], y, QAM16)
     err2 = np.abs(inst.values[0] - h) ** 2
     for weight in np.unique(np.round(inst.weights[0], 9)):
         sel = np.isclose(inst.weights[0], weight)
