@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -318,15 +320,39 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     }
 
 
+# glibc mallopt parameters and the largest mmap threshold glibc accepts
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_arrays() -> None:
+    """Make glibc keep freed frame-sized arrays in the heap for reuse."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def run(cfg: SimConfig, keep_trials: bool = False):
     """Sweep the SNR grid; returns aggregated rows (and raw trials on request).
 
     Work is sharded per (snr, trial) with a seed sequence spawned from the
     configured seed and those two indices, and reduced in index order, so
     results do not depend on the thread count.
+
+    On glibc the sweep sets its process's allocator policy: arrays up to
+    32 MiB come from the heap instead of fresh mmaps, and up to 64 MiB of
+    freed heap stays mapped.  Every trial allocates and frees the same
+    frame-sized arrays, which glibc would otherwise hand back to the kernel
+    and page-fault in again on the next trial.
     """
     profile = cfg.profile()
     gi = guard_interval(cfg, profile)
+    _keep_freed_arrays()
 
     t0 = time.monotonic()
     n_snr, n_tr = len(cfg.snr_db), cfg.trials

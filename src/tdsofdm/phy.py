@@ -79,22 +79,34 @@ def propagate(
             stacklevel=2,
         )
 
-    stream = np.concatenate([blocks.ravel(), sig.tail])
-    ext = np.concatenate([np.zeros(le - 1, dtype=np.complex128), stream])
-    out = np.empty(stream.size, dtype=np.complex128)
-    for i in range(s):
-        seg = ext[i * row : i * row + row + le - 1]
-        out[i * row : (i + 1) * row] = np.convolve(seg, taps[i], mode="valid")
-    if nu:
-        seg = ext[s * row : s * row + nu + le - 1]
-        out[s * row :] = np.convolve(seg, taps[min(s, taps.shape[0] - 1)], mode="valid")
+    # the stream behind le - 1 zeros: ext[le - 1 - d + j] is stream sample j - d
+    n = s * row + nu
+    ext = np.zeros(le - 1 + n, dtype=np.complex128)
+    ext[le - 1 : le - 1 + s * row] = blocks.ravel()
+    ext[le - 1 + s * row :] = sig.tail
+    out = np.zeros(n, dtype=np.complex128)
+    body, tail = out[: s * row].reshape(s, row), out[s * row :]
+    last = taps[min(s, taps.shape[0] - 1)]
+    term = np.empty((s, row), dtype=np.complex128)
+    # each delay adds its tap times the stream shifted by that delay; delays
+    # with no energy in any row (the gap before an SFN echo) add nothing
+    for d in np.flatnonzero(np.any(taps != 0, axis=0)):
+        start = le - 1 - d
+        np.multiply(taps[:s, d, None], ext[start : start + s * row].reshape(s, row), out=term)
+        body += term
+        if nu:
+            tail += last[d] * ext[start + s * row : start + n]
 
     if noise_var > 0:
-        n = stream.size
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out += np.sqrt(noise_var / 2.0) * w
+        scale = np.sqrt(noise_var / 2.0)
+        w = rng.standard_normal(n)
+        w *= scale
+        out.real += w
+        rng.standard_normal(out=w)
+        w *= scale
+        out.imag += w
 
-    return TimeSignal(blocks=out[: s * row].reshape(s, row), tail=out[s * row :])
+    return TimeSignal(blocks=body, tail=tail)
 
 
 def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal:
@@ -153,8 +165,10 @@ def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
     p = np.abs(h_est) ** 2
     thr = 1e-12 * p.mean(axis=-1, keepdims=True)
     ok = (p >= thr) & (p > 0)
-    z = np.where(ok, y.data / np.where(ok, h_est, 1.0), 0.0)
+    z = np.empty(np.broadcast_shapes(y.data.shape, h_est.shape), dtype=np.complex128)
     ok = np.broadcast_to(ok, z.shape)
+    np.divide(y.data, h_est, out=z, where=ok)
+    z[~ok] = 0.0
     if y.mask is not None:
         ok = ok & y.mask
     return FrameGrid(data=z, mask=ok)

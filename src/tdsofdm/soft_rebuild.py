@@ -48,10 +48,13 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
-    p = np.broadcast_to(np.abs(h_est) ** 2, z.data.shape)
+    shape = z.data.shape
+    p = np.abs(h_est)
+    np.square(p, out=p)
+    p = np.broadcast_to(p, shape)
     ok = p > 0
     if z.mask is not None:
-        ok = ok & z.mask
+        ok &= z.mask
 
     # past reach, the gap between a bit's two class maxima exceeds
     # 2 (llr_max + q) and the rest of the class sums moves it by at most
@@ -59,22 +62,32 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     # huge sigma2, keeps every square finite.  A sigma2 or reach past the
     # float range is inf, the limit where every LLR is zero.
     q = c.levels.size
+    sigma2 = np.where(ok, p, 1.0)
+    reach = np.empty(shape, dtype=np.float64)
     with np.errstate(over="ignore"):
-        sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), _TINY_VAR)
-        reach = (llr_max + q) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1]
+        np.divide(noise_var, sigma2, out=sigma2)
+        np.maximum(sigma2, _TINY_VAR, out=sigma2)
+        np.multiply(llr_max + q, sigma2, out=reach)
+        reach /= c.levels[1] - c.levels[0]
+        reach += c.levels[-1]
     # I/Q on the leading axis, so every pass below runs over whole cell grids
-    axes = np.stack([z.data.real, z.data.imag])
-    far = np.abs(axes) > reach
-    bound = np.minimum(reach, _FAR)
-    np.clip(axes, -bound, bound, out=axes)
+    axes = np.empty((2,) + shape, dtype=np.float64)
+    axes[0] = z.data.real
+    axes[1] = z.data.imag
+    # (class, level, 2 axes, ...), reused by every bit; its first slab is
+    # scratch until the loop starts
+    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
+    scratch = terms[0, 0]
+    far = np.abs(axes, out=scratch) > reach
+    np.minimum(reach, _FAR, out=reach)
+    np.clip(axes, np.negative(reach, out=scratch), reach, out=axes)
 
     half = c.axis_labels.shape[1]
-    out = np.empty((2, half) + z.data.shape, dtype=np.float64)
-    # (class, level, 2 axes, ...) and its per-class minimum and sum, reused
-    # by every bit
-    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
-    low = np.empty((2, 1) + axes.shape, dtype=np.float64)
-    lse = np.empty((2,) + axes.shape, dtype=np.float64)
+    out = np.empty((2, half) + shape, dtype=np.float64)
+    if q > 2:
+        # the per-class minimum and sum of terms
+        low = np.empty((2, 1) + axes.shape, dtype=np.float64)
+        lse = np.empty((2,) + axes.shape, dtype=np.float64)
     for l in range(half):
         # |x - level|^2 / sigma2 over the bit's two label classes, class 0
         # first; a class's log-likelihood sum is log(sum exp(low - terms)) - low
@@ -101,7 +114,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     if far.any():
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
         np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
-    out = out.reshape((2 * half,) + z.data.shape)
+    out = out.reshape((2 * half,) + shape)
     np.clip(out, -llr_max, llr_max, out=out)
     out[:, ~ok] = 0.0
     # bit-major in memory; the (..., bits) view costs no transpose
@@ -118,16 +131,21 @@ def soft_symbols(llr: np.ndarray, c: Constellation) -> np.ndarray:
     # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...)
     p1 = expit(np.moveaxis(llr, -1, 0))
     p1 = p1.reshape((2, -1) + p1.shape[1:])
-    # each level's probability is the product of its bits' factors; the
-    # first bit's factors start the product
-    factor = (1.0 - p1[:, 0], p1[:, 0])
-    prob = np.stack([factor[bit] for bit in c.axis_labels[:, 0]])
-    for l in range(1, p1.shape[1]):
-        factor = (1.0 - p1[:, l], p1[:, l])
-        for k, bit in enumerate(c.axis_labels[:, l]):
-            prob[k] *= factor[bit]
-    mean = np.einsum("q...,q->...", prob, c.levels)
-    return mean[0] + 1j * mean[1]
+    # factor[bit][:, l] is the probability that bit l of an axis is `bit`
+    factor = (1.0 - p1, p1)
+    # sum over levels of level * the product of its bits' factors, first
+    # bit first, accumulated level by level for both axes at once
+    mean = np.zeros(p1.shape[:1] + p1.shape[2:], dtype=np.float64)
+    term = np.empty_like(mean)
+    for level, labels in zip(c.levels, c.axis_labels):
+        prod = factor[labels[0]][:, 0]
+        for l in range(1, labels.size):
+            prod = np.multiply(prod, factor[labels[l]][:, l], out=term)
+        mean += np.multiply(prod, level, out=term)
+    x = np.empty(mean.shape[1:], dtype=np.complex128)
+    x.real = mean[0]
+    x.imag = mean[1]
+    return x
 
 
 def instantaneous_estimate(x_hat: np.ndarray, y: FrameGrid, c: Constellation) -> InstantEstimate:

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit, logsumexp
 
-from tdsofdm import build_gi, generate_mseq, r_t
+from tdsofdm import FrameGrid, TimeSignal, build_gi, generate_mseq, r_t
 
 
 def naive_unitary_dft(x: np.ndarray) -> np.ndarray:
@@ -57,6 +57,58 @@ def naive_stream_conv(blocks: np.ndarray, tail: np.ndarray, taps: np.ndarray) ->
             if n - l >= 0:
                 out[n] += t[l] * stream[n - l]
     return out
+
+
+def convolve_propagate(sig, taps, noise_var, rng):
+    """propagate as one np.convolve per block over all taps, then the noise
+    as one complex draw: the straightforward form the library's sum over
+    nonzero tap columns must match, to rounding."""
+    s, row = sig.blocks.shape
+    le = taps.shape[1]
+    nu = sig.tail.size
+    stream = np.concatenate([sig.blocks.ravel(), sig.tail])
+    ext = np.concatenate([np.zeros(le - 1, dtype=np.complex128), stream])
+    out = np.empty(stream.size, dtype=np.complex128)
+    for i in range(s):
+        seg = ext[i * row : i * row + row + le - 1]
+        out[i * row : (i + 1) * row] = np.convolve(seg, taps[i], mode="valid")
+    if nu:
+        seg = ext[s * row : s * row + nu + le - 1]
+        out[s * row :] = np.convolve(seg, taps[min(s, taps.shape[0] - 1)], mode="valid")
+    if noise_var > 0:
+        n = stream.size
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out += np.sqrt(noise_var / 2.0) * w
+    return TimeSignal(blocks=out[: s * row].reshape(s, row), tail=out[s * row :])
+
+
+def where_equalize(y, h_est):
+    """equalize as a division by np.where(ok, h, 1) selected by np.where:
+    the library divides into one output and zeroes the rest, bit for bit."""
+    p = np.abs(h_est) ** 2
+    thr = 1e-12 * p.mean(axis=-1, keepdims=True)
+    ok = (p >= thr) & (p > 0)
+    z = np.where(ok, y.data / np.where(ok, h_est, 1.0), 0.0)
+    ok = np.broadcast_to(ok, z.shape)
+    if y.mask is not None:
+        ok = ok & y.mask
+    return FrameGrid(data=z, mask=ok)
+
+
+def einsum_soft_symbols(llr, c):
+    """soft_symbols with every level's probability stacked, then one einsum
+    against the levels: the library accumulates the same products level by
+    level, bit for bit."""
+    p1 = expit(np.moveaxis(llr, -1, 0))
+    p1 = p1.reshape((2, -1) + p1.shape[1:])
+    factor = (1.0 - p1[:, 0], p1[:, 0])
+    prob = np.stack([factor[bit] for bit in c.axis_labels[:, 0]])
+    for l in range(1, p1.shape[1]):
+        factor = (1.0 - p1[:, l], p1[:, l])
+        for k, bit in enumerate(c.axis_labels[:, l]):
+            prob[k] *= factor[bit]
+    mean = np.einsum("q...,q->...", prob, c.levels)
+    return mean[0] + 1j * mean[1]
 
 
 def _prior_taps(profile, design_len):

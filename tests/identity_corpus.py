@@ -5,15 +5,19 @@ number must reproduce.
     python tests/identity_corpus.py --write   # regenerate tests/data/identity/
 
 --check prints, per configuration, whether csv_text is byte-identical to
-the stored file and the SHA-256 of the fresh text, and exits 1 on any
-difference.  Write the corpus only from a commit whose numbers are the
-reference.
+the stored file and the SHA-256 of the fresh text; for a configuration that
+differs it also prints the largest relative change in each float column.
+It exits 1 on any difference.  Write the corpus only from a commit whose
+numbers are the reference.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,6 +31,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tdsofdm.harness import csv_text, resolve_config, run  # noqa: E402
 
+FLOAT_COLUMNS = ("mse_empirical", "eps_analytic", "ber_uncoded")
+
 _DESK = {"preset": "desk", "trials": 2, "snr_db": "5,25", "seed": 3}
 _DTMB = {"preset": "dtmb", "trials": 1, "snr_db": "10,30", "seed": 3, "corr_mode": "profile"}
 
@@ -38,6 +44,20 @@ CONFIGS = {
         for con in ("qpsk", "qam16", "qam64")
     },
     **{f"dtmb_{est}_profile": {**_DTMB, "estimator": est} for est in ("wiener1d", "wiener2x1d")},
+    # the dtmb benchmark workload's prior, a gapped SFN profile, a short
+    # time block and a fast channel
+    "dtmb_wiener1d_uniform": {**_DTMB, "estimator": "wiener1d", "corr_mode": "uniform"},
+    "desk_wiener1d_qam16_sfn20": {
+        **_DESK, "estimator": "wiener1d", "constellation": "qam16",
+        "sfn_delay_us": 20, "corr_mode": "profile",
+    },
+    "dtmb_wiener2x1d_sfn30": {**_DTMB, "estimator": "wiener2x1d", "sfn_delay_us": 30},
+    "desk_wiener2x1d_qpsk_block5": {
+        **_DESK, "estimator": "wiener2x1d", "constellation": "qpsk", "block_len": 5, "M_t": 3,
+    },
+    "desk_ma2d_qam16_120kmh": {
+        **_DESK, "estimator": "ma2d", "constellation": "qam16", "velocity_kmh": 120,
+    },
 }
 
 
@@ -48,6 +68,27 @@ def fresh_text(name: str) -> str:
 
 def stored_text(name: str) -> str:
     return (DATA / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def rows(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def relative_changes(got: str, want: str) -> dict | None:
+    """Largest |got - want| / |want| per float column over matching rows;
+    None when the rows do not line up (count or a non-float field)."""
+    got_rows, want_rows = rows(got), rows(want)
+    if len(got_rows) != len(want_rows):
+        return None
+    worst = dict.fromkeys(FLOAT_COLUMNS, 0.0)
+    for g, w in zip(got_rows, want_rows):
+        if any(g[k] != w[k] for k in w if k not in FLOAT_COLUMNS):
+            return None
+        for k in FLOAT_COLUMNS:
+            a, b = float(g[k]), float(w[k])
+            if a != b:
+                worst[k] = max(worst[k], abs(a - b) / abs(b) if b else math.inf)
+    return worst
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,9 +107,17 @@ def main(argv: list[str] | None = None) -> int:
             (DATA / f"{name}.csv").write_text(text, encoding="utf-8")
             print(f"wrote     {digest}  {name}")
             continue
-        same = text == stored_text(name)
+        want = stored_text(name)
+        same = text == want
         differ += not same
         print(f"{'identical' if same else 'DIFFERS  '} {digest}  {name}")
+        if not same:
+            change = relative_changes(text, want)
+            if change is None:
+                print("          rows do not line up with the stored file")
+            else:
+                print("          largest relative change: "
+                      + ", ".join(f"{k} {v:.2e}" for k, v in change.items()))
     if args.check:
         print(f"{len(CONFIGS) - differ} of {len(CONFIGS)} configurations byte-identical")
     return 1 if differ else 0

@@ -1,8 +1,13 @@
 """Config resolution, Monte-Carlo sweeps, and result serialization."""
 
 import json
+import platform
+import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +431,23 @@ def test_write_csv_roundtrip(tmp_path):
     assert lines[0] == CSV_HEADER
     got = lines[1].split(",")
     assert float(got[3]) == pytest.approx(rows[0].mse_empirical, rel=1e-9)
+
+
+# Median minor page faults per steady-state trial allowed by the test
+# below.  Eleven fresh processes per configuration made 1342-4038
+# (dtmb_wiener1d_qpsk) and 326-687 (desk_wiener2x1d_qam64) without the
+# sweep's allocator policy and 0 in every process with it.
+STEADY_STATE_FAULTS = 50
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+@pytest.mark.parametrize("name", ["desk_wiener2x1d_qam64", "dtmb_wiener1d_qpsk"])
+def test_steady_state_trials_do_not_refault(name):
+    # a fresh interpreter, because arrays that earlier tests freed raise
+    # glibc's dynamic mmap threshold in this one
+    script = Path(__file__).with_name("fault_count.py")
+    done = subprocess.run(
+        [sys.executable, str(script), name], capture_output=True, text=True, timeout=300, check=True
+    )
+    faults = float(re.search(r": (\S+) faults/trial", done.stdout).group(1))
+    assert faults <= STEADY_STATE_FAULTS, done.stdout

@@ -1,19 +1,10 @@
 """Sweeps reproduce the stored identity corpus row for row."""
 
-import csv
-import io
-
 import pytest
 
-from identity_corpus import CONFIGS, fresh_text, stored_text
+from identity_corpus import CONFIGS, FLOAT_COLUMNS, fresh_text, rows, stored_text
 
 from tdsofdm import CSV_HEADER
-
-FLOAT_COLUMNS = ("mse_empirical", "eps_analytic", "ber_uncoded")
-
-
-def _rows(text):
-    return list(csv.DictReader(io.StringIO(text)))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -21,7 +12,7 @@ def test_sweep_matches_the_stored_corpus(name):
     want = stored_text(name)
     got = fresh_text(name)
     assert got.splitlines()[0] == want.splitlines()[0] == CSV_HEADER
-    got_rows, want_rows = _rows(got), _rows(want)
+    got_rows, want_rows = rows(got), rows(want)
     assert len(got_rows) == len(want_rows)
     for g, w in zip(got_rows, want_rows):
         for key in w:

@@ -1,10 +1,16 @@
 """Baseband chain: transforms, framing, propagation, overlap-add, equalization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tdsofdm import (
     FrameGrid,
+    TimeSignal,
     assemble,
     constellation,
     equalize,
@@ -16,7 +22,13 @@ from tdsofdm import (
     remove_pn,
 )
 
-from conftest import crandn, naive_stream_conv, naive_unitary_dft
+from conftest import (
+    convolve_propagate,
+    crandn,
+    naive_stream_conv,
+    naive_unitary_dft,
+    where_equalize,
+)
 
 
 def static_channel(taps, blocks):
@@ -85,6 +97,39 @@ def test_propagate_matches_per_sample_convolution():
     want = naive_stream_conv(sig.blocks, sig.tail, taps)
     got = np.concatenate([out.blocks.ravel(), out.tail])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    extra_rows=st.integers(0, 2),
+    body=st.integers(1, 40),
+    nu=st.sampled_from([0, 1, 8, 24]),
+    le=st.integers(1, 30),
+    columns=st.sets(st.integers(0, 29), max_size=8),
+    noise_var=st.sampled_from([0.0, 1e-3, 0.5]),
+)
+def test_propagate_matches_per_block_convolution(seed, s, extra_rows, body, nu, le, columns, noise_var):
+    # dense, gapped (SFN-like) and all-zero tap columns, one block or more,
+    # with and without a trailing guard
+    rng = np.random.default_rng(seed)
+    sig = TimeSignal(blocks=crandn(rng, (s, nu + body)), tail=crandn(rng, nu))
+    taps = np.zeros((s + extra_rows, le), dtype=np.complex128)
+    cols = sorted(c for c in columns if c < le)
+    taps[:, cols] = crandn(rng, (taps.shape[0], len(cols)))
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)      # taps outrunning the guard
+        got = propagate(sig, taps, noise_var, got_rng)
+        want = convolve_propagate(sig, taps, noise_var, want_rng)
+    assert got.blocks.shape == want.blocks.shape and got.tail.shape == want.tail.shape
+    got = np.concatenate([got.blocks.ravel(), got.tail])
+    want = np.concatenate([want.blocks.ravel(), want.tail])
+    # the two sum the taps in different orders
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # later draws from the generator stay aligned
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_propagate_measured_snr(desk_gi):
@@ -239,3 +284,26 @@ def test_end_to_end_noiseless_bit_recovery(gi3_16):
         rx = propagate(sig, static_channel(taps, 3), 0.0, rng)
         z = equalize(ola(remove_pn(rx, gi3_16, taps)), np.fft.fft(taps, 64))
         assert np.array_equal(hard_decisions(z.data, c), bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y=arrays(
+        np.complex128,
+        (3, 8),
+        elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    ),
+    h=arrays(
+        np.complex128,
+        st.sampled_from([(8,), (3, 8)]),
+        elements=st.sampled_from([0.0, 1e-9, 1e-3 - 2e-3j, 0.5j, 1.0, -2.0 + 1.5j, 1e4]),
+    ),
+    mask=st.none() | arrays(np.bool_, (3, 8)),
+)
+def test_equalize_matches_the_selected_division(y, h, mask):
+    # spectral nulls, bins under the 1e-12 floor, a 1-D or per-row h
+    grid = FrameGrid(data=y, mask=mask)
+    got, want = equalize(grid, h), where_equalize(grid, h)
+    assert got.data.shape == want.data.shape == y.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.mask, want.mask)

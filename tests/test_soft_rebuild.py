@@ -20,6 +20,7 @@ from tdsofdm import (
 
 from conftest import (
     crandn,
+    einsum_soft_symbols,
     reference_demap,
     reference_hard_decisions,
     reference_soft_symbols,
@@ -275,6 +276,23 @@ def test_soft_symbols_do_not_depend_on_the_llr_layout(c):
     x_hat = soft_symbols(llr, c)
     assert x_hat.shape == (3, 40) and x_hat.dtype == np.complex128
     assert np.array_equal(soft_symbols(copy, c), x_hat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["qpsk", "qam16", "qam64"]),
+    values=arrays(np.float64, (2, 5, 6), elements=st.floats(-40.0, 40.0)),
+    bit_major=st.booleans(),
+)
+def test_soft_symbols_match_the_stacked_einsum(name, values, bit_major):
+    # both LLR layouts: demap's bit-major view and a contiguous copy
+    c = constellation(name)
+    llr = values[..., : c.bits_per_symbol]
+    if bit_major:
+        llr = np.moveaxis(np.ascontiguousarray(np.moveaxis(llr, -1, 0)), 0, -1)
+    got, want = soft_symbols(llr, c), einsum_soft_symbols(llr, c)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rebuilt_magnitude_grows_with_confidence():
