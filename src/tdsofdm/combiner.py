@@ -32,6 +32,8 @@ REFINERS = ("ma1d", "ma2d", "wiener1d", "wiener2x1d")
 class ReceiverParams:
     """Everything the estimation loop needs besides the received signal.
 
+    m_f is every refiner's frequency window: ma1d and wiener1d smooth over
+    (1, m_f) blocks by subcarriers, ma2d and wiener2x1d over (m_t, m_f).
     plan_len is the measured channel length driving the pilot-spacing rules
     (cir_len when unset); design_len is the support of the uniform worst-case
     prior the frequency Wiener filters are designed for (0 = cir_len); each
@@ -45,7 +47,6 @@ class ReceiverParams:
     cir_len: int
     iterations: int = 2
     refiner: str = "wiener1d"
-    m: int = 9
     m_t: int = 2
     m_f: int = 9
     block_len: int | None = None
@@ -104,11 +105,12 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
     moving-average smoothing, which the Wiener refiners evaluate at their
     virtual pilots alone, then for those the pilots' pooled error variance,
     a frequency design and pass, and for wiener2x1d a time design and pass.
-    They differ only in the smoothing window ((1, m) for ma1d and wiener1d,
-    (m_t, m_f) for ma2d and wiener2x1d), in whether the time pass follows,
-    and in the mask: wiener1d masks blocks that had no valid pilot,
-    wiener2x1d masks chunks whose pilots were all invalid.  Only wiener2x1d splits the frame
-    into chunks, and only it plans its pilots under the time sampling rule.
+    They differ only in the smoothing window ((1, m_f) for ma1d and
+    wiener1d, (m_t, m_f) for ma2d and wiener2x1d), in whether the time pass
+    follows, and in the mask: wiener1d masks blocks that had no valid pilot,
+    wiener2x1d masks chunks whose pilots were all invalid.  Only wiener2x1d
+    splits the frame into chunks, and only it plans its pilots under the
+    time sampling rule.
     """
     name = params.refiner
     if name not in REFINERS:
@@ -116,7 +118,7 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
     s = inst.values.shape[0]
     two_d = name in ("ma2d", "wiener2x1d")
     timed = name == "wiener2x1d"
-    m_t, m_f = (params.m_t, params.m_f) if two_d else (1, params.m)
+    m_t, m_f = (params.m_t if two_d else 1), params.m_f
     b = (params.block_len or s) if timed else s
     if s % b:
         raise ValueError(f"block_len {b} does not divide {s} symbols")

@@ -44,9 +44,11 @@ class SimConfig:
 
     The first five fields come from the preset; every other field carries
     its default, and its annotation picks the parser for text values.  A
-    value of 0 means "auto" for m and m_f (9, or 3 with an SFN echo),
-    block_len (num_symbols), cir_len (the channel length, capped by the PN
-    core) and design_len (cir_len).
+    value of 0 means "auto" for m_f (9, or 3 with an SFN echo), block_len
+    (num_symbols), cir_len (the channel length, capped by the PN core) and
+    design_len (cir_len).  m_f is every estimator's frequency window: ma1d
+    and wiener1d smooth over (1, m_f) blocks by subcarriers, ma2d and
+    wiener2x1d over (m_t, m_f).
     """
 
     preset: str
@@ -64,7 +66,6 @@ class SimConfig:
     velocity_kmh: float = 30.0
     fc_hz: float = 500e6
     estimator: str = "wiener1d"
-    m: int = 0
     m_t: int = 2
     m_f: int = 0
     block_len: int = 0
@@ -145,9 +146,9 @@ def _parse_snr(v) -> tuple:
 # text values from config files or CLI flags are parsed by their field's type
 _PARSERS = {"int": _parse_int, "float": _parse_float, "str": str, "tuple[float, ...]": _parse_snr}
 
-# config key -> (field, parser); M, M_t and M_f keep their capitalized spelling
+# config key -> (field, parser); M_t and M_f keep their capitalized spelling
 _KEYS = {
-    {"m": "M", "m_t": "M_t", "m_f": "M_f"}.get(f.name, f.name):
+    {"m_t": "M_t", "m_f": "M_f"}.get(f.name, f.name):
         (f.name, _PARSERS[f.type.removesuffix(" | None")])
     for f in fields(SimConfig)
 }
@@ -157,7 +158,7 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     """Apply overrides on top of the preset defaults and validate the result.
 
     Accepts raw strings (config files, CLI) or typed values.  Keys use the
-    documented config-file names; M, M_t and M_f keep their capitalized
+    documented config-file names; M_t and M_f keep their capitalized
     spelling.
     """
     overrides = dict(overrides or {})
@@ -178,11 +179,9 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     cfg = SimConfig(preset=preset, **values)
 
-    # contextual defaults: window lengths shrink when an SFN echo is present
+    # contextual defaults: the frequency window shrinks when an SFN echo is present
     window = 9 if cfg.sfn_delay_us <= 0 else 3
-    cfg = replace(
-        cfg, m=cfg.m or window, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols
-    )
+    cfg = replace(cfg, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols)
 
     if cfg.pn_order < 1:
         raise ConfigError("pn_order must be positive")
@@ -206,7 +205,7 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (cfg.num_symbols >= 1, "num_symbols must be positive"),
         (len(cfg.snr_db) >= 1, "snr_db grid is empty"),
         (len(set(labels)) == len(labels), f"snr_db points {','.join(labels)} repeat a label"),
-        (cfg.m >= 1 and cfg.m_t >= 1 and cfg.m_f >= 1, "window lengths must be positive"),
+        (cfg.m_t >= 1 and cfg.m_f >= 1, "window lengths must be positive"),
         (cfg.block_len >= 1, "block_len must be positive"),
         (cfg.num_symbols % cfg.block_len == 0, "block_len must divide num_symbols"),
         (cfg.threads >= 1, "threads must be positive"),
@@ -247,7 +246,6 @@ def _receiver_params(
         cir_len=cfg.cir_len,
         iterations=0 if cfg.estimator in ("pn", "genie") else cfg.iterations,
         refiner=cfg.estimator if cfg.estimator not in ("pn", "genie") else "ma1d",
-        m=cfg.m,
         m_t=cfg.m_t,
         m_f=cfg.m_f,
         block_len=cfg.block_len,

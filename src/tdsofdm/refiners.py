@@ -72,33 +72,27 @@ def _window_sum(
 ) -> np.ndarray:
     """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges.
 
-    Each sum is a difference of two prefix sums.  The positions whose
-    window lies inside the axis and starts after its first element take
-    one slice subtraction; the at most back + fwd + 1 others, near the
-    edges, are filled one at a time.  With at, only the sums at those
-    positions along axis are formed, from the same prefix sums by the same
-    subtractions, so each equals its full-axis value bit for bit.
+    The cumulative sum P along axis is padded with back + 1 zeros in front
+    and fwd copies of the total behind, so the sum at every position i, the
+    edges included, is P[i + back + 1 + fwd] - P[i].  With at, only the
+    sums at those positions along axis are formed, each equal to its
+    full-axis value bit for bit.
     """
+    # a one-bin window returns its input, which P[i + 1] - P[i] may round
     if back == 0 and fwd == 0:
         return arr if at is None else np.take(arr, at, axis=axis)
     a = np.asarray(arr)
     n = a.shape[axis]
-    # the axis leads in these views, so cs[j] and out[i] are whole slices
-    cs = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)  # cs[j] = a[0] + ... + a[j]
-    if at is not None:
-        out = cs[np.minimum(at + fwd, n - 1)]
-        start = at - back - 1
-        inner = start >= 0
-        out[inner] -= cs[start[inner]]
-        return np.moveaxis(out, 0, axis)
-    out = np.empty_like(cs)
-    lo, hi = back + 1, max(n - fwd, back + 1)
-    np.subtract(cs[lo + fwd : hi + fwd], cs[: hi - lo], out=out[lo:hi])
-    for i in range(min(lo, n)):
-        out[i] = cs[min(i + fwd, n - 1)]
-    for i in range(hi, n):
-        out[i] = cs[n - 1] - cs[i - lo]
-    return np.moveaxis(out, 0, axis)
+    shape = list(a.shape)
+    shape[axis] += back + 1 + fwd
+    # the axis leads only in the swapped views: cumsum along a strided axis
+    # is slower than along the array's own
+    p = np.empty(shape, np.result_type(a, 0.0)).swapaxes(0, axis)
+    p[: back + 1] = 0.0
+    np.cumsum(a, axis=axis, out=p[back + 1 : back + 1 + n].swapaxes(0, axis))
+    p[back + 1 + n :] = p[back + n]
+    i = slice(n) if at is None else at
+    return (p[back + 1 + fwd :][i] - p[i]).swapaxes(0, axis)
 
 
 def _moving_average(values, m_t, m_f, mask, weights, noise_var, at=None) -> Refined:

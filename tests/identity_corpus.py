@@ -58,6 +58,13 @@ CONFIGS = {
     "desk_ma2d_qam16_120kmh": {
         **_DESK, "estimator": "ma2d", "constellation": "qam16", "velocity_kmh": 120,
     },
+    # smoothing over the whole dtmb grid, an even frequency window and an
+    # odd-by-even 2-D window
+    "dtmb_ma1d_uniform": {**_DTMB, "estimator": "ma1d", "corr_mode": "uniform"},
+    "desk_ma1d_qam16_m4": {**_DESK, "estimator": "ma1d", "constellation": "qam16", "M_f": 4},
+    "desk_ma2d_qpsk_mt3_mf4": {
+        **_DESK, "estimator": "ma2d", "constellation": "qpsk", "M_t": 3, "M_f": 4,
+    },
 }
 
 

@@ -332,7 +332,7 @@ def test_a09_window_length_tradeoff():
     mses = []
     for m in lengths:
         cfg = resolve_config(
-            {"estimator": "ma1d", "trials": 400, "snr_db": "30", "seed": 77, "M": m}
+            {"estimator": "ma1d", "trials": 400, "snr_db": "30", "seed": 77, "M_f": m}
         )
         mses.append(run(cfg)[-1].mse_empirical)
     k = int(np.argmin(mses))
@@ -340,8 +340,8 @@ def test_a09_window_length_tradeoff():
     assert 0 < k < len(lengths) - 1, f"minimum at the boundary: {list(zip(lengths, mses))}"
     assert mses[k] < mses[0] and mses[k] < mses[-1]
     print(
-        f"A09 window-length tradeoff PASS (best M={lengths[k]}, "
-        f"{mses[0]:.2e}/{mses[k]:.2e}/{mses[-1]:.2e} at M=1/{lengths[k]}/21, {elapsed:.0f}s)"
+        f"A09 window-length tradeoff PASS (best M_f={lengths[k]}, "
+        f"{mses[0]:.2e}/{mses[k]:.2e}/{mses[-1]:.2e} at M_f=1/{lengths[k]}/21, {elapsed:.0f}s)"
     )
 
 

@@ -50,6 +50,14 @@ def test_bad_config_file_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_file_setting_m_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text("M = 5\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "unknown config key 'M'" in capsys.readouterr().err
+
+
 def test_malformed_config_line(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("trials\n")

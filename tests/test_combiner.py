@@ -152,7 +152,7 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     rx, _ = make_rx(rng, gi3_16, taps, 4, nv)
     truth = np.ones((4, 64), dtype=np.complex128)
     params = ReceiverParams(
-        constellation=QPSK, noise_var=nv, cir_len=1, iterations=2, refiner="ma1d", m=5
+        constellation=QPSK, noise_var=nv, cir_len=1, iterations=2, refiner="ma1d", m_f=5
     )
     initial = CfrEstimate(values=truth.copy(), eps=0.0)
     est, _, diag = iterate(rx, gi3_16, params, truth_cfr=truth, initial=initial)
@@ -173,7 +173,7 @@ def test_loop_improves_the_ls_stage(gi3_16):
         cir_len=3,
         iterations=2,
         refiner="wiener1d",
-        m=5,
+        m_f=5,
     )
     est, z, diag = iterate(rx, gi3_16, params, truth_cfr=truth)
     assert len(diag.eps) == len(diag.mse) == 3
