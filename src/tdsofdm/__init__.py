@@ -53,7 +53,7 @@ from .refiners import (
     wiener_1d,
     wiener_2x1d,
 )
-from .combiner import IterationDiag, ReceiverParams, combine, iterate
+from .combiner import IterationDiag, combine, iterate
 from .harness import (
     CSV_HEADER,
     ConfigError,

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .modulation import Constellation
+from .modulation import constellation
 from .phy import FrameGrid, TimeSignal, equalize, ola, remove_pn
 from .pn_estimator import (
     CfrEstimate,
     cir_from_cfr,
     ls_pn,
     mean_interference_power,
+    window_leak_variance,
 )
 from .refiners import (
     build_wiener,
@@ -26,36 +28,11 @@ from .refiners import (
 from .sequences import PnSequence
 from .soft_rebuild import InstantEstimate, demap, instantaneous_estimate, soft_symbols
 
+if TYPE_CHECKING:
+    from .harness import SimConfig
+
 REFINERS = ("ma1d", "ma2d", "wiener1d", "wiener2x1d")
-
-@dataclass(frozen=True)
-class ReceiverParams:
-    """Everything the estimation loop needs besides the received signal.
-
-    m_f is every refiner's frequency window: ma1d and wiener1d smooth over
-    (1, m_f) blocks by subcarriers, ma2d and wiener2x1d over (m_t, m_f).
-    plan_len is the measured channel length driving the pilot-spacing rules
-    (cir_len when unset); design_len is the support of the uniform worst-case
-    prior the frequency Wiener filters are designed for (0 = cir_len); each
-    refine step designs them afresh from the pooled input variance of its own
-    pilots. pn_leak_var is the window_leak_variance of the deployment
-    profile, folded into the PN estimate's error model.
-    """
-
-    constellation: Constellation
-    noise_var: float
-    cir_len: int
-    iterations: int = 2
-    refiner: str = "wiener1d"
-    m_t: int = 2
-    m_f: int = 9
-    block_len: int | None = None
-    plan_len: int | None = None
-    design_len: int = 0
-    corr_profile: PowerDelayProfile | None = None
-    pn_leak_var: float = 0.0
-    fd_hz: float = 0.0
-    tb_s: float = 0.0
+ESTIMATORS = ("genie", "pn") + REFINERS
 
 
 @dataclass
@@ -98,10 +75,12 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
     return CfrEstimate(values=values, eps=float(eps))
 
 
-def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var: float) -> CfrEstimate:
-    """Run the configured noise-suppression stage on an instantaneous estimate.
+def _refine(
+    inst: InstantEstimate, cfg: SimConfig, profile: PowerDelayProfile, n_fft: int, noise_var: float
+) -> CfrEstimate:
+    """Run cfg.estimator, one of REFINERS, on an instantaneous estimate.
 
-    All four refiners share one pipeline, run per chunk of block_len blocks:
+    All four refiners share one pipeline, run per chunk of blocks:
     moving-average smoothing, which the Wiener refiners evaluate at their
     virtual pilots alone, then for those the pilots' pooled error variance,
     a frequency design and pass, and for wiener2x1d a time design and pass.
@@ -109,25 +88,28 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
     wiener1d, (m_t, m_f) for ma2d and wiener2x1d), in whether the time pass
     follows, and in the mask: wiener1d masks blocks that had no valid pilot,
     wiener2x1d masks chunks whose pilots were all invalid.  Only wiener2x1d
-    splits the frame into chunks, and only it plans its pilots under the
-    time sampling rule.
+    splits the frame into chunks of cfg.block_len blocks, and only it plans
+    its pilots under the time sampling rule.  The frame may hold any number
+    of blocks that cfg.block_len divides.
     """
-    name = params.refiner
-    if name not in REFINERS:
-        raise ValueError(f"unknown refiner {name!r}; expected one of {REFINERS}")
+    name = cfg.estimator
     s = inst.values.shape[0]
     two_d = name in ("ma2d", "wiener2x1d")
     timed = name == "wiener2x1d"
-    m_t, m_f = (params.m_t if two_d else 1), params.m_f
-    b = (params.block_len or s) if timed else s
+    m_t, m_f = (cfg.m_t if two_d else 1), cfg.m_f
+    b = cfg.block_len if timed else s
     if s % b:
         raise ValueError(f"block_len {b} does not divide {s} symbols")
     plan = at = None
     if name.startswith("wiener"):
-        # the time sampling rule binds only when a time pass follows
-        fd_hz = params.fd_hz if timed else 0.0
-        plan = plan_pilots(n_fft, params.plan_len or params.cir_len, b, fd_hz, params.tb_s, m_f, m_t)
+        # pilot spacing follows the deployment's channel length; the time
+        # sampling rule binds only when a time pass follows
+        fd_hz = cfg.fd_hz if timed else 0.0
+        plan = plan_pilots(n_fft, profile.length, b, fd_hz, cfg.tb_s, m_f, m_t)
         at = (plan.time_idx, plan.freq_idx)
+    # the frequency prior is the deployment profile or a uniform one over
+    # the longest channel the receiver is dimensioned for (cir_len)
+    prior = profile if cfg.corr_mode == "profile" else None
 
     out = np.zeros_like(inst.values)
     mask = np.zeros(inst.values.shape, dtype=bool)
@@ -144,16 +126,10 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
         if not pm.any():
             eps_parts.append(float("inf"))
             continue
-        ff = build_wiener(
-            "freq",
-            plan,
-            input_err_var=r.eps,
-            profile=params.corr_profile,
-            design_len=params.design_len or params.cir_len,
-        )
+        ff = build_wiener("freq", plan, input_err_var=r.eps, profile=prior, design_len=cfg.cir_len)
         if timed:
             tf = build_wiener(
-                "time", plan, input_err_var=ff.residual_mse, fd_hz=params.fd_hz, tb_s=params.tb_s
+                "time", plan, input_err_var=ff.residual_mse, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s
             )
             out[sl] = wiener_2x1d(pv, ff, tf, pm)
             mask[sl] = True
@@ -168,22 +144,29 @@ def _refine(inst: InstantEstimate, params: ReceiverParams, n_fft: int, noise_var
 def iterate(
     rx: TimeSignal,
     gi: PnSequence,
-    params: ReceiverParams,
+    cfg: SimConfig,
+    profile: PowerDelayProfile,
+    noise_var: float,
     truth_cfr: np.ndarray | None = None,
     initial: CfrEstimate | None = None,
 ) -> tuple[CfrEstimate, FrameGrid, IterationDiag]:
-    """Run the full estimation loop on one received frame.
+    """Run the full estimation loop of cfg.estimator on one received frame.
 
-    Iteration 0 is the PN LS stage alone; each further iteration removes the
+    Iteration 0 is the PN LS stage alone; each of the cfg.iterations
+    further iterations of a refiner (pn and genie run none) removes the
     guard with the current estimate, equalizes, rebuilds soft symbols,
     re-estimates, refines, and combines with the PN estimate.  The reported
     grid of each iteration is equalized with that iteration's final estimate
-    after refreshing the guard removal with it.
+    after refreshing the guard removal with it.  cfg is a resolved config;
+    profile is the deployment profile the refiners plan and design for.
 
     truth_cfr feeds diagnostics only; initial, when given, replaces the PN
     LS stage (exact-start and genie studies).
     """
-    c = params.constellation
+    if cfg.estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {cfg.estimator!r}; expected one of {ESTIMATORS}")
+    iterations = cfg.iterations if cfg.estimator in REFINERS else 0
+    c = constellation(cfg.constellation)
     nu = gi.nu
     n = rx.blocks.shape[1] - nu
     if n <= 0:
@@ -195,26 +178,25 @@ def iterate(
         cores = rx.blocks[:, gi.core_offset : gi.core_offset + gi.n_pn]
         # channel tails beyond the core offset act as extra white noise in
         # the correlation window; fold them into the LS error model
-        h1 = ls_pn(cores, gi, params.cir_len, params.noise_var + params.pn_leak_var, n)
+        leak_var = window_leak_variance(gi, profile.dense_powers())
+        h1 = ls_pn(cores, gi, cfg.cir_len, noise_var + leak_var, n)
 
     est = h1
     diag = IterationDiag()
     boost = (n + nu) / n
-    y = None
-    z = None
-    for it in range(params.iterations + 1):
+    for it in range(iterations + 1):
         if it > 0:
-            tap_err = np.full(params.cir_len, est.eps / params.cir_len)
-            sigma_eff = boost * params.noise_var + mean_interference_power(gi, tap_err, n)
+            tap_err = np.full(cfg.cir_len, est.eps / cfg.cir_len)
+            sigma_eff = boost * noise_var + mean_interference_power(gi, tap_err, n)
             x_hat = soft_symbols(demap(z, est.values, sigma_eff, c), c)
             inst = instantaneous_estimate(x_hat, y, c)
-            h2 = _refine(inst, params, n, sigma_eff)
+            h2 = _refine(inst, cfg, profile, n, sigma_eff)
             diag.h2_eps.append(h2.eps)
             if truth_cfr is not None:
                 diag.h2_mse.append(float(np.mean(np.abs(h2.values - truth_cfr) ** 2)))
             est = combine(h1, h2)
 
-        cir = cir_from_cfr(est.values, params.cir_len)
+        cir = cir_from_cfr(est.values, cfg.cir_len)
         cleaned = remove_pn(rx, gi, cir)
         y = ola(cleaned)
         z = equalize(y, est.values)

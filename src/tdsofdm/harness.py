@@ -23,15 +23,13 @@ from .channel import (
     realize,
     sfn_profile,
 )
-from .combiner import ReceiverParams, iterate
-from .modulation import CONSTELLATIONS, Constellation, constellation, hard_decisions, map_bits
+from .combiner import ESTIMATORS, iterate
+from .modulation import CONSTELLATIONS, constellation, hard_decisions, map_bits
 from .phy import assemble, ofdm_modulate, propagate
-from .pn_estimator import CfrEstimate, window_leak_variance
+from .pn_estimator import CfrEstimate
 from .sequences import build_gi, generate_mseq
 
 CSV_HEADER = "snr_db,estimator,iteration,mse_empirical,eps_analytic,ber_uncoded,trials"
-
-ESTIMATORS = ("genie", "pn", "ma1d", "ma2d", "wiener1d", "wiener2x1d")
 
 
 class ConfigError(ValueError):
@@ -45,9 +43,11 @@ class SimConfig:
     The first five fields come from the preset; every other field carries
     its default, and its annotation picks the parser for text values.  A
     value of 0 means "auto" for m_f (9, or 3 with an SFN echo), block_len
-    (num_symbols), cir_len (the channel length, capped by the PN core) and
-    design_len (cir_len).  m_f is every estimator's frequency window: ma1d
-    and wiener1d smooth over (1, m_f) blocks by subcarriers, ma2d and
+    (num_symbols) and cir_len (the channel length, capped by the PN core).
+    The estimation loop, combiner.iterate, reads the resolved config
+    directly.  cir_len is its LS and guard-removal window and the support
+    of the uniform Wiener prior.  m_f is every estimator's frequency window:
+    ma1d and wiener1d smooth over (1, m_f) blocks by subcarriers, ma2d and
     wiener2x1d over (m_t, m_f).
     """
 
@@ -71,7 +71,6 @@ class SimConfig:
     block_len: int = 0
     iterations: int = 2
     cir_len: int = 0
-    design_len: int = 0
     corr_mode: str = "uniform"
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     trials: int = 500
@@ -197,7 +196,6 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (0 <= cfg.gi_len < cfg.fft_size, "need 0 <= gi_len < fft_size"),
         (n_pn <= cfg.gi_len, f"guard {cfg.gi_len} cannot hold a {n_pn}-chip core"),
         (0 <= cfg.cir_len <= n_pn, f"cir_len must lie in [1, {n_pn}] (0 = auto)"),
-        (cfg.design_len >= 0, "design_len must be nonnegative"),
         (cfg.sample_rate_hz > 0, "sample_rate_hz must be positive"),
         (cfg.pn_power_boost > 0, "pn_power_boost must be positive"),
         (cfg.iterations >= 0, "iterations must be nonnegative"),
@@ -228,34 +226,6 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         # excess delay, capped by what the core can resolve
         cfg = replace(cfg, cir_len=min(length, n_pn))
     return cfg
-
-
-def _receiver_params(
-    cfg: SimConfig,
-    gi,
-    profile: PowerDelayProfile,
-    c: Constellation,
-    noise_var: float,
-) -> ReceiverParams:
-    # pilot spacing follows the measured channel length; the Wiener prior
-    # spans the longest channel the receiver is dimensioned for (cir_len)
-    # unless a design_len override widens or narrows it
-    return ReceiverParams(
-        constellation=c,
-        noise_var=noise_var,
-        cir_len=cfg.cir_len,
-        iterations=0 if cfg.estimator in ("pn", "genie") else cfg.iterations,
-        refiner=cfg.estimator if cfg.estimator not in ("pn", "genie") else "ma1d",
-        m_t=cfg.m_t,
-        m_f=cfg.m_f,
-        block_len=cfg.block_len,
-        plan_len=profile.length,
-        design_len=cfg.design_len,
-        corr_profile=profile if cfg.corr_mode == "profile" else None,
-        pn_leak_var=window_leak_variance(gi, profile.dense_powers()),
-        fd_hz=cfg.fd_hz,
-        tb_s=cfg.tb_s,
-    )
 
 
 def guard_interval(cfg: SimConfig, profile: PowerDelayProfile):
@@ -298,13 +268,12 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     tx = assemble(ofdm_modulate(x), gi)
     rx = propagate(tx, taps, noise_var, rng)
 
-    params = _receiver_params(cfg, gi, profile, c, noise_var)
+    initial = None
     if cfg.estimator == "genie":
-        params = replace(params, cir_len=min(profile.length, gi.n_pn))
+        # the genie's window holds every tap of the true channel
+        cfg = replace(cfg, cir_len=min(profile.length, gi.n_pn))
         initial = CfrEstimate(values=truth, eps=0.0)
-        _, _, diag = iterate(rx, gi, params, truth_cfr=truth, initial=initial)
-    else:
-        _, _, diag = iterate(rx, gi, params, truth_cfr=truth)
+    _, _, diag = iterate(rx, gi, cfg, profile, noise_var, truth_cfr=truth, initial=initial)
 
     ber = np.array(
         [np.mean(hard_decisions(z.data, c) != bits) for z in diag.z_grids]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -39,8 +40,9 @@ def _bits(values: np.ndarray, width: int) -> np.ndarray:
     return ((values[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
+@cache
 def constellation(name: str) -> Constellation:
-    """Build one of qpsk, qam16, qam64.
+    """Build one of qpsk, qam16, qam64; each is built once and shared.
 
     Each axis carries the sqrt(M) amplitudes 2i - (sqrt(M) - 1), ascending,
     labeled with the reflected Gray code i ^ (i >> 1): the leading bit is the
@@ -59,7 +61,7 @@ def constellation(name: str) -> Constellation:
 
     points = np.empty(q * q, dtype=np.complex128)
     points[(codes[:, None] << half) | codes[None, :]] = (amp[:, None] + 1j * amp[None, :]) / norm
-    return Constellation(
+    c = Constellation(
         name=name,
         points=points,
         bit_labels=_bits(np.arange(q * q), 2 * half),
@@ -68,6 +70,9 @@ def constellation(name: str) -> Constellation:
         levels=amp / norm,
         axis_labels=_bits(codes, half),
     )
+    for a in (c.points, c.bit_labels, c.levels, c.axis_labels):
+        a.flags.writeable = False  # shared by every caller
+    return c
 
 
 def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:

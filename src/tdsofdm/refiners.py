@@ -259,8 +259,8 @@ def build_wiener(
             if design_len * plan.l_f > plan.n_fft:
                 raise ConstraintError(
                     f"a uniform prior over {design_len} taps aliases at pilot spacing "
-                    f"{plan.l_f} on {plan.n_fft} subcarriers; design_len may be at "
-                    f"most {plan.n_fft // plan.l_f}"
+                    f"{plan.l_f} on {plan.n_fft} subcarriers, which resolves at most "
+                    f"{plan.n_fft // plan.l_f} taps; lower cir_len"
                 )
             delays = np.arange(design_len)
             powers = np.full(design_len, 1.0 / design_len)

@@ -65,6 +65,19 @@ CONFIGS = {
     "desk_ma2d_qpsk_mt3_mf4": {
         **_DESK, "estimator": "ma2d", "constellation": "qpsk", "M_t": 3, "M_f": 4,
     },
+    # a short genie CIR window; an LS window and prior support (4) shorter
+    # than the channel the pilots are planned for (6); the profile prior at
+    # 300 km/h; a deeper loop, and pn, which runs no iterations
+    "desk_genie_qpsk_cir3": {**_DESK, "estimator": "genie", "constellation": "qpsk", "cir_len": 3},
+    "desk_wiener1d_qpsk_cir4": {
+        **_DESK, "estimator": "wiener1d", "constellation": "qpsk", "cir_len": 4,
+    },
+    "desk_wiener2x1d_qam16_profile_300kmh": {
+        **_DESK, "estimator": "wiener2x1d", "constellation": "qam16",
+        "corr_mode": "profile", "velocity_kmh": 300,
+    },
+    "desk_ma1d_qpsk_iter3": {**_DESK, "estimator": "ma1d", "constellation": "qpsk", "iterations": 3},
+    "desk_pn_qpsk_iter5": {**_DESK, "estimator": "pn", "constellation": "qpsk", "iterations": 5},
 }
 
 

@@ -58,6 +58,14 @@ def test_config_file_setting_m_exits_2(tmp_path, capsys):
     assert "unknown config key 'M'" in capsys.readouterr().err
 
 
+def test_config_file_setting_design_len_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "design.cfg"
+    cfgfile.write_text("design_len = 9\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "unknown config key 'design_len'" in capsys.readouterr().err
+
+
 def test_malformed_config_line(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("trials\n")
@@ -135,15 +143,20 @@ def test_invalid_pn_register_exits_2(tmp_path, capsys, line):
     assert "config error: bad PN register" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("design_len, code", [(4, 0), (9, 0), (60, 3), (500, 3)])
-def test_uniform_prior_wider_than_the_pilot_spacing_exits_3(tmp_path, capsys, design_len, code):
-    # desk pilots sit every 9 of 512 subcarriers and resolve at most 56 taps
+@pytest.mark.parametrize("cir_len, code", [(4, 0), (56, 0), (57, 3), (500, 2)])
+def test_uniform_prior_wider_than_the_pilot_spacing_exits_3(tmp_path, capsys, cir_len, code):
+    # desk pilots sit every 9 of 512 subcarriers and resolve at most 56
+    # taps; the 63-chip PN core caps cir_len itself
     cfgfile = tmp_path / "prior.cfg"
-    cfgfile.write_text(f"design_len = {design_len}\ntrials = 1\nsnr_db = 20\n")
+    cfgfile.write_text(f"cir_len = {cir_len}\ntrials = 1\nsnr_db = 20\n")
     rc = main(["sweep", "--config", str(cfgfile)])
     assert rc == code
-    if code:
-        assert "constraint error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if code == 3:
+        assert "constraint error" in err
+        assert "resolves at most 56 taps; lower cir_len" in err
+    elif code == 2:
+        assert "cir_len must lie in [1, 63]" in err
 
 
 def test_trial_subcommand(capsys):

@@ -1,5 +1,7 @@
 """Variance-weighted estimate combining and the iterative receiver loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from tdsofdm import (
     CfrEstimate,
-    ReceiverParams,
     assemble,
     cfr,
     cir_from_cfr,
@@ -21,11 +22,21 @@ from tdsofdm import (
     ola,
     propagate,
     remove_pn,
+    resolve_config,
 )
 
 from conftest import crandn
 
 QPSK = constellation("qpsk")
+
+
+def loop_config(**overrides):
+    """A resolved config whose guard is the gi3_16 fixture's, with its flat
+    deployment profile; a flat profile leaks no tail into the PN window."""
+    cfg = resolve_config(
+        {"fft_size": 64, "gi_len": 16, "pn_order": 3, "channel": "flat", **overrides}
+    )
+    return cfg, cfg.profile()
 
 
 def make_rx(rng, gi, taps, s, noise_var, c=QPSK):
@@ -131,8 +142,8 @@ def test_loop_with_no_iterations_is_the_plain_ls_receiver(gi3_16):
     taps = crandn(rng, 3)
     nv = 0.01
     rx, _ = make_rx(rng, gi3_16, taps, 6, nv)
-    params = ReceiverParams(constellation=QPSK, noise_var=nv, cir_len=3, iterations=0)
-    est, z, diag = iterate(rx, gi3_16, params)
+    cfg, profile = loop_config(cir_len=3, iterations=0)
+    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv)
 
     cores = rx.blocks[:, 9:16]
     h1 = ls_pn(cores, gi3_16, 3, nv, 64)
@@ -151,11 +162,9 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     nv = 0.0
     rx, _ = make_rx(rng, gi3_16, taps, 4, nv)
     truth = np.ones((4, 64), dtype=np.complex128)
-    params = ReceiverParams(
-        constellation=QPSK, noise_var=nv, cir_len=1, iterations=2, refiner="ma1d", m_f=5
-    )
+    cfg, profile = loop_config(cir_len=1, iterations=2, estimator="ma1d", M_f=5)
     initial = CfrEstimate(values=truth.copy(), eps=0.0)
-    est, _, diag = iterate(rx, gi3_16, params, truth_cfr=truth, initial=initial)
+    est, _, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth, initial=initial)
     assert len(diag.mse) == 3
     assert all(m <= 1e-10 for m in diag.mse)
     assert est.eps == 0.0
@@ -167,15 +176,8 @@ def test_loop_improves_the_ls_stage(gi3_16):
     nv = 10.0 ** (-2.0)
     rx, _ = make_rx(rng, gi3_16, taps, 24, nv)
     truth = np.tile(cfr(taps, 64), (24, 1))
-    params = ReceiverParams(
-        constellation=QPSK,
-        noise_var=nv,
-        cir_len=3,
-        iterations=2,
-        refiner="wiener1d",
-        m_f=5,
-    )
-    est, z, diag = iterate(rx, gi3_16, params, truth_cfr=truth)
+    cfg, profile = loop_config(cir_len=3, iterations=2, estimator="wiener1d", M_f=5)
+    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth)
     assert len(diag.eps) == len(diag.mse) == 3
     assert len(diag.h2_eps) == len(diag.h2_mse) == 2
     assert diag.z_grids[-1] is z
@@ -186,8 +188,6 @@ def test_loop_improves_the_ls_stage(gi3_16):
 def test_loop_rejects_unknown_refiner(gi3_16):
     rng = np.random.default_rng(67)
     rx, _ = make_rx(rng, gi3_16, np.array([1.0 + 0j]), 2, 0.01)
-    params = ReceiverParams(
-        constellation=QPSK, noise_var=0.01, cir_len=1, iterations=1, refiner="median"
-    )
-    with pytest.raises(ValueError, match="refiner"):
-        iterate(rx, gi3_16, params)
+    cfg, profile = loop_config(cir_len=1, iterations=1)
+    with pytest.raises(ValueError, match="unknown estimator 'median'"):
+        iterate(rx, gi3_16, replace(cfg, estimator="median"), profile, 0.01)

@@ -61,6 +61,9 @@ def test_config_rejections():
     # M_f is the one frequency window of every estimator
     with pytest.raises(ConfigError, match="unknown config key 'M'"):
         resolve_config({"M": 5})
+    # cir_len is also the support of the uniform Wiener prior
+    with pytest.raises(ConfigError, match="unknown config key 'design_len'"):
+        resolve_config({"design_len": 9})
     with pytest.raises(ConfigError, match="bad value"):
         resolve_config({"trials": "many"})
     with pytest.raises(ConfigError, match="estimator"):
@@ -176,7 +179,6 @@ _TYPED = {
     "block_len": 5,
     "iterations": 1,
     "cir_len": 4,
-    "design_len": 9,
     "corr_mode": "profile",
     "snr_db": (5.0, 12.5),
     "trials": 3,
@@ -470,7 +472,6 @@ def test_sidecar_echoes_the_resolved_config(tmp_path):
     assert doc["seed"] == cfg.seed
     assert doc["wall_time_s"] > 0
     assert doc["config"]["cir_len"] == 6
-    assert doc["config"]["design_len"] == 0      # 0 = cir_len, echoed as set
     assert doc["config"]["snr_db"] == [10.0]
     assert doc["config"]["estimator"] == "wiener1d"
 

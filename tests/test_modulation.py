@@ -98,3 +98,13 @@ def test_map_bits_rejects_partial_symbols():
         map_bits(np.array([1, 0, 1]), c)
     with pytest.raises(ValueError):
         constellation("qam32")
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64"])
+def test_each_constellation_is_built_once_and_read_only(name):
+    # run_trial and iterate share one instance per trial
+    c = constellation(name)
+    assert constellation(name) is c
+    for a in (c.points, c.bit_labels, c.levels, c.axis_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
