@@ -78,6 +78,18 @@ CONFIGS = {
     },
     "desk_ma1d_qpsk_iter3": {**_DESK, "estimator": "ma1d", "constellation": "qpsk", "iterations": 3},
     "desk_pn_qpsk_iter5": {**_DESK, "estimator": "pn", "constellation": "qpsk", "iterations": 5},
+    # the thread pool (its rows equal desk_wiener1d_qpsk's), pn on the
+    # PN420 guard, 2-D smoothing across an SFN echo and the genie at speed
+    "desk_wiener1d_qpsk_threads2": {
+        **_DESK, "estimator": "wiener1d", "constellation": "qpsk", "threads": 2,
+    },
+    "dtmb_pn": {**_DTMB, "estimator": "pn"},
+    "desk_ma2d_qpsk_sfn20": {
+        **_DESK, "estimator": "ma2d", "constellation": "qpsk", "sfn_delay_us": 20,
+    },
+    "desk_genie_qam16_300kmh": {
+        **_DESK, "estimator": "genie", "constellation": "qam16", "velocity_kmh": 300,
+    },
 }
 
 
