@@ -2,6 +2,13 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# The tiny solves and products of one trial lose time to BLAS thread
+# hand-off.  This pin only takes effect if numpy is not loaded yet, and an
+# explicit OPENBLAS_NUM_THREADS setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .sequences import PRIMITIVE_POLYS, PnSequence, build_gi, generate_mseq
 from .modulation import Constellation, constellation, hard_decisions, map_bits
 from .channel import (

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .harness import ConfigError, csv_text, guard_interval, resolve_config, run, run_trial, trial_rng
+from .harness import ConfigError, csv_text, resolve_config, run
 from .refiners import ConstraintError
 
 EXIT_OK = 0
@@ -73,12 +74,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trial(args: argparse.Namespace) -> int:
-    overrides = _gather_overrides(args)
-    overrides["trials"] = 1
-    cfg = resolve_config(overrides)
+    cfg = resolve_config({**_gather_overrides(args), "trials": 1})
     snr = cfg.snr_db[0]
-    profile = cfg.profile()
-    res = run_trial(cfg, guard_interval(cfg, profile), profile, snr, trial_rng(cfg, 0, 0))
+    # trial 0 of the first SNR point of a sweep; --out is ignored
+    _, raw = run(replace(cfg, snr_db=cfg.snr_db[:1], out=None), keep_trials=True)
+    res = {key: stack[0] for key, stack in raw[snr].items()}
 
     print(f"preset={cfg.preset} channel={cfg.channel} estimator={cfg.estimator} snr_db={snr:g}")
     print(f"fft_size={cfg.fft_size} gi_len={cfg.gi_len} cir_len={cfg.cir_len} seed={cfg.seed}")

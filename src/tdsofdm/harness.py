@@ -228,29 +228,6 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     return cfg
 
 
-def guard_interval(cfg: SimConfig, profile: PowerDelayProfile):
-    """Build the configured PN guard interval for a profile.length-tap channel.
-
-    Only build_gi's guard-extension warning is silenced: presets with a
-    deliberately short extension would raise it on every sweep.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="guard extension", category=UserWarning)
-        return build_gi(
-            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
-            cfg.gi_len,
-            cfg.pn_power_boost,
-            expected_cir_len=profile.length,
-        )
-
-
-def trial_rng(cfg: SimConfig, snr_idx: int, trial_idx: int) -> np.random.Generator:
-    """The generator of one (snr, trial) shard, independent of scheduling."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(snr_idx, trial_idx))
-    )
-
-
 def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng: np.random.Generator) -> dict:
     """One Monte-Carlo trial at one SNR: returns per-iteration metrics.
 
@@ -307,9 +284,13 @@ def _keep_freed_arrays() -> None:
 def run(cfg: SimConfig, keep_trials: bool = False):
     """Sweep the SNR grid; returns aggregated rows (and raw trials on request).
 
-    Work is sharded per (snr, trial) with a seed sequence spawned from the
-    configured seed and those two indices, and reduced in index order, so
-    results do not depend on the thread count.
+    Only build_gi's guard-extension warning is silenced: presets with a
+    deliberately short extension would raise it on every sweep.
+
+    Work is sharded per (snr, trial).  Shard (si, ti) draws from a seed
+    sequence spawned from the configured seed and those two indices, and
+    shards are reduced in index order, so results do not depend on the
+    thread count or the schedule.
 
     On glibc the sweep sets its process's allocator policy: arrays up to
     32 MiB come from the heap instead of fresh mmaps, and up to 64 MiB of
@@ -318,36 +299,37 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     and page-fault in again on the next trial.
     """
     profile = cfg.profile()
-    gi = guard_interval(cfg, profile)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="guard extension", category=UserWarning)
+        gi = build_gi(
+            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
+            cfg.gi_len,
+            cfg.pn_power_boost,
+            expected_cir_len=profile.length,
+        )
     _keep_freed_arrays()
 
-    t0 = time.monotonic()
-    n_snr, n_tr = len(cfg.snr_db), cfg.trials
-    results: list[list] = [[None] * n_tr for _ in range(n_snr)]
-
     def work(item):
-        si, ti = item
-        results[si][ti] = run_trial(cfg, gi, profile, cfg.snr_db[si], trial_rng(cfg, si, ti))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=item))
+        return run_trial(cfg, gi, profile, cfg.snr_db[item[0]], rng)
 
-    items = [(si, ti) for si in range(n_snr) for ti in range(n_tr)]
+    t0 = time.monotonic()
+    n_tr = cfg.trials
+    items = [(si, ti) for si in range(len(cfg.snr_db)) for ti in range(n_tr)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, items))
+            results = list(pool.map(work, items))
     else:
-        for item in items:
-            work(item)
+        results = list(map(work, items))
     elapsed = time.monotonic() - t0
 
     rows = []
     raw = {}
     for si, snr in enumerate(cfg.snr_db):
-        stack = {
-            key: np.stack([results[si][ti][key] for ti in range(n_tr)])
-            for key in ("mse", "eps", "ber", "h2_mse", "h2_eps")
-        }
+        shard = results[si * n_tr : (si + 1) * n_tr]
+        stack = {key: np.stack([r[key] for r in shard]) for key in shard[0]}
         raw[float(snr)] = stack
-        iters = stack["mse"].shape[1]
-        for it in range(iters):
+        for it in range(stack["mse"].shape[1]):
             rows.append(
                 ResultRow(
                     snr_db=float(snr),

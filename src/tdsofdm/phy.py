@@ -13,10 +13,10 @@ from .sequences import PnSequence
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """A frequency-domain grid of num_symbols x n_fft cells.
+    """An equalized grid of num_symbols x n_fft cells.
 
-    mask, when present, is True on usable cells and False where an upstream
-    stage could not produce a value (nulled or unreliable bins).
+    mask, when present, is True on usable cells and False where the
+    equalizer zeroed a vanishing bin.
     """
 
     data: np.ndarray
@@ -137,7 +137,7 @@ def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal
     return TimeSignal(blocks=blocks, tail=tail)
 
 
-def ola(cleaned: TimeSignal) -> FrameGrid:
+def ola(cleaned: TimeSignal) -> np.ndarray:
     """Fold each block's following guard region onto its data head and demodulate.
 
     Adding the full guard region back restores circular convolution for the
@@ -153,10 +153,10 @@ def ola(cleaned: TimeSignal) -> FrameGrid:
     if nu:
         bodies[:-1, :nu] += cleaned.blocks[1:, :nu]
         bodies[-1, :nu] += cleaned.tail
-    return FrameGrid(data=ofdm_demodulate(bodies))
+    return ofdm_demodulate(bodies)
 
 
-def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
+def equalize(y: np.ndarray, h_est: np.ndarray) -> FrameGrid:
     """Zero-forcing equalization with spectral-null protection.
 
     Bins whose estimated gain is vanishing relative to the per-row mean are
@@ -165,10 +165,8 @@ def equalize(y: FrameGrid, h_est: np.ndarray) -> FrameGrid:
     p = np.abs(h_est) ** 2
     thr = 1e-12 * p.mean(axis=-1, keepdims=True)
     ok = (p >= thr) & (p > 0)
-    z = np.empty(np.broadcast_shapes(y.data.shape, h_est.shape), dtype=np.complex128)
+    z = np.empty(np.broadcast_shapes(y.shape, h_est.shape), dtype=np.complex128)
     ok = np.broadcast_to(ok, z.shape)
-    np.divide(y.data, h_est, out=z, where=ok)
+    np.divide(y, h_est, out=z, where=ok)
     z[~ok] = 0.0
-    if y.mask is not None:
-        ok = ok & y.mask
     return FrameGrid(data=z, mask=ok)

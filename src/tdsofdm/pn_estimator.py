@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import cfr
 from .sequences import PnSequence
 
 
@@ -47,8 +48,7 @@ def ls_pn(
         raise ValueError("PN core spectrum has a (near-)null bin; cannot invert")
 
     h_bar = np.fft.fft(rx_core, axis=-1, norm="ortho") / pn.spectrum
-    h_taps = np.fft.ifft(h_bar, axis=-1)[..., :cir_len]
-    values = np.fft.fft(h_taps, n=n_fft, axis=-1)
+    values = cfr(cir_from_cfr(h_bar, cir_len), n_fft)
     return CfrEstimate(values=values, eps=analytic_mse_pn(pn, cir_len, noise_var))
 
 

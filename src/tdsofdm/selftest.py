@@ -43,7 +43,7 @@ def _check_ola_identity() -> None:
     rx = propagate(tx, h, 0.0, rng)
     y = ola(remove_pn(rx, gi, taps))
     want = np.fft.fft(taps, n) * x
-    err = np.abs(y.data - want).max()
+    err = np.abs(y - want).max()
     assert err < 1e-9, f"OLA identity error {err}"
 
 
@@ -157,7 +157,7 @@ def _check_equalizer_slicer() -> None:
         c = constellation(name)
         bits = rng.integers(0, 2, c.bits_per_symbol * 32)
         x = map_bits(bits, c).reshape(1, 32)
-        z = equalize(FrameGrid(data=h * x), h)
+        z = equalize(h * x, h)
         back = hard_decisions(z.data, c)
         assert np.array_equal(back, bits), f"{name}: noiseless equalize+slice must invert the map"
 

@@ -148,8 +148,8 @@ def soft_symbols(llr: np.ndarray, c: Constellation) -> np.ndarray:
     return x
 
 
-def instantaneous_estimate(x_hat: np.ndarray, y: FrameGrid, c: Constellation) -> InstantEstimate:
-    """Per-bin CFR re-estimate from rebuilt symbols x_hat.
+def instantaneous_estimate(x_hat: np.ndarray, y: np.ndarray, c: Constellation) -> InstantEstimate:
+    """Per-bin CFR re-estimate from rebuilt symbols x_hat and the OLA grid y.
 
     Uniform-power constellations normalize by the constellation power, so a
     rebuilt bin of power eta = |x_hat|^2 carries noise amplified by
@@ -161,14 +161,12 @@ def instantaneous_estimate(x_hat: np.ndarray, y: FrameGrid, c: Constellation) ->
     ea = c.eta_alpha
     eta = np.abs(x_hat) ** 2
     reliable = eta >= RELIABILITY_FLOOR * ea
-    if y.mask is not None:
-        reliable = reliable & y.mask
     safe_eta = np.where(reliable, eta, 1.0)
     if c.uniform_power:
-        values = np.conj(x_hat) * y.data / ea
+        values = np.conj(x_hat) * y / ea
         weights = eta / ea**2
     else:
-        values = np.conj(x_hat) * y.data / safe_eta
+        values = np.conj(x_hat) * y / safe_eta
         weights = 1.0 / safe_eta
     values = np.where(reliable, values, 0.0)
     weights = np.where(reliable, weights, 0.0)

@@ -88,11 +88,8 @@ def where_equalize(y, h_est):
     p = np.abs(h_est) ** 2
     thr = 1e-12 * p.mean(axis=-1, keepdims=True)
     ok = (p >= thr) & (p > 0)
-    z = np.where(ok, y.data / np.where(ok, h_est, 1.0), 0.0)
-    ok = np.broadcast_to(ok, z.shape)
-    if y.mask is not None:
-        ok = ok & y.mask
-    return FrameGrid(data=z, mask=ok)
+    z = np.where(ok, y / np.where(ok, h_est, 1.0), 0.0)
+    return FrameGrid(data=z, mask=np.broadcast_to(ok, z.shape))
 
 
 def einsum_soft_symbols(llr, c):

@@ -14,15 +14,11 @@ has freed before move glibc's dynamic mmap threshold, and so the count.
 from __future__ import annotations
 
 import argparse
-import os
 import resource
 import statistics
 import sys
 import time
 from pathlib import Path
-
-# the tiny solves and products of one trial lose time to BLAS thread hand-off
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))

@@ -18,12 +18,8 @@ import csv
 import hashlib
 import io
 import math
-import os
 import sys
 from pathlib import Path
-
-# the tiny solves and products of one trial lose time to BLAS thread hand-off
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "identity"

@@ -1,6 +1,7 @@
 """Config resolution, Monte-Carlo sweeps, and result serialization."""
 
 import json
+import os
 import platform
 import re
 import subprocess
@@ -18,6 +19,7 @@ from tdsofdm import (
     ConfigError,
     ConstraintError,
     SimConfig,
+    generate_mseq,
     resolve_config,
     run,
     sidecar_path,
@@ -209,16 +211,35 @@ def test_lowercase_window_keys_are_unknown(key):
 
 
 def test_guard_builder_silences_only_the_guard_extension_warning(monkeypatch):
+    cfg = resolve_config({"trials": 1, "snr_db": "20"})
+    real = tdsofdm.harness.build_gi
+    # the desk guard's one-chip extension is shorter than tu6's memory
+    with pytest.warns(UserWarning, match="guard extension"):
+        real(generate_mseq(cfg.pn_order), cfg.gi_len, expected_cir_len=cfg.profile().length)
+
     def noisy_build_gi(*args, **kwargs):
-        warnings.warn("guard extension 3 is shorter than the channel memory 5")
         warnings.warn("unrelated trouble")
-        return "gi"
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(tdsofdm.harness, "build_gi", noisy_build_gi)
-    cfg = resolve_config()
     with pytest.warns(UserWarning) as caught:
-        assert tdsofdm.harness.guard_interval(cfg, cfg.profile()) == "gi"
+        run(cfg)
     assert [str(w.message) for w in caught] == ["unrelated trouble"]
+
+
+@pytest.mark.parametrize("setting, want", [(None, "1"), ("2", "2")])
+def test_import_pins_one_blas_thread_unless_set(setting, want):
+    # a fresh interpreter, because this one loaded numpy long ago
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    src = str(Path(tdsofdm.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import os, tdsofdm; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == want
 
 
 def test_sweep_is_deterministic():
