@@ -184,7 +184,7 @@ def test_trial_subcommand_matches_first_sweep_trial(capsys):
 
 
 def test_trial_subcommand_ignores_out(tmp_path, capsys):
-    rc = main(["trial", "--snr", "15", "--trials", "1", "--out", str(tmp_path / "x.csv")])
+    rc = main(["trial", "--snr", "15", "--out", str(tmp_path / "x.csv")])
     assert rc == 0
     assert "iter" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []

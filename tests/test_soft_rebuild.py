@@ -336,7 +336,7 @@ def test_instantaneous_floor_and_mask():
     x = random_symbols(rng, 16, QPSK).reshape(1, 16)
     xh = x.copy()
     xh[0, 2] *= 0.01               # rebuilt power 1e-4, far below the floor
-    inst = instantaneous_estimate(xh, x.copy(), QPSK)
+    inst = instantaneous_estimate(xh, x, QPSK)
     assert not inst.mask[0, 2]
     assert inst.values[0, 2] == 0.0 and inst.weights[0, 2] == 0.0
     assert inst.mask.sum() == 15
