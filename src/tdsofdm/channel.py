@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import j0
+import numpy.fft  # noqa: F401  (loaded eagerly, see sequences)
 
 # TU-6 profile: excess delays in microseconds, tap powers in dB.
 _TU6_DELAYS_US = np.array([0.0, 0.2, 0.5, 1.6, 2.3, 5.0])
@@ -79,6 +79,21 @@ def sfn_profile(
     delays = np.concatenate([base.delays, base.delays + shift])
     powers = np.concatenate([base.powers, gain * base.powers])
     return _make_profile(delays, powers)
+
+
+@cache
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= max(n, 1): the sizes pocketfft
+    transforms fastest."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def doppler_frequency(velocity_kmh: float, carrier_hz: float) -> float:
@@ -160,8 +175,16 @@ def r_f(q: np.ndarray, profile: PowerDelayProfile, n_fft: int) -> np.ndarray:
 
 
 def r_t(p: np.ndarray, fd_hz: float, tb_s: float) -> np.ndarray:
-    """Time correlation of any tap (and of the CFR) at block separation p."""
-    return j0(2.0 * np.pi * fd_hz * tb_s * np.asarray(p, dtype=np.float64))
+    """Time correlation of any tap (and of the CFR) at block separation p.
+
+    J0(x) is the mean of cos(x sin t) over a period, a smooth periodic
+    integrand: the trapezoid sum on n >= |x| + 64 points is exact to
+    rounding.  n follows the largest |x| of the call, so the same p may
+    differ in its last bit between calls.
+    """
+    x = 2.0 * np.pi * fd_hz * tb_s * np.asarray(p, dtype=np.float64)
+    n = 64 + int(np.ceil(np.abs(x).max(initial=0.0)))
+    return np.cos(np.multiply.outer(x, np.sin(2.0 * np.pi * np.arange(n) / n))).mean(axis=-1)
 
 
 def coherence_bandwidth(

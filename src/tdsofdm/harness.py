@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded eagerly, see sequences)
 
 from . import __version__
 from .channel import (

@@ -6,8 +6,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+import numpy.fft  # noqa: F401  (loaded eagerly, see sequences)
 
+from .channel import next_fast_len
 from .sequences import PnSequence
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded eagerly, see sequences)
 
 from .channel import cfr
 from .sequences import PnSequence

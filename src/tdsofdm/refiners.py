@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import PowerDelayProfile, cfr, r_t
 
@@ -294,8 +293,8 @@ def _freq_wiener(plan, input_err_var, delays, powers) -> WienerFilter:
     twiddle = np.exp(2j * np.pi * np.arange(n_fft) / n_fft)
     u = twiddle[np.multiply.outer(pil, delays) % n_fft] * sq
     ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
-    eye = np.eye(delays.size)
-    m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(u.conj().T @ u + ridge * eye), eye)
+    # M is positive definite: a Gram matrix plus a positive ridge
+    m_inv = np.linalg.inv(u.conj().T @ u + ridge * np.eye(delays.size))
     coefficients = np.zeros((delays[-1] + 1, pil.size), dtype=np.complex128)
     coefficients[delays] = ((u @ m_inv) * sq).T
     return WienerFilter(
@@ -309,8 +308,12 @@ def _freq_wiener(plan, input_err_var, delays, powers) -> WienerFilter:
 def _time_wiener(plan, input_err_var, fd_hz, tb_s) -> WienerFilter:
     """Time design from the Jakes correlation over the 2n-1 block lags.
 
-    One Cholesky factorization of the k x k pilot system yields both the
-    coefficients and the residual's quadratic form.
+    A Cholesky factorization of the k x k pilot system checks that it is
+    positive definite.  One solve then yields the coefficients, and with
+    them the residual's quadratic form.  Slow fading at a small input
+    variance makes the system near singular, so one refinement step, with
+    its residual formed in extended precision, recovers the digits the
+    solve loses.
     """
     n_out, pil = plan.block_len, plan.time_idx
     r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
@@ -321,7 +324,12 @@ def _time_wiener(plan, input_err_var, fd_hz, tb_s) -> WienerFilter:
         phi = phi + (1e-12 * np.trace(phi).real / k) * np.eye(k)
     theta = r[np.arange(n_out)[None, :] - pil[:, None] + n_out - 1]
 
-    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.conj(phi)), theta)
+    phi = np.conj(phi)
+    np.linalg.cholesky(phi)  # raises LinAlgError unless positive definite
+    x = np.linalg.solve(phi, theta)
+    wide = np.clongdouble
+    miss = theta.astype(wide) - phi.astype(wide) @ x.astype(wide)
+    x += np.linalg.solve(phi, miss.astype(np.complex128))
     quad = np.einsum("pk,pk->k", theta, np.conj(x)).real
     resid = np.maximum(r[n_out - 1].real - quad, 0.0)
     return WienerFilter(coefficients=x.T, pilot_idx=pil.copy(), residual_mse=float(resid.mean()))

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy 2 imports numpy.fft and numpy.random on first use: each module
+# that calls into one imports it eagerly, so that the first trial does not
+# pay for the load
+import numpy.fft  # noqa: F401
+
 # Primitive feedback polynomials as bitmasks containing both end terms,
 # e.g. 0xB means x^3 + x + 1.  One entry per supported register length.
 PRIMITIVE_POLYS = {

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .modulation import Constellation
 from .phy import FrameGrid
@@ -128,8 +127,10 @@ def soft_symbols(llr: np.ndarray, c: Constellation) -> np.ndarray:
     as independent given the LLRs, so the posterior factorizes into one
     level distribution per axis and the mean symbol is E[I] + jE[Q].
     """
-    # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...)
-    p1 = expit(np.moveaxis(llr, -1, 0))
+    # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...);
+    # the logistic of a very negative LLR overflows exp to inf, giving 0
+    with np.errstate(over="ignore"):
+        p1 = 1.0 / (1.0 + np.exp(-np.moveaxis(llr, -1, 0)))
     p1 = p1.reshape((2, -1) + p1.shape[1:])
     # factor[bit][:, l] is the probability that bit l of an axis is `bit`
     factor = (1.0 - p1, p1)

@@ -95,8 +95,10 @@ def where_equalize(y, h_est):
 def einsum_soft_symbols(llr, c):
     """soft_symbols with every level's probability stacked, then one einsum
     against the levels: the library accumulates the same products level by
-    level, bit for bit."""
-    p1 = expit(np.moveaxis(llr, -1, 0))
+    level, bit for bit.  p1 is the same logistic expression, so that the
+    two share its exp."""
+    with np.errstate(over="ignore"):
+        p1 = 1.0 / (1.0 + np.exp(-np.moveaxis(llr, -1, 0)))
     p1 = p1.reshape((2, -1) + p1.shape[1:])
     factor = (1.0 - p1[:, 0], p1[:, 0])
     prob = np.stack([factor[bit] for bit in c.axis_labels[:, 0]])
@@ -135,9 +137,12 @@ def reference_system(
 
     else:
         n_out, pil = plan.block_len, plan.time_idx
+        # r_t's quadrature follows the largest lag of its call: take every
+        # lag from one call over the full range, as build_wiener does
+        r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
 
         def corr(q):
-            return r_t(q, fd_hz, tb_s).astype(np.complex128)
+            return r[q + n_out - 1]
 
     k = pil.size
     phi = corr(pil[:, None] - pil[None, :]) + input_err_var * np.eye(k)
@@ -192,6 +197,30 @@ def exact_freq_wiener(plan, input_err_var, profile=None, design_len=None):
         resid = r0 - mpmath.re(quad) / n_out
         coeff = np.array([[complex(x[i, m]) for i in range(k)] for m in range(n_out)])
         return coeff, float(resid)
+
+
+def exact_time_wiener(plan, input_err_var, fd_hz=0.0, tb_s=0.0):
+    """The time design solved in mpmath at 40 digits: (coefficients, residual_mse).
+
+    Takes the float64 reference_system, jitter included, and solves it
+    exactly, so that the answer carries none of a float64 solver's error
+    on the near-singular slow-fading phi.
+    """
+    phi, theta, r0 = reference_system("time", plan, input_err_var, fd_hz=fd_hz, tb_s=tb_s)
+    k, n_out = theta.shape
+    with mpmath.workdps(40):
+
+        def exact(a):
+            return mpmath.matrix([[mpmath.mpc(v.real, v.imag) for v in row] for row in a])
+
+        theta = exact(theta)
+        x = mpmath.inverse(exact(np.conj(phi))) * theta
+        resid = [
+            max(r0 - mpmath.re(mpmath.fsum(theta[i, m] * mpmath.conj(x[i, m]) for i in range(k))), 0)
+            for m in range(n_out)
+        ]
+        coeff = np.array([[complex(x[i, m]) for i in range(k)] for m in range(n_out)])
+        return coeff, float(mpmath.fsum(resid) / n_out)
 
 
 def dense_coefficients(filt):

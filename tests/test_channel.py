@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import j0
 
 from tdsofdm import (
@@ -14,6 +15,7 @@ from tdsofdm import (
     realize,
     sfn_profile,
 )
+from tdsofdm.channel import next_fast_len
 
 from conftest import naive_raw_dft
 
@@ -102,6 +104,18 @@ def test_time_correlation_is_a_bessel_function():
     assert abs(r_t(np.array([2.404826]), fd_tb, 1.0)[0]) < 1e-6
     p = np.linspace(0, 8, 40)
     assert np.allclose(r_t(-p, 0.01, 1.0), r_t(p, 0.01, 1.0))
+
+
+def test_time_correlation_matches_j0_to_rounding():
+    x = np.linspace(-60.0, 60.0, 4801)
+    assert np.max(np.abs(r_t(x, 1.0 / (2.0 * np.pi), 1.0) - j0(x))) <= 1e-14
+    assert r_t(0, 10.0, 1e-3) == 1.0
+
+
+def test_next_fast_len_matches_scipy():
+    assert [next_fast_len(n) for n in range(1, 20001)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 20001)
+    ]
 
 
 def test_coherence_bandwidth_reference_values():

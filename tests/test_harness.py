@@ -242,6 +242,26 @@ def test_import_pins_one_blas_thread_unless_set(setting, want):
     assert done.stdout.strip() == want
 
 
+def test_import_and_first_trial_load_no_further_modules():
+    # numpy 2 loads numpy.fft and numpy.random on first use: a module the
+    # package leaves to its first trial costs that trial its load time
+    src = str(Path(tdsofdm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys, tdsofdm, tdsofdm.cli\n"
+        "from tdsofdm.harness import resolve_config, run\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "cfg = resolve_config({'trials': 1, 'snr_db': '10'})\n"
+        "before = set(sys.modules)\n"
+        "run(cfg)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_sweep_is_deterministic():
     cfg = resolve_config({"trials": 2, "snr_db": "10", "seed": 99})
     assert run(cfg) == run(cfg)

@@ -26,6 +26,7 @@ from conftest import (
     crandn,
     dense_coefficients,
     exact_freq_wiener,
+    exact_time_wiener,
     reference_system,
     reference_wiener,
     reference_window_sum,
@@ -378,12 +379,12 @@ def test_wiener_matches_dense_reference(case, var):
     domain = case.split("-")[0]
     filt = build_wiener(domain, plan, input_err_var=var, **kw)
     # a frequency phi is rank D plus a small ridge, so a float64 solve of
-    # it is itself off by up to 6e-3 (3.5e-2 aliased) at var = 0: solve
-    # those exactly
+    # it is itself off by up to 6e-3 (3.5e-2 aliased) at var = 0, and a
+    # slow-fading time phi costs a float64 solve 2e-11: solve both exactly
     if domain == "freq":
         want_coeff, want_resid = exact_freq_wiener(plan, var, **kw)
     else:
-        want_coeff, want_resid = reference_wiener(domain, plan, var, **kw)
+        want_coeff, want_resid = exact_time_wiener(plan, var, **kw)
     got = dense_coefficients(filt)
     assert got.shape == want_coeff.shape
     assert np.max(np.abs(got - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))

@@ -295,6 +295,21 @@ def test_soft_symbols_match_the_stacked_einsum(name, values, bit_major):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64"])
+@pytest.mark.parametrize("big", [800.0, 1e6])
+def test_soft_symbols_saturate_without_warnings(name, big):
+    # exp(big) overflows: the logistic must still land on 0 and 1, and so
+    # on an axis's outermost levels, with no overflow warning
+    c = constellation(name)
+    top, bottom = (big * (2.0 * c.axis_labels[i] - 1.0) for i in (-1, 0))
+    llr = np.stack([np.concatenate([top, top]), np.concatenate([bottom, top])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = soft_symbols(llr, c)
+    hi, lo = c.levels[-1], c.levels[0]
+    assert np.array_equal(x, [hi + 1j * hi, lo + 1j * hi])
+
+
 def test_rebuilt_magnitude_grows_with_confidence():
     mags = []
     for lam in (0.5, 1.0, 2.0, 4.0):
