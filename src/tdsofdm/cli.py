@@ -1,4 +1,4 @@
-"""Command-line front end: sweep, single-trial inspection, and selftest."""
+"""Command-line front end: sweep and single-trial inspection."""
 
 from __future__ import annotations
 
@@ -94,12 +94,6 @@ def _cmd_trial(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(_args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-
-    return EXIT_OK if run_selftest() else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tdsofdm",
@@ -114,9 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     p_trial = sub.add_parser("trial", help="run one trial and dump per-iteration metrics")
     _add_common_flags(p_trial)
     p_trial.set_defaults(handler=_cmd_trial)
-
-    p_self = sub.add_parser("selftest", help="quick invariant checks, no arguments")
-    p_self.set_defaults(handler=_cmd_selftest)
 
     args = parser.parse_args(argv)
     try:

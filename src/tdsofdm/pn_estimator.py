@@ -116,6 +116,10 @@ def interference_power(
     Each tap error of variance tap_err_var[l] leaks the cyclically shifted
     guard sequence into the data window; the per-subcarrier power follows
     from the shifted sequences' aperiodic autocorrelations.
+
+    Nothing in the package calls this; the receiver uses the closed-form
+    mean_interference_power. It is the per-subcarrier model that A04 and
+    mean_interference_power's tests check.
     """
     var = np.asarray(tap_err_var, dtype=np.float64)
     if np.any(var < 0):

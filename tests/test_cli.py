@@ -190,7 +190,9 @@ def test_trial_subcommand_ignores_out(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_selftest_subcommand(capsys):
-    rc = main(["selftest"])
-    assert rc == 0
-    assert "selftest passed" in capsys.readouterr().out
+def test_selftest_is_not_a_subcommand(capsys):
+    # the test suite is the one self-check
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err

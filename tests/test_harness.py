@@ -249,8 +249,11 @@ def test_import_and_first_trial_load_no_further_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
         "import sys, tdsofdm, tdsofdm.cli\n"
+        "from pathlib import Path\n"
         "from tdsofdm.harness import resolve_config, run\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "stems = (p.stem for p in Path(tdsofdm.__file__).parent.glob('*.py') if p.stem != '__init__')\n"
+        "print(sorted(m for m in (f'tdsofdm.{s}' for s in stems) if m not in sys.modules))\n"
         "cfg = resolve_config({'trials': 1, 'snr_db': '10'})\n"
         "before = set(sys.modules)\n"
         "run(cfg)\n"
@@ -259,11 +262,12 @@ def test_import_and_first_trial_load_no_further_modules():
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
-def test_sweep_is_deterministic():
-    cfg = resolve_config({"trials": 2, "snr_db": "10", "seed": 99})
+@pytest.mark.parametrize("estimator", ["wiener1d", "ma1d"])
+def test_sweep_is_deterministic(estimator):
+    cfg = resolve_config({"trials": 2, "snr_db": "10", "seed": 99, "estimator": estimator})
     assert run(cfg) == run(cfg)
 
 

@@ -332,8 +332,8 @@ def test_wiener_every_bin_piloted_is_near_identity():
     assert np.max(np.abs(wiener_1d(v, filt) - v)) < 1e-6
 
 
-def test_wiener_flat_profile_closed_form():
-    var = 0.25
+@pytest.mark.parametrize("var", [0.25, 1e-3])
+def test_wiener_flat_profile_closed_form(var):
     plan = plan_pilots(32, 1, 1, 0.0, 0.0, 4, 1)
     filt = build_wiener(
         "freq", plan, input_err_var=var, profile=preset_profile("flat", 1.0)

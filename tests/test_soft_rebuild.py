@@ -94,9 +94,14 @@ def test_uninformative_cells_get_zero_llrs():
     assert np.all(llr[0, 3] == 0.0)
     assert np.all(llr[:, 5] == 0.0)
     assert np.any(llr[1, 0] != 0.0)
-    # a zero observation is equidistant from all points
+    # a zero observation is equidistant from all points: no sign-bit
+    # information, so it rebuilds the zero symbol
     z0 = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128))
     assert np.all(demap(z0, np.ones(2), 0.1, QPSK) == 0.0)
+    for c in (QAM16, QAM64):
+        llr = demap(z0, np.ones(2), 0.1, c)
+        assert np.max(np.abs(llr[..., [0, c.bits_per_symbol // 2]])) < 1e-12
+        assert np.max(np.abs(soft_symbols(llr, c))) < 1e-12
 
 
 def test_demap_rejects_negative_noise():
