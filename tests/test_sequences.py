@@ -1,5 +1,7 @@
 """Maximal-length sequences and the cyclically extended PN guard interval."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,35 @@ def test_mseq_balance_and_period(order):
     assert int((bits == 0).sum()) == (n - 1) // 2
 
 
-@pytest.mark.parametrize("order", range(2, 11))
+# SHA-256 of generate_mseq(order).tobytes(): the register's bits for every
+# order in the table, pinned so that a refactor must emit the same chips
+_MSEQ_SHA256 = {
+    2: "9f44ac6acb8a37b00b615dc89259d306035be82dee7db2b472e4c48326195440",
+    3: "df938bca7ea7927cefa75247b008c502febb567df3e434063e1ff8d861154ef8",
+    4: "4d0f9278b2305c92f3127ced0aae31e318cc1d100c68ceaeec4345e3bbf0b5df",
+    5: "d188948be5d95e736d552e3b90803c9e74863d279ae0a07704e30a1734c4e21b",
+    6: "c114d897c61dbcb553624d4b9e8f4d9603b27a79d839c405e0a9a08c24953b66",
+    7: "d43bdf4b527c049122d0a219f4dac1cf8c50190124b70437c2a9d2d8b414c4dc",
+    8: "012af5cc8b85f53becc32dbb862d78c16a53684519cb1c7a185ad5e71c2c7d1e",
+    9: "f544520e9f78cc5f6da77ef5b0ab121b71282bf33da8189143f59df7fb779709",
+    10: "ddc0689adc9e0a1aa7e4cac574b2357c169923aa4e80eab19ca30ac15311795e",
+    11: "801261feaa0676e0672cae2ce99e089aef3adea6da8db7b816b8baf8c5161f4b",
+    12: "128c716199c47aafdda2a1fad26298b140ffdda7015723da1d36f903a7a3cbe3",
+}
+
+
+def test_mseq_digests_cover_every_order():
+    assert sorted(_MSEQ_SHA256) == sorted(PRIMITIVE_POLYS)
+
+
+@pytest.mark.parametrize("order", sorted(PRIMITIVE_POLYS))
+def test_mseq_bits_are_pinned(order):
+    bits = generate_mseq(order)
+    assert bits.dtype == np.uint8
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == _MSEQ_SHA256[order]
+
+
+@pytest.mark.parametrize("order", sorted(PRIMITIVE_POLYS))
 def test_mseq_two_level_circular_autocorrelation(order):
     # the defining property: in phase the correlation is n, at every other
     # shift it is exactly -1
