@@ -8,7 +8,6 @@ import math
 import os
 import platform
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -28,7 +27,7 @@ from .combiner import ESTIMATORS, iterate
 from .modulation import CONSTELLATIONS, constellation, hard_decisions, map_bits
 from .phy import assemble, ofdm_modulate, propagate
 from .pn_estimator import CfrEstimate
-from .sequences import build_gi, generate_mseq
+from .sequences import PRIMITIVE_POLYS, build_gi, generate_mseq
 
 CSV_HEADER = "snr_db,estimator,iteration,mse_empirical,eps_analytic,ber_uncoded,trials"
 
@@ -57,8 +56,6 @@ class SimConfig:
     gi_len: int
     sample_rate_hz: float
     pn_order: int
-    pn_poly: int | None = None
-    pn_seed: int = 1
     pn_power_boost: float = 2.0
     constellation: str = "qpsk"
     channel: str = "tu6"
@@ -183,8 +180,9 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     window = 9 if cfg.sfn_delay_us <= 0 else 3
     cfg = replace(cfg, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols)
 
-    if cfg.pn_order < 1:
-        raise ConfigError("pn_order must be positive")
+    if cfg.pn_order not in PRIMITIVE_POLYS:
+        orders = ", ".join(map(str, sorted(PRIMITIVE_POLYS)))
+        raise ConfigError(f"pn_order must be one of {orders}")
     n_pn = (1 << cfg.pn_order) - 1
     # rows are labelled by %g and raw trials keyed by the point
     labels = [f"{x:g}" for x in cfg.snr_db]
@@ -214,11 +212,6 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
-    # the guard check above bounds the register's period, so this is cheap
-    try:
-        generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad PN register: {exc}") from exc
     length = cfg.profile().length
     if length > cfg.fft_size:
         raise ConfigError(f"channel length {length} exceeds fft_size {cfg.fft_size}; shorten sfn_delay_us")
@@ -285,9 +278,6 @@ def _keep_freed_arrays() -> None:
 def run(cfg: SimConfig, keep_trials: bool = False):
     """Sweep the SNR grid; returns aggregated rows (and raw trials on request).
 
-    Only build_gi's guard-extension warning is silenced: presets with a
-    deliberately short extension would raise it on every sweep.
-
     Work is sharded per (snr, trial).  Shard (si, ti) draws from a seed
     sequence spawned from the configured seed and those two indices, and
     shards are reduced in index order, so results do not depend on the
@@ -300,14 +290,7 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     and page-fault in again on the next trial.
     """
     profile = cfg.profile()
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="guard extension", category=UserWarning)
-        gi = build_gi(
-            generate_mseq(cfg.pn_order, cfg.pn_poly, cfg.pn_seed),
-            cfg.gi_len,
-            cfg.pn_power_boost,
-            expected_cir_len=profile.length,
-        )
+    gi = build_gi(generate_mseq(cfg.pn_order), cfg.gi_len, cfg.pn_power_boost)
     _keep_freed_arrays()
 
     def work(item):

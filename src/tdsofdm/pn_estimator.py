@@ -69,20 +69,17 @@ def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:
     return float(cir_len * noise_var / pn.n_pn**2 * np.sum(1.0 / p2))
 
 
-def window_leak_variance(
-    pn: PnSequence,
-    dense_powers: np.ndarray,
-    data_power: float = 1.0,
-) -> float:
+def window_leak_variance(pn: PnSequence, dense_powers: np.ndarray) -> float:
     """White-equivalent variance of previous-symbol leakage into the core window.
 
     The cyclic prefix protects the correlation window only for delays up to
     the core offset.  A tap at delay l > core_offset + i makes window sample
     i see the previous symbol's body where the circular model expects the
-    wrapped core chip, a mismatch of power data_power + a_pn^2 per unit tap
-    power.  The total over the window, spread evenly across its n_pn
-    samples, gives the extra variance to add to the noise floor in
-    analytic_mse_pn.  Zero whenever the channel fits inside the offset.
+    wrapped core chip, a mismatch of power 1 + a_pn^2 per unit tap power
+    (every constellation has unit power).  The total over the window,
+    spread evenly across its n_pn samples, gives the extra variance to add
+    to the noise floor in analytic_mse_pn.  Zero whenever the channel fits
+    inside the offset.
     """
     p = np.asarray(dense_powers, dtype=np.float64)
     if np.any(p < 0):
@@ -93,7 +90,7 @@ def window_leak_variance(
         return 0.0
     tail = np.cumsum(p[::-1])[::-1]
     idx = pn.core_offset + 1 + np.arange(min(m, pn.n_pn))
-    total = float((data_power + pn.a_pn**2) * tail[idx].sum())
+    total = float((1.0 + pn.a_pn**2) * tail[idx].sum())
     return total / pn.n_pn
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ PRIMITIVE_POLYS = {
     12: 0x1053,
 }
 
-DEFAULT_PN_SEED = 0x01
-
 
 @dataclass(frozen=True)
 class PnSequence:
@@ -51,30 +48,19 @@ class PnSequence:
         return self.samples[self.core_offset : self.core_offset + self.n_pn]
 
 
-def generate_mseq(order: int, poly: int | None = None, seed: int = DEFAULT_PN_SEED) -> np.ndarray:
+def generate_mseq(order: int) -> np.ndarray:
     """Return one period (2**order - 1 bits) of a maximal-length sequence.
 
-    The register runs in Galois form and emits its low bit once per step.
-    With a primitive feedback polynomial the output visits every nonzero
-    state exactly once per period, so any nonzero seed gives the same
-    sequence up to a cyclic shift.
+    The register runs in Galois form with the feedback polynomial
+    PRIMITIVE_POLYS[order], starts from state 1 and emits its low bit once
+    per step, so it visits every nonzero state exactly once per period.
     """
-    if poly is None:
-        if order not in PRIMITIVE_POLYS:
-            raise ValueError(f"no default feedback polynomial for order {order}")
-        poly = PRIMITIVE_POLYS[order]
-    if poly.bit_length() - 1 != order:
-        raise ValueError(
-            f"polynomial degree {poly.bit_length() - 1} does not match order {order}"
-        )
-    if not poly & 1:
-        raise ValueError("feedback polynomial must include the constant term")
-    if not 0 < seed < (1 << order):
-        raise ValueError(f"seed must be a nonzero {order}-bit state, got {seed:#x}")
+    if order not in PRIMITIVE_POLYS:
+        raise ValueError(f"no feedback polynomial for order {order}")
 
     n = (1 << order) - 1
-    mask = poly >> 1
-    state = seed
+    mask = PRIMITIVE_POLYS[order] >> 1
+    state = 1
     bits = np.empty(n, dtype=np.uint8)
     for i in range(n):
         out = state & 1
@@ -85,18 +71,14 @@ def generate_mseq(order: int, poly: int | None = None, seed: int = DEFAULT_PN_SE
     return bits
 
 
-def build_gi(
-    bits: np.ndarray,
-    nu: int,
-    power_boost: float = 2.0,
-    expected_cir_len: int | None = None,
-) -> PnSequence:
+def build_gi(bits: np.ndarray, nu: int, power_boost: float) -> PnSequence:
     """Assemble a guard interval from binary chips.
 
     Bits map to BPSK as 0 -> +a, 1 -> -a with a = sqrt(power_boost).  All
     nu - n_pn extension chips are placed before the core, so the core sees a
     cyclic prefix of that length and stays ISI-free whenever the channel
-    memory fits inside the extension.
+    memory fits inside the extension; pn_estimator.window_leak_variance
+    models the leak of a longer channel.
     """
     bits = np.asarray(bits)
     n_pn = int(bits.size)
@@ -112,13 +94,6 @@ def build_gi(
     offset = nu - n_pn
     idx = (np.arange(nu) - offset) % n_pn
     samples = core[idx]
-
-    if expected_cir_len is not None and expected_cir_len - 1 > offset:
-        warnings.warn(
-            f"guard extension {offset} is shorter than the channel memory "
-            f"{expected_cir_len - 1}; the PN core is not ISI-free",
-            stacklevel=2,
-        )
 
     spectrum = np.fft.fft(core, norm="ortho")
     return PnSequence(

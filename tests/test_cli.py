@@ -134,13 +134,12 @@ def test_block_shorter_than_the_time_spacing_exits_3(tmp_path, capsys):
     assert "block_len" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["pn_seed = 0", "pn_poly = 5", "pn_poly = 0x42"])
-def test_invalid_pn_register_exits_2(tmp_path, capsys, line):
+def test_config_file_setting_pn_seed_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "pn.cfg"
-    cfgfile.write_text(f"{line}\ntrials = 1\nsnr_db = 20\n")
+    cfgfile.write_text("pn_seed = 1\ntrials = 1\nsnr_db = 20\n")
     rc = main(["sweep", "--config", str(cfgfile)])
     assert rc == 2
-    assert "config error: bad PN register" in capsys.readouterr().err
+    assert "config error: unknown config key 'pn_seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cir_len, code", [(4, 0), (56, 0), (57, 3), (500, 2)])

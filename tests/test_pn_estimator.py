@@ -149,9 +149,6 @@ def test_window_leakage_zero_inside_margin_and_scaling(gi3_16, desk_gi):
     base = window_leak_variance(desk_gi, p)
     assert base > 0
     assert window_leak_variance(desk_gi, 2 * p) == pytest.approx(2 * base, rel=1e-12)
-    a2 = desk_gi.a_pn**2
-    boosted = window_leak_variance(desk_gi, p, data_power=3.0)
-    assert boosted == pytest.approx(base * (3 + a2) / (1 + a2), rel=1e-12)
     with pytest.raises(ValueError):
         window_leak_variance(desk_gi, np.array([0.5, -0.1]))
 

@@ -58,23 +58,11 @@ def test_mseq_two_level_circular_autocorrelation(order):
     assert np.all(circ[1:] == -1)
 
 
-def test_mseq_seed_changes_only_the_phase():
-    a = generate_mseq(5, seed=1)
-    b = generate_mseq(5, seed=9)
-    assert any(np.array_equal(a, np.roll(b, s)) for s in range(a.size))
-
-
 def test_mseq_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        generate_mseq(4, seed=0)
-    with pytest.raises(ValueError):
-        generate_mseq(4, seed=16)
-    with pytest.raises(ValueError):
-        generate_mseq(4, poly=0xB)       # degree 3 polynomial for order 4
-    with pytest.raises(ValueError):
-        generate_mseq(4, poly=0x12)      # no constant term
-    with pytest.raises(ValueError):
-        generate_mseq(13)                # no default polynomial this large
+    with pytest.raises(ValueError, match="no feedback polynomial for order 1"):
+        generate_mseq(1)                 # below the table
+    with pytest.raises(ValueError, match="no feedback polynomial for order 13"):
+        generate_mseq(13)                # above the table
 
 
 def test_guard_layout_broadcast_preset():
@@ -116,17 +104,6 @@ def test_all_ones_core_dc_bin():
     # bit 1 maps to -1, so the dc bin of the unitary transform is -sqrt(7)
     assert gi.spectrum[0] == pytest.approx(-np.sqrt(7.0))
     assert gi.core_offset == 0
-
-
-def test_guard_warns_when_extension_cannot_cover_channel():
-    bits = generate_mseq(3)
-    with pytest.warns(UserWarning, match="extension"):
-        build_gi(bits, 8, 2.0, expected_cir_len=5)   # 1 chip of margin, 4 needed
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        build_gi(bits, 8, 2.0, expected_cir_len=2)   # fits exactly, no warning
 
 
 def test_guard_rejects_bad_inputs():
