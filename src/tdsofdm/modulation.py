@@ -103,4 +103,4 @@ def hard_decisions(symbols: np.ndarray, c: Constellation) -> np.ndarray:
         np.less_equal(v, mid, out=above)
         np.logical_not(above, out=above)
         level += above
-    return c.axis_labels[level].reshape(-1)
+    return np.take(c.axis_labels, level, axis=0).reshape(-1)

@@ -15,6 +15,10 @@ RELIABILITY_FLOOR = 0.05
 
 _TINY_VAR = 1e-30
 _FAR = 1e150
+# A class sum of demap's level terms at or above _EXACT_SUM is exact to
+# rounding; an LLR built on a smaller one exceeds _EXACT_LLR in magnitude.
+_EXACT_SUM = np.exp(-640.0)
+_EXACT_LLR = 638.0
 
 
 @dataclass(frozen=True)
@@ -38,15 +42,29 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
 
     noise_var is the effective pre-equalization noise power; bin k sees
     noise_var/|H[k]|^2 after equalization.  The noise is circular, so each
-    bit's likelihood terms from the other axis cancel and its LLR is a
-    log-sum-exp over the sqrt(M) levels of its own axis, shifted by the
-    largest term of each label class.  A value so far beyond the outermost
-    level that every LLR saturates is clamped before squaring and gets that
-    level's label at +-llr_max, so every LLR of a finite input is finite.
-    Cells masked out upstream get zero LLRs (no information).
+    bit's likelihood terms from the other axis cancel and its LLR is
+    log(S1 / S0), where Sb sums exp(-d_j) over the levels j of its own axis
+    whose label bit is b, and d_j = |x - level_j|^2 / sigma2.  The sqrt(M)
+    level terms exp(g - d_j) are taken once per axis value and shared by
+    every bit of that axis: g = min d_j belongs to the nearest level, and
+    each term is clamped at e^-700.  A class sum of at least e^-640 is then
+    exact to rounding, since at most 4 clamped terms add at most 4 e^-700.
+    If one sum of an LLR is smaller, its other sum holds the nearest level's
+    1 and the LLR exceeds 640 - log 4 > 638 in magnitude, so a clip at
+    llr_max <= 638 already gives +-llr_max with the right sign.  Only for a
+    larger llr_max are those entries computed again, with each class
+    shifted by its own smallest term.
+
+    A value so far beyond the outermost level that every LLR saturates is
+    clamped before squaring and gets that level's label at +-llr_max, so
+    every LLR of a finite input is finite.  Cells masked out upstream get
+    zero LLRs (no information).  noise_var must be nonnegative and llr_max
+    positive; llr_max = inf leaves the LLRs unclipped.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
+    if not llr_max > 0:
+        raise ValueError("llr_max must be positive")
     shape = z.data.shape
     p = np.abs(h_est)
     np.square(p, out=p)
@@ -73,43 +91,55 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     axes = np.empty((2,) + shape, dtype=np.float64)
     axes[0] = z.data.real
     axes[1] = z.data.imag
-    # (class, level, 2 axes, ...), reused by every bit; its first slab is
-    # scratch until the loop starts
-    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
-    scratch = terms[0, 0]
+    # (level, 2 axes, ...): |x - level|^2 / sigma2, then the level terms;
+    # its first slab is scratch until then
+    terms = np.empty((q,) + axes.shape, dtype=np.float64)
+    scratch = terms[0]
     far = np.abs(axes, out=scratch) > reach
     np.minimum(reach, _FAR, out=reach)
     np.clip(axes, np.negative(reach, out=scratch), reach, out=axes)
+    np.subtract(axes, c.levels.reshape((q,) + (1,) * axes.ndim), out=terms)
+    np.square(terms, out=terms)
+    terms /= sigma2
 
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
-    if q > 2:
-        # the per-class minimum and sum of terms
-        low = np.empty((2, 1) + axes.shape, dtype=np.float64)
-        lse = np.empty((2,) + axes.shape, dtype=np.float64)
-    for l in range(half):
-        # |x - level|^2 / sigma2 over the bit's two label classes, class 0
-        # first; a class's log-likelihood sum is log(sum exp(low - terms)) - low
-        # with low its smallest term
-        classes = c.levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
-        np.subtract(axes, classes.reshape(classes.shape + (1,) * axes.ndim), out=terms)
-        np.square(terms, out=terms)
-        terms /= sigma2
-        if q == 2:
-            # one level per class: low is the term itself and the sum is
-            # log(exp(0)) - low = -term exactly, so the LLR is t0 - t1
-            np.subtract(terms[0, 0], terms[1, 0], out=out[:, l])
-            continue
-        np.min(terms, axis=1, keepdims=True, out=low)
-        np.subtract(low, terms, out=terms)
+    # classes[l][b]: the levels whose bit l is b
+    classes = np.stack([np.argsort(c.axis_labels[:, l], kind="stable").reshape(2, -1) for l in range(half)])
+    if q == 2:
+        # one level per class: each class sum is exp(-d) of its one level,
+        # so the LLR is d(class 0) - d(class 1) exactly
+        (i0,), (i1,) = classes[0]
+        np.subtract(terms[i0], terms[i1], out=out[:, 0])
+    else:
+        g = np.min(terms, axis=0)
+        np.subtract(g, terms, out=terms)
         # a term under e^-700 cannot move a sum that holds a 1, and exp runs
         # many times slower where it underflows
         np.maximum(terms, -700.0, out=terms)
         np.exp(terms, out=terms)
-        np.sum(terms, axis=1, out=lse)
-        np.log(lse, out=lse)
-        lse -= low[:, 0]
-        np.subtract(lse[1], lse[0], out=out[:, l])
+        sums = np.empty((2,) + axes.shape, dtype=np.float64)
+        for l, members in enumerate(classes):
+            # plain adds over level slabs, so no BLAS thread count can
+            # change the rounding
+            for s, (j, k, *rest) in zip(sums, members):
+                np.add(terms[j], terms[k], out=s)
+                for i in rest:
+                    s += terms[i]
+            llr = out[:, l]
+            np.divide(sums[1], sums[0], out=llr)
+            np.log(llr, out=llr)
+            if llr_max <= _EXACT_LLR:
+                continue
+            # redo each inexact entry with each class shifted by its own
+            # smallest term
+            bad = np.minimum(sums[0], sums[1]) < _EXACT_SUM
+            if bad.any():
+                d = (axes[bad][:, None, None] - c.levels[members]) ** 2
+                d /= np.broadcast_to(sigma2, bad.shape)[bad][:, None, None]
+                low = d.min(axis=-1, keepdims=True)
+                lse = np.log(np.exp(np.maximum(low - d, -700.0)).sum(axis=-1)) - low[..., 0]
+                llr[bad] = lse[:, 1] - lse[:, 0]
     if far.any():
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
         np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)

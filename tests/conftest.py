@@ -270,6 +270,87 @@ def reference_demap(z, h, noise_var, c, llr_max=30.0):
     return out
 
 
+def per_class_demap(z, h_est, noise_var, c, llr_max=30.0):
+    """The per-bit form of demap: for each bit, |x - level|^2 / sigma2 over
+    its two label classes, each class shifted by its own smallest term
+    before its exponentials are summed.  It takes sqrt(M) exponentials per
+    bit where demap takes sqrt(M) per axis value, and handles saturation,
+    masking and the QPSK difference the same way."""
+    if noise_var < 0:
+        raise ValueError("noise_var must be nonnegative")
+    shape = z.data.shape
+    p = np.abs(h_est)
+    np.square(p, out=p)
+    p = np.broadcast_to(p, shape)
+    ok = p > 0
+    if z.mask is not None:
+        ok &= z.mask
+
+    # past reach, the gap between a bit's two class maxima exceeds
+    # 2 (llr_max + q) and the rest of the class sums moves it by at most
+    # log(q / 2), so the LLR saturates; clamping there, and at 1e150 for a
+    # huge sigma2, keeps every square finite.  A sigma2 or reach past the
+    # float range is inf, the limit where every LLR is zero.
+    q = c.levels.size
+    sigma2 = np.where(ok, p, 1.0)
+    reach = np.empty(shape, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        np.divide(noise_var, sigma2, out=sigma2)
+        np.maximum(sigma2, 1e-30, out=sigma2)
+        np.multiply(llr_max + q, sigma2, out=reach)
+        reach /= c.levels[1] - c.levels[0]
+        reach += c.levels[-1]
+    # I/Q on the leading axis, so every pass below runs over whole cell grids
+    axes = np.empty((2,) + shape, dtype=np.float64)
+    axes[0] = z.data.real
+    axes[1] = z.data.imag
+    # (class, level, 2 axes, ...), reused by every bit; its first slab is
+    # scratch until the loop starts
+    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
+    scratch = terms[0, 0]
+    far = np.abs(axes, out=scratch) > reach
+    np.minimum(reach, 1e150, out=reach)
+    np.clip(axes, np.negative(reach, out=scratch), reach, out=axes)
+
+    half = c.axis_labels.shape[1]
+    out = np.empty((2, half) + shape, dtype=np.float64)
+    if q > 2:
+        # the per-class minimum and sum of terms
+        low = np.empty((2, 1) + axes.shape, dtype=np.float64)
+        lse = np.empty((2,) + axes.shape, dtype=np.float64)
+    for l in range(half):
+        # |x - level|^2 / sigma2 over the bit's two label classes, class 0
+        # first; a class's log-likelihood sum is log(sum exp(low - terms)) - low
+        # with low its smallest term
+        classes = c.levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
+        np.subtract(axes, classes.reshape(classes.shape + (1,) * axes.ndim), out=terms)
+        np.square(terms, out=terms)
+        terms /= sigma2
+        if q == 2:
+            # one level per class: low is the term itself and the sum is
+            # log(exp(0)) - low = -term exactly, so the LLR is t0 - t1
+            np.subtract(terms[0, 0], terms[1, 0], out=out[:, l])
+            continue
+        np.min(terms, axis=1, keepdims=True, out=low)
+        np.subtract(low, terms, out=terms)
+        # a term under e^-700 cannot move a sum that holds a 1, and exp runs
+        # many times slower where it underflows
+        np.maximum(terms, -700.0, out=terms)
+        np.exp(terms, out=terms)
+        np.sum(terms, axis=1, out=lse)
+        np.log(lse, out=lse)
+        lse -= low[:, 0]
+        np.subtract(lse[1], lse[0], out=out[:, l])
+    if far.any():
+        outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
+        np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
+    out = out.reshape((2 * half,) + shape)
+    np.clip(out, -llr_max, llr_max, out=out)
+    out[:, ~ok] = 0.0
+    # bit-major in memory; the (..., bits) view costs no transpose
+    return np.moveaxis(out, 0, -1)
+
+
 def reference_soft_symbols(llr_values, c):
     """Posterior mean over all 2^m points, each weighted by the product of
     its label's bit probabilities."""

@@ -21,6 +21,7 @@ from tdsofdm import (
 from conftest import (
     crandn,
     einsum_soft_symbols,
+    per_class_demap,
     reference_demap,
     reference_hard_decisions,
     reference_soft_symbols,
@@ -110,6 +111,15 @@ def test_demap_rejects_negative_noise():
         demap(z, np.ones(2), -0.1, QPSK)
 
 
+@pytest.mark.parametrize("llr_max", [0.0, -1.0, np.nan])
+def test_demap_rejects_a_nonpositive_llr_max(llr_max):
+    z = FrameGrid(data=np.array([[0.3 - 0.1j, 2.0 + 1.0j]]))
+    with pytest.raises(ValueError):
+        demap(z, np.ones(2), 0.1, QAM16, llr_max=llr_max)
+    # no LLR reaches 1e6 here, so an unbounded clip changes nothing
+    assert np.array_equal(demap(z, np.ones(2), 0.1, QAM16, llr_max=np.inf), demap(z, np.ones(2), 0.1, QAM16, llr_max=1e6))
+
+
 def test_soft_symbols_are_scaled_tanh():
     x_hat = soft_symbols(np.array([[[4.0, -4.0]]]), QPSK)
     want = (np.tanh(2.0) - 1j * np.tanh(2.0)) / np.sqrt(2.0)
@@ -126,10 +136,9 @@ def test_zero_llrs_rebuild_nothing():
 
 
 SHAPE = (2, 6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
+# one grid of cells under one noise level, with masked cells and maybe a
+# spectral null
+CELLS = dict(
     name=st.sampled_from(["qpsk", "qam16", "qam64"]),
     z=arrays(
         np.complex128,
@@ -142,6 +151,10 @@ SHAPE = (2, 6)
     mask=arrays(np.bool_, SHAPE),
     log_nv=st.floats(-8.0, 1.0),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**CELLS)
 def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null, mask, log_nv):
     c = constellation(name)
     h = h_mag * np.exp(1j * h_phase)
@@ -171,6 +184,25 @@ def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null
     assert np.all(d_got <= d[:, 0] + 1e-12)
     clear = d[:, 1] > d[:, 0] + 1e-12
     assert np.array_equal(got[clear], want[clear])
+
+
+@settings(max_examples=200, deadline=None)
+@given(**CELLS, llr_max=st.sampled_from([30.0, 1e6]))
+def test_demap_matches_the_per_class_form(name, z, h_mag, h_phase, null, mask, log_nv, llr_max):
+    # demap shifts every level term by the nearest level once per axis
+    # value, where the per-bit form shifts each class by its own nearest
+    # level; both are exact to rounding, and QPSK takes no exponentials
+    c = constellation(name)
+    h = h_mag * np.exp(1j * h_phase)
+    if null >= 0:
+        h[null] = 0.0
+    grid = FrameGrid(data=z, mask=mask)
+    got = demap(grid, h, 10.0**log_nv, c, llr_max=llr_max)
+    want = per_class_demap(grid, h, 10.0**log_nv, c, llr_max=llr_max)
+    if c is QPSK:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
@@ -235,6 +267,27 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max)
     beyond = np.abs(np.stack([z.real, z.imag], axis=-1)) > c.levels[-1]
     sat = np.repeat(beyond, c.bits_per_symbol // 2, axis=-1) & (np.abs(want) == llr_max)
     assert np.array_equal(got[sat], want[sat])
+
+
+@pytest.mark.parametrize("c", [QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("llr_max", [30.0, 600.0, 640.0, 700.0, 1e6])
+def test_demap_repairs_classes_past_the_exponential_clamp(c, llr_max):
+    # demap clamps each level term at e^-700 below the nearest level, so a
+    # sign bit whose far class lies 600 to 800 beyond it needs the repair
+    # from about 638 up; sigma2 puts that class 800 beyond the outermost
+    # level, and the values sweep the positive half of each axis
+    far = c.levels[c.levels.size // 2 - 1]
+    sigma2 = (c.levels[-1] - far) ** 2 / 800.0
+    a = np.linspace(0.0, c.levels[-1] + 0.02, 300)
+    z = (a + 1j * a[::-1]).reshape(3, -1)
+    gap = ((a - far) ** 2 - np.min((a[:, None] - c.levels) ** 2, axis=-1)) / sigma2
+    assert np.any((gap > 600.0) & (gap < 638.0)) and np.any((gap > 700.0) & (gap < 800.0))
+    grid = FrameGrid(data=z)
+    h = np.ones(z.shape[1])
+    got = demap(grid, h, sigma2, c, llr_max=llr_max)
+    want = reference_demap(grid, h, sigma2, c, llr_max=llr_max)
+    assert np.all(np.abs(got - want) <= _tol(z, h, sigma2, c))
+    assert np.array_equal(np.abs(got) == llr_max, np.abs(want) == llr_max)
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
