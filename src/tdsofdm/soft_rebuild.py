@@ -16,7 +16,8 @@ RELIABILITY_FLOOR = 0.05
 _TINY_VAR = 1e-30
 _FAR = 1e150
 # A class sum of demap's level terms at or above _EXACT_SUM is exact to
-# rounding; an LLR built on a smaller one exceeds _EXACT_LLR in magnitude.
+# rounding; an LLR built on a smaller one exceeds 640 in magnitude, so a
+# clip at _EXACT_LLR or below saturates it, with room for rounding.
 _EXACT_SUM = np.exp(-640.0)
 _EXACT_LLR = 638.0
 
@@ -50,10 +51,10 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     each term is clamped at e^-700.  A class sum of at least e^-640 is then
     exact to rounding, since at most 4 clamped terms add at most 4 e^-700.
     If one sum of an LLR is smaller, its other sum holds the nearest level's
-    1 and the LLR exceeds 640 - log 4 > 638 in magnitude, so a clip at
-    llr_max <= 638 already gives +-llr_max with the right sign.  Only for a
-    larger llr_max are those entries computed again, with each class
-    shifted by its own smallest term.
+    1 and the LLR exceeds 640 in magnitude, so a clip at llr_max <= 638
+    already gives +-llr_max with the right sign.  Only for a larger llr_max
+    are those entries computed again, with each class shifted by its own
+    smallest term.
 
     A value so far beyond the outermost level that every LLR saturates is
     clamped before squaring and gets that level's label at +-llr_max, so
@@ -104,8 +105,8 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
 
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
-    # classes[l][b]: the levels whose bit l is b
-    classes = np.stack([np.argsort(c.axis_labels[:, l], kind="stable").reshape(2, -1) for l in range(half)])
+    # classes[l, b]: the indices of the levels whose bit l is b
+    classes = np.argsort(c.axis_labels, axis=0, kind="stable").T.reshape(half, 2, -1)
     if q == 2:
         # one level per class: each class sum is exp(-d) of its one level,
         # so the LLR is d(class 0) - d(class 1) exactly

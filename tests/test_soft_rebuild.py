@@ -117,7 +117,8 @@ def test_demap_rejects_a_nonpositive_llr_max(llr_max):
     with pytest.raises(ValueError):
         demap(z, np.ones(2), 0.1, QAM16, llr_max=llr_max)
     # no LLR reaches 1e6 here, so an unbounded clip changes nothing
-    assert np.array_equal(demap(z, np.ones(2), 0.1, QAM16, llr_max=np.inf), demap(z, np.ones(2), 0.1, QAM16, llr_max=1e6))
+    unclipped = demap(z, np.ones(2), 0.1, QAM16, llr_max=np.inf)
+    assert np.array_equal(unclipped, demap(z, np.ones(2), 0.1, QAM16, llr_max=1e6))
 
 
 def test_soft_symbols_are_scaled_tanh():
@@ -273,9 +274,9 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max)
 @pytest.mark.parametrize("llr_max", [30.0, 600.0, 640.0, 700.0, 1e6])
 def test_demap_repairs_classes_past_the_exponential_clamp(c, llr_max):
     # demap clamps each level term at e^-700 below the nearest level, so a
-    # sign bit whose far class lies 600 to 800 beyond it needs the repair
-    # from about 638 up; sigma2 puts that class 800 beyond the outermost
-    # level, and the values sweep the positive half of each axis
+    # sign bit whose far class lies 600 to 800 beyond it needs the per-class
+    # repair for an llr_max above 638; sigma2 puts that class 800 beyond the
+    # outermost level, and the values sweep the positive half of each axis
     far = c.levels[c.levels.size // 2 - 1]
     sigma2 = (c.levels[-1] - far) ** 2 / 800.0
     a = np.linspace(0.0, c.levels[-1] + 0.02, 300)
