@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .modulation import constellation
+from .modulation import constellation, hard_decisions
 from .phy import FrameGrid, TimeSignal, equalize, ola, remove_pn
 from .pn_estimator import (
     CfrEstimate,
@@ -37,13 +37,20 @@ ESTIMATORS = ("genie", "pn") + REFINERS
 
 @dataclass
 class IterationDiag:
-    """Per-iteration receiver diagnostics; index 0 is the PN-only stage."""
+    """Per-iteration receiver diagnostics; index 0 is the PN-only stage.
+
+    Every entry is a float, so no frame array outlives its iteration.  eps
+    has one entry per iteration; mse fills only when iterate is given
+    truth_cfr and ber, the uncoded bit error rate of each iteration's
+    equalized grid, only when it is given truth_bits.  h2_eps and h2_mse
+    describe the refined data-aided estimate and start at iteration 1.
+    """
 
     eps: list[float] = field(default_factory=list)
     mse: list[float] = field(default_factory=list)
     h2_eps: list[float] = field(default_factory=list)
     h2_mse: list[float] = field(default_factory=list)
-    z_grids: list[FrameGrid] = field(default_factory=list)
+    ber: list[float] = field(default_factory=list)
 
 
 def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
@@ -141,6 +148,36 @@ def _refine(
     return CfrEstimate(values=out, eps=float(np.mean(eps_parts)), mask=mask)
 
 
+def _mse(values: np.ndarray, truth: np.ndarray) -> float:
+    """Mean |values - truth|^2, squared in place."""
+    err = np.abs(values - truth)
+    return float(np.mean(np.square(err, out=err)))
+
+
+def _data_aided(
+    z: FrameGrid, y: np.ndarray, est: CfrEstimate, h1: CfrEstimate, gi: PnSequence, cfg: SimConfig,
+    profile: PowerDelayProfile, noise_var: float, diag: IterationDiag, truth_cfr: np.ndarray | None,
+) -> CfrEstimate:
+    """The data-aided half of one iteration: the next combined estimate.
+
+    Demaps z under the current estimate est, rebuilds soft symbols,
+    re-estimates from the OLA grid y, refines and combines with the PN
+    estimate h1.  The soft symbols, the instantaneous and the refined
+    estimates are locals, so they die when it returns.
+    """
+    c = constellation(cfg.constellation)
+    n = y.shape[-1]
+    tap_err = np.full(cfg.cir_len, est.eps / cfg.cir_len)
+    sigma_eff = (n + gi.nu) / n * noise_var + mean_interference_power(gi, tap_err, n)
+    # the soft symbols die once the instantaneous estimate is formed
+    inst = instantaneous_estimate(soft_symbols(demap(z, est.values, sigma_eff, c), c), y, c)
+    h2 = _refine(inst, cfg, profile, n, sigma_eff)
+    diag.h2_eps.append(h2.eps)
+    if truth_cfr is not None:
+        diag.h2_mse.append(_mse(h2.values, truth_cfr))
+    return combine(h1, h2)
+
+
 def iterate(
     rx: TimeSignal,
     gi: PnSequence,
@@ -149,19 +186,24 @@ def iterate(
     noise_var: float,
     truth_cfr: np.ndarray | None = None,
     initial: CfrEstimate | None = None,
+    truth_bits: np.ndarray | None = None,
 ) -> tuple[CfrEstimate, FrameGrid, IterationDiag]:
     """Run the full estimation loop of cfg.estimator on one received frame.
 
     Iteration 0 is the PN LS stage alone; each of the cfg.iterations
     further iterations of a refiner (pn and genie run none) removes the
     guard with the current estimate, equalizes, rebuilds soft symbols,
-    re-estimates, refines, and combines with the PN estimate.  The reported
-    grid of each iteration is equalized with that iteration's final estimate
-    after refreshing the guard removal with it.  cfg is a resolved config;
+    re-estimates, refines, and combines with the PN estimate.  The grid of
+    each iteration is equalized with that iteration's final estimate after
+    refreshing the guard removal with it.  cfg is a resolved config;
     profile is the deployment profile the refiners plan and design for.
 
-    truth_cfr feeds diagnostics only; initial, when given, replaces the PN
-    LS stage (exact-start and genie studies).
+    Returns the final estimate, the final iteration's grid and the
+    diagnostics.  Only the final grid is returned: each iteration's grid is
+    scored as it is made and then dropped.  truth_cfr adds each iteration's
+    MSE to the diagnostics and truth_bits, the frame's bits in map_bits
+    order, its uncoded BER; neither changes the estimates.  initial, when
+    given, replaces the PN LS stage (exact-start and genie studies).
     """
     if cfg.estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {cfg.estimator!r}; expected one of {ESTIMATORS}")
@@ -183,26 +225,16 @@ def iterate(
 
     est = h1
     diag = IterationDiag()
-    boost = (n + nu) / n
     for it in range(iterations + 1):
         if it > 0:
-            tap_err = np.full(cfg.cir_len, est.eps / cfg.cir_len)
-            sigma_eff = boost * noise_var + mean_interference_power(gi, tap_err, n)
-            x_hat = soft_symbols(demap(z, est.values, sigma_eff, c), c)
-            inst = instantaneous_estimate(x_hat, y, c)
-            h2 = _refine(inst, cfg, profile, n, sigma_eff)
-            diag.h2_eps.append(h2.eps)
-            if truth_cfr is not None:
-                diag.h2_mse.append(float(np.mean(np.abs(h2.values - truth_cfr) ** 2)))
-            est = combine(h1, h2)
-
-        cir = cir_from_cfr(est.values, cfg.cir_len)
-        cleaned = remove_pn(rx, gi, cir)
-        y = ola(cleaned)
+            est = _data_aided(z, y, est, h1, gi, cfg, profile, noise_var, diag, truth_cfr)
+        # the guard-free frame dies once it is folded and demodulated
+        y = ola(remove_pn(rx, gi, cir_from_cfr(est.values, cfg.cir_len)))
         z = equalize(y, est.values)
         diag.eps.append(est.eps)
-        diag.z_grids.append(z)
         if truth_cfr is not None:
-            diag.mse.append(float(np.mean(np.abs(est.values - truth_cfr) ** 2)))
+            diag.mse.append(_mse(est.values, truth_cfr))
+        if truth_bits is not None:
+            diag.ber.append(float(np.mean(hard_decisions(z.data, c) != truth_bits)))
 
     return est, z, diag

@@ -95,11 +95,15 @@ def window_leak_variance(pn: PnSequence, dense_powers: np.ndarray) -> float:
 
 
 def cir_from_cfr(values: np.ndarray, cir_len: int) -> np.ndarray:
-    """Truncate a CFR back to its first cir_len impulse-response taps."""
+    """Truncate a CFR back to its first cir_len impulse-response taps.
+
+    Returns an array of its own with shape values.shape[:-1] + (cir_len,),
+    not a view: the full-length inverse transform dies on return.
+    """
     values = np.asarray(values, dtype=np.complex128)
     if cir_len > values.shape[-1]:
         raise ValueError("cir_len exceeds the grid size")
-    return np.fft.ifft(values, axis=-1)[..., :cir_len]
+    return np.fft.ifft(values, axis=-1)[..., :cir_len].copy()
 
 
 def interference_power(

@@ -14,7 +14,7 @@ from .phy import FrameGrid
 RELIABILITY_FLOOR = 0.05
 
 _TINY_VAR = 1e-30
-_FAR = 1e150
+_FAR = 1e13
 # A class sum of demap's level terms at or above _EXACT_SUM is exact to
 # rounding; an LLR built on a smaller one exceeds 640 in magnitude, so a
 # clip at _EXACT_LLR or below saturates it, with room for rounding.
@@ -33,6 +33,36 @@ class InstantEstimate:
     values: np.ndarray
     mask: np.ndarray
     weights: np.ndarray
+
+
+def _clamp_far(
+    axes: np.ndarray, sigma2: np.ndarray, llr_max: float, c: Constellation, scratch: np.ndarray
+) -> np.ndarray | None:
+    """Clamp demap's axis values in place at each cell's reach or at _FAR.
+
+    Past its reach, the gap between a bit's two class maxima exceeds
+    2 (llr_max + q) and the rest of the class sums moves it by at most
+    log(q / 2), so the LLR saturates; clamping there, and at _FAR, keeps
+    every square finite and the level spacing resolved.  A sigma2 or reach
+    past the float range is inf, the limit where every LLR is zero.
+
+    Returns the mask of the values past their reach, or None when no value
+    lies past the smallest bound, where the clamp is an identity, NaN
+    included.  scratch is a float buffer of axes' shape.
+    """
+    q = c.levels.size
+    reach = np.empty(sigma2.shape, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        np.multiply(llr_max + q, sigma2, out=reach)
+        reach /= c.levels[1] - c.levels[0]
+        reach += c.levels[-1]
+    size = np.abs(axes, out=scratch)
+    if not np.fmax.reduce(size, axis=None, initial=0.0) > min(reach.min(initial=np.inf), _FAR):
+        return None
+    far = size > reach
+    np.minimum(reach, _FAR, out=reach)
+    np.clip(axes, np.negative(reach, out=scratch[0]), reach, out=axes)
+    return far
 
 
 def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, llr_max: float = 30.0) -> np.ndarray:
@@ -57,64 +87,60 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     smallest term.
 
     A value so far beyond the outermost level that every LLR saturates is
-    clamped before squaring and gets that level's label at +-llr_max, so
-    every LLR of a finite input is finite.  Cells masked out upstream get
-    zero LLRs (no information).  noise_var must be nonnegative and llr_max
-    positive; llr_max = inf leaves the LLRs unclipped.
+    clamped before squaring and gets that level's label at +-llr_max.  A
+    value past _FAR = 1e13 is taken as if it lay at +-_FAR, where squared
+    distances still resolve the level spacing of every constellation; past
+    about 1e16 they tie.  So with llr_max = inf, where nothing saturates,
+    such a value still gets its outermost level's label, and every LLR of a
+    finite input is finite.  Cells masked out upstream get zero LLRs (no
+    information).  noise_var must be nonnegative and llr_max positive;
+    llr_max = inf leaves the LLRs unclipped.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
     if not llr_max > 0:
         raise ValueError("llr_max must be positive")
     shape = z.data.shape
-    p = np.abs(h_est)
-    np.square(p, out=p)
-    p = np.broadcast_to(p, shape)
-    ok = p > 0
+    sigma2 = np.abs(h_est)
+    np.square(sigma2, out=sigma2)
+    ok = sigma2 > 0
     if z.mask is not None:
-        ok &= z.mask
-
-    # past reach, the gap between a bit's two class maxima exceeds
-    # 2 (llr_max + q) and the rest of the class sums moves it by at most
-    # log(q / 2), so the LLR saturates; clamping there, and at _FAR for a
-    # huge sigma2, keeps every square finite.  A sigma2 or reach past the
-    # float range is inf, the limit where every LLR is zero.
-    q = c.levels.size
-    sigma2 = np.where(ok, p, 1.0)
-    reach = np.empty(shape, dtype=np.float64)
+        ok = ok & z.mask
+    ok = np.broadcast_to(ok, shape)
+    # the post-equalization noise variance of each cell
+    sigma2 = np.where(ok, sigma2, 1.0)
     with np.errstate(over="ignore"):
         np.divide(noise_var, sigma2, out=sigma2)
-        np.maximum(sigma2, _TINY_VAR, out=sigma2)
-        np.multiply(llr_max + q, sigma2, out=reach)
-        reach /= c.levels[1] - c.levels[0]
-        reach += c.levels[-1]
+    np.maximum(sigma2, _TINY_VAR, out=sigma2)
     # I/Q on the leading axis, so every pass below runs over whole cell grids
     axes = np.empty((2,) + shape, dtype=np.float64)
     axes[0] = z.data.real
     axes[1] = z.data.imag
-    # (level, 2 axes, ...): |x - level|^2 / sigma2, then the level terms;
-    # its first slab is scratch until then
-    terms = np.empty((q,) + axes.shape, dtype=np.float64)
-    scratch = terms[0]
-    far = np.abs(axes, out=scratch) > reach
-    np.minimum(reach, _FAR, out=reach)
-    np.clip(axes, np.negative(reach, out=scratch), reach, out=axes)
-    np.subtract(axes, c.levels.reshape((q,) + (1,) * axes.ndim), out=terms)
-    np.square(terms, out=terms)
-    terms /= sigma2
-
+    q = c.levels.size
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
+    # its first bit's slab is scratch until the LLRs are formed
+    far = _clamp_far(axes, sigma2, llr_max, c, out[:, 0])
     # classes[l, b]: the indices of the levels whose bit l is b
     classes = np.argsort(c.axis_labels, axis=0, kind="stable").T.reshape(half, 2, -1)
     if q == 2:
         # one level per class: each class sum is exp(-d) of its one level,
         # so the LLR is d(class 0) - d(class 1) exactly
         (i0,), (i1,) = classes[0]
-        np.subtract(terms[i0], terms[i1], out=out[:, 0])
+        llr = out[:, 0]
+        other = np.empty_like(axes)
+        for d, level in ((llr, c.levels[i0]), (other, c.levels[i1])):
+            np.subtract(axes, level, out=d)
+            np.square(d, out=d)
+            d /= sigma2
+        llr -= other
     else:
-        g = np.min(terms, axis=0)
-        np.subtract(g, terms, out=terms)
+        # (level, 2 axes, ...): |x - level|^2 / sigma2, then the level terms
+        terms = np.empty((q,) + axes.shape, dtype=np.float64)
+        np.subtract(axes, c.levels.reshape((q,) + (1,) * axes.ndim), out=terms)
+        np.square(terms, out=terms)
+        terms /= sigma2
+        np.subtract(np.min(terms, axis=0), terms, out=terms)
         # a term under e^-700 cannot move a sum that holds a 1, and exp runs
         # many times slower where it underflows
         np.maximum(terms, -700.0, out=terms)
@@ -141,7 +167,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
                 low = d.min(axis=-1, keepdims=True)
                 lse = np.log(np.exp(np.maximum(low - d, -700.0)).sum(axis=-1)) - low[..., 0]
                 llr[bad] = lse[:, 1] - lse[:, 0]
-    if far.any():
+    if far is not None:
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
         np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
     out = out.reshape((2 * half,) + shape)
@@ -160,8 +186,11 @@ def soft_symbols(llr: np.ndarray, c: Constellation) -> np.ndarray:
     """
     # bit-major, as demap lays its LLRs out: (2 axes, bits per axis, ...);
     # the logistic of a very negative LLR overflows exp to inf, giving 0
+    p1 = np.negative(np.moveaxis(llr, -1, 0))
     with np.errstate(over="ignore"):
-        p1 = 1.0 / (1.0 + np.exp(-np.moveaxis(llr, -1, 0)))
+        np.exp(p1, out=p1)
+    p1 += 1.0
+    np.divide(1.0, p1, out=p1)
     p1 = p1.reshape((2, -1) + p1.shape[1:])
     # factor[bit][:, l] is the probability that bit l of an axis is `bit`
     factor = (1.0 - p1, p1)
@@ -191,15 +220,20 @@ def instantaneous_estimate(x_hat: np.ndarray, y: np.ndarray, c: Constellation) -
     zeroed.
     """
     ea = c.eta_alpha
-    eta = np.abs(x_hat) ** 2
+    eta = np.abs(x_hat)
+    np.square(eta, out=eta)
     reliable = eta >= RELIABILITY_FLOOR * ea
-    safe_eta = np.where(reliable, eta, 1.0)
+    unreliable = ~reliable
+    values = np.conj(x_hat)
+    values *= y
     if c.uniform_power:
-        values = np.conj(x_hat) * y / ea
-        weights = eta / ea**2
+        values /= ea
+        weights = np.divide(eta, ea**2, out=eta)
     else:
-        values = np.conj(x_hat) * y / safe_eta
-        weights = 1.0 / safe_eta
-    values = np.where(reliable, values, 0.0)
-    weights = np.where(reliable, weights, 0.0)
+        # each bin's own rebuilt power, 1 where it is unreliable
+        eta[unreliable] = 1.0
+        values /= eta
+        weights = np.divide(1.0, eta, out=eta)
+    values[unreliable] = 0.0
+    weights[unreliable] = 0.0
     return InstantEstimate(values=values, mask=reliable, weights=weights)

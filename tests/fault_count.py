@@ -6,9 +6,11 @@
 Runs one configuration's sweep through harness.run with one BLAS thread,
 after a one-trial sweep of the same configuration that warms the filter
 designs and the allocator, and counts ru_minflt and wall time around every
-run_trial call of the measured sweep.  It prints the median faults and
-milliseconds per trial.  Run it in a fresh interpreter: arrays a process
-has freed before move glibc's dynamic mmap threshold, and so the count.
+run_trial call.  The first line gives the median faults and milliseconds
+per trial of the measured sweep, the second those of the interpreter's
+first trial, the first of the warm-up sweep, which pages the trial's
+working set in.  Run it in a fresh interpreter: arrays a process has freed
+before move glibc's dynamic mmap threshold, and so the count.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ CONFIGS = {
 }
 
 
-def count(name: str) -> tuple[float, float, int]:
-    """(median minor faults, median ms, trials) per steady-state trial."""
+def count(name: str) -> tuple[tuple[float, float], tuple[float, float, int]]:
+    """((faults, ms) of the first trial, (median faults, median ms, trials)
+    per steady-state trial)."""
     overrides = CONFIGS[name]
-    harness.run(harness.resolve_config({**overrides, "trials": 1}))
-
     real = harness.run_trial
     faults, ms = [], []
 
@@ -57,18 +58,23 @@ def count(name: str) -> tuple[float, float, int]:
     # run() looks run_trial up in its module on every trial
     harness.run_trial = measured
     try:
+        harness.run(harness.resolve_config({**overrides, "trials": 1}))
+        first = faults[0], ms[0]
+        faults.clear()
+        ms.clear()
         harness.run(harness.resolve_config(overrides))
     finally:
         harness.run_trial = real
-    return statistics.median(faults), statistics.median(ms), len(faults)
+    return first, (statistics.median(faults), statistics.median(ms), len(faults))
 
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("name", choices=sorted(CONFIGS))
     args = p.parse_args(argv)
-    faults, ms, n = count(args.name)
+    (first_faults, first_ms), (faults, ms, n) = count(args.name)
     print(f"{args.name}: {faults:g} faults/trial, {ms:.1f} ms/trial (median of {n} trials)")
+    print(f"{args.name}: first trial {first_faults:g} faults, {first_ms:.1f} ms (fresh interpreter)")
     return 0
 
 

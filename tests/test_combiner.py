@@ -15,6 +15,7 @@ from tdsofdm import (
     combine,
     constellation,
     equalize,
+    hard_decisions,
     iterate,
     ls_pn,
     map_bits,
@@ -153,7 +154,8 @@ def test_loop_with_no_iterations_is_the_plain_ls_receiver(gi3_16):
     assert est.eps == h1.eps
     assert np.array_equal(z.data, z_ref.data)
     assert diag.eps == [h1.eps]
-    assert len(diag.z_grids) == 1
+    # without truth_bits no iteration is scored
+    assert diag.ber == []
 
 
 def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
@@ -174,13 +176,15 @@ def test_loop_improves_the_ls_stage(gi3_16):
     rng = np.random.default_rng(66)
     taps = crandn(rng, 3)
     nv = 10.0 ** (-2.0)
-    rx, _ = make_rx(rng, gi3_16, taps, 24, nv)
+    rx, x = make_rx(rng, gi3_16, taps, 24, nv)
+    bits = hard_decisions(x, QPSK)
     truth = np.tile(cfr(taps, 64), (24, 1))
     cfg, profile = loop_config(cir_len=3, iterations=2, estimator="wiener1d", M_f=5)
-    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth)
-    assert len(diag.eps) == len(diag.mse) == 3
+    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth, truth_bits=bits)
+    assert len(diag.eps) == len(diag.mse) == len(diag.ber) == 3
     assert len(diag.h2_eps) == len(diag.h2_mse) == 2
-    assert diag.z_grids[-1] is z
+    # each iteration's BER is taken from its grid; the last grid is returned
+    assert diag.ber[-1] == np.mean(hard_decisions(z.data, QPSK) != bits)
     assert diag.mse[-1] < diag.mse[0]
     assert diag.eps[-1] < diag.eps[0]
 

@@ -311,6 +311,36 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("v", [1e200 + 0j, 1e100 + 1j, 1e20 + 1j])
+def test_unclipped_far_out_cells_keep_the_outermost_label(c, v):
+    # with llr_max = inf nothing saturates, so no cell counts as past its
+    # reach; the squares of such a value must still resolve the levels, or
+    # its axis ties at zero LLRs.  Every LLR stays finite, at least as large
+    # as a 1e6 clip's, with its signs, and unchanged where that clip is idle
+    grid = FrameGrid(data=np.array([[v]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = demap(grid, np.ones(1), 0.1, c, llr_max=np.inf)[0, 0]
+    want = demap(grid, np.ones(1), 0.1, c, llr_max=1e6)[0, 0]
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(np.sign(got), np.sign(want))
+    saturated = np.abs(want) == 1e6
+    assert saturated.any()
+    assert np.all(np.abs(got[saturated]) >= 1e6)
+    assert np.array_equal(got[~saturated], want[~saturated])
+
+
+@pytest.mark.parametrize("nv", [1e-30, 0.1, 1e20])
+def test_values_up_to_1e12_are_not_clamped(nv):
+    # the clamp at _FAR lies past 1e12, so there each QPSK LLR is the exact
+    # difference of the unclamped squares, under every noise level and clip
+    grid = FrameGrid(data=np.array([[1e12 - 3e11j, -1e12 + 1e3j, 5e11 + 0.5j]]))
+    for llr_max in (30.0, 1e6, np.inf):
+        got = demap(grid, np.ones(3), nv, QPSK, llr_max=llr_max)
+        assert np.array_equal(got, per_class_demap(grid, np.ones(3), nv, QPSK, llr_max=llr_max))
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("h, llr_max, tol", [(1e-5, 30.0, 0.0), (1e-3, 1e6, 1e-300)])
 def test_noise_past_the_float_range_gives_zero_llrs(c, h, llr_max, tol):
     # noise_var / |h|^2 overflows at h = 1e-5, and the saturation reach
