@@ -51,12 +51,10 @@ from .soft_rebuild import (
 from .refiners import (
     ConstraintError,
     Refined,
-    VirtualPilotPlan,
     WienerFilter,
     build_wiener,
     ma_1d,
     ma_2d,
-    plan_pilots,
     wiener_1d,
     wiener_2x1d,
 )

@@ -41,10 +41,14 @@ def _make_profile(delays: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
         raise ValueError("tap delays must be nonnegative")
     if np.any(powers < 0) or powers.sum() <= 0:
         raise ValueError("tap powers must be nonnegative with positive sum")
-    uniq = np.unique(delays)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, np.searchsorted(uniq, delays), powers)
-    return PowerDelayProfile(delays=uniq, powers=merged / merged.sum())
+    # a stable sort keeps each delay's taps in their given order, and
+    # add.at sums each merged power one tap at a time in that order
+    order = np.argsort(delays, kind="stable")
+    delays = delays[order]
+    first = np.diff(delays, prepend=-1) != 0
+    merged = np.zeros(np.count_nonzero(first))
+    np.add.at(merged, np.cumsum(first) - 1, powers[order])
+    return PowerDelayProfile(delays=delays[first], powers=merged / merged.sum())
 
 
 def preset_profile(name: str, sample_rate_hz: float) -> PowerDelayProfile:

@@ -18,10 +18,10 @@ from .pn_estimator import (
     window_leak_variance,
 )
 from .refiners import (
+    ConstraintError,
     build_wiener,
     ma_1d,
     ma_2d,
-    plan_pilots,
     wiener_1d,
     wiener_2x1d,
 )
@@ -87,33 +87,44 @@ def _refine(
 ) -> CfrEstimate:
     """Run cfg.estimator, one of REFINERS, on an instantaneous estimate.
 
-    All four refiners share one pipeline, run per chunk of blocks:
-    moving-average smoothing, which the Wiener refiners evaluate at their
-    virtual pilots alone, then for those the pilots' pooled error variance,
-    a frequency design and pass, and for wiener2x1d a time design and pass.
-    They differ only in the smoothing window ((1, m_f) for ma1d and
-    wiener1d, (m_t, m_f) for ma2d and wiener2x1d), in whether the time pass
-    follows, and in the mask: wiener1d masks blocks that had no valid pilot,
-    wiener2x1d masks chunks whose pilots were all invalid.  Only wiener2x1d
-    splits the frame into chunks of cfg.block_len blocks, and only it plans
-    its pilots under the time sampling rule.  The frame may hold any number
-    of blocks that cfg.block_len divides.
+    ma1d and ma2d smooth with a moving average over (1, m_f) and
+    (m_t, m_f) blocks by subcarriers.  wiener1d and wiener2x1d take every
+    reliable cell as a pilot: per chunk of blocks, the cells' mean error
+    variance sets a frequency design and pass, and for wiener2x1d a time
+    design and pass follow.  wiener1d masks blocks that had no reliable
+    cell, wiener2x1d chunks that had none.  Only wiener2x1d splits the
+    frame into chunks of cfg.block_len blocks, and only it checks the time
+    sampling rule.  The frame may hold any number of blocks that
+    cfg.block_len divides.
     """
     name = cfg.estimator
     s = inst.values.shape[0]
-    two_d = name in ("ma2d", "wiener2x1d")
     timed = name == "wiener2x1d"
-    m_t, m_f = (cfg.m_t if two_d else 1), cfg.m_f
     b = cfg.block_len if timed else s
     if s % b:
         raise ValueError(f"block_len {b} does not divide {s} symbols")
-    plan = at = None
-    if name.startswith("wiener"):
-        # pilot spacing follows the deployment's channel length; the time
-        # sampling rule binds only when a time pass follows
-        fd_hz = cfg.fd_hz if timed else 0.0
-        plan = plan_pilots(n_fft, profile.length, b, fd_hz, cfg.tb_s, m_f, m_t)
-        at = (plan.time_idx, plan.freq_idx)
+    if not name.startswith("wiener"):
+        kw = dict(mask=inst.mask, weights=inst.weights, noise_var=noise_var)
+        if name == "ma2d":
+            r = ma_2d(inst.values, cfg.m_t, cfg.m_f, **kw)
+        else:
+            r = ma_1d(inst.values, cfg.m_f, **kw)
+        return CfrEstimate(values=r.values, eps=r.eps, mask=r.mask)
+
+    # n_fft subcarriers resolve any channel of up to n_fft taps; at most
+    # n_fft / 4 bounds the frequency residual s sum P_d / (n P_d + s) by
+    # s L / n, a quarter of the input error s
+    if 4 * profile.length > n_fft:
+        raise ConstraintError(
+            f"frequency sampling rule unsatisfiable: n_fft={n_fft} allows no "
+            f"pilot spacing for a {profile.length}-tap response; increase the FFT "
+            "size or shorten the CIR assumption"
+        )
+    # every block is a sample of the fading, so Nyquist asks fd*tb < 1/2;
+    # 1/4 keeps a 2x margin.  It binds only when a time pass follows
+    nyq = cfg.fd_hz * cfg.tb_s
+    if timed and nyq > 0.25:
+        raise ConstraintError(f"time sampling rule unsatisfiable: fd*tb={nyq:.4g} exceeds 1/4")
     # the frequency prior is the deployment profile or a uniform one over
     # the longest channel the receiver is dimensioned for (cir_len)
     prior = profile if cfg.corr_mode == "profile" else None
@@ -123,27 +134,22 @@ def _refine(
     eps_parts = []
     for c0 in range(0, s, b):
         sl = slice(c0, c0 + b)
-        kw = dict(mask=inst.mask[sl], weights=inst.weights[sl], noise_var=noise_var, at=at)
-        r = ma_2d(inst.values[sl], m_t, m_f, **kw) if two_d else ma_1d(inst.values[sl], m_f, **kw)
-        if plan is None:
-            out[sl], mask[sl] = r.values, r.mask
-            eps_parts.append(r.eps)
-            continue
-        pv, pm = r.values, r.mask  # the (k_t, k_f) pilot lattice
-        if not pm.any():
+        live = inst.mask[sl]
+        if not live.any():
             eps_parts.append(float("inf"))
             continue
-        ff = build_wiener("freq", plan, input_err_var=r.eps, profile=prior, design_len=cfg.cir_len)
+        err_var = float(np.mean(noise_var * inst.weights[sl][live]))
+        ff = build_wiener("freq", n_fft, input_err_var=err_var, profile=prior, design_len=cfg.cir_len)
         if timed:
             tf = build_wiener(
-                "time", plan, input_err_var=ff.residual_mse, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s
+                "time", b, input_err_var=ff.residual_mse, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s
             )
-            out[sl] = wiener_2x1d(pv, ff, tf, pm)
+            out[sl] = wiener_2x1d(inst.values[sl], ff, tf, live)
             mask[sl] = True
             eps_parts.append(tf.residual_mse)
         else:
-            out[sl] = wiener_1d(pv, ff, pm)
-            mask[sl] = pm.any(axis=-1)[:, None]
+            out[sl] = wiener_1d(inst.values[sl], ff, live)
+            mask[sl] = live.any(axis=-1)[:, None]
             eps_parts.append(ff.residual_mse)
     return CfrEstimate(values=out, eps=float(np.mean(eps_parts)), mask=mask)
 
@@ -196,7 +202,7 @@ def iterate(
     re-estimates, refines, and combines with the PN estimate.  The grid of
     each iteration is equalized with that iteration's final estimate after
     refreshing the guard removal with it.  cfg is a resolved config;
-    profile is the deployment profile the refiners plan and design for.
+    profile is the deployment profile the Wiener refiners check and design for.
 
     Returns the final estimate, the final iteration's grid and the
     diagnostics.  Only the final grid is returned: each iteration's grid is

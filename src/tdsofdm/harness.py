@@ -48,9 +48,10 @@ class SimConfig:
     (num_symbols) and cir_len (the channel length, capped by the PN core).
     The estimation loop, combiner.iterate, reads the resolved config
     directly.  cir_len is its LS and guard-removal window and the support
-    of the uniform Wiener prior.  m_f is every estimator's frequency window:
-    ma1d and wiener1d smooth over (1, m_f) blocks by subcarriers, ma2d and
-    wiener2x1d over (m_t, m_f).
+    of the uniform Wiener prior.  m_t and m_f are the moving-average
+    windows: ma1d smooths over (1, m_f) blocks by subcarriers and ma2d over
+    (m_t, m_f).  wiener1d and wiener2x1d take every cell as a pilot and
+    read neither.
     """
 
     preset: str

@@ -113,101 +113,63 @@ def einsum_soft_symbols(llr, c):
 def _prior_taps(profile, design_len):
     """Delays and powers of a frequency prior: the profile, or uniform over design_len taps."""
     if profile is not None:
-        return profile.delays.astype(np.float64), profile.powers
-    return np.arange(design_len, dtype=np.float64), np.full(design_len, 1.0 / design_len)
+        return profile.delays, profile.powers
+    return np.arange(design_len), np.full(design_len, 1.0 / design_len)
 
 
-def reference_system(
-    domain, plan, input_err_var, profile=None, design_len=None, fd_hz=0.0, tb_s=0.0
-):
-    """The dense MMSE interpolation system: (phi, theta, r0).
+def exact_freq_wiener(n, input_err_var, profile=None, design_len=None):
+    """The dense LMMSE frequency design over n observed subcarriers:
+    (tap map, residual_mse).
 
-    Every correlation entry is evaluated directly from the prior, once per
-    distinct lag for frequency filters; phi carries the input error
-    variance, or at zero the 1e-12 r(0) jitter, on its diagonal.
-    """
-    if domain == "freq":
-        n_out, pil = plan.n_fft, plan.freq_idx
-        delays, powers = _prior_taps(profile, design_len)
-
-        def corr(q):
-            lags, inv = np.unique(q, return_inverse=True)
-            r = np.exp(-2j * np.pi * np.multiply.outer(lags, delays) / n_out) @ powers
-            return r[inv].reshape(q.shape)
-
-    else:
-        n_out, pil = plan.block_len, plan.time_idx
-        # r_t's quadrature follows the largest lag of its call: take every
-        # lag from one call over the full range, as build_wiener does
-        r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
-
-        def corr(q):
-            return r[q + n_out - 1]
-
-    k = pil.size
-    phi = corr(pil[:, None] - pil[None, :]) + input_err_var * np.eye(k)
-    if input_err_var == 0.0:
-        phi = phi + (1e-12 * np.trace(phi).real / k) * np.eye(k)
-    theta = corr(np.arange(n_out)[None, :] - pil[:, None])
-    return phi, theta, corr(np.array([0]))[0].real
-
-
-def reference_wiener(
-    domain, plan, input_err_var, profile=None, design_len=None, fd_hz=0.0, tb_s=0.0
-):
-    """Dense MMSE interpolator design: (coefficients, residual_mse).
-
-    The coefficients and the residual come from two separate
-    positive-definite solves of the reference_system.
-    """
-    phi, theta, r0 = reference_system(domain, plan, input_err_var, profile, design_len, fd_hz, tb_s)
-    coeff = scipy.linalg.solve(np.conj(phi), theta, assume_a="pos").T
-    quad = np.einsum("pk,pk->k", theta, scipy.linalg.solve(phi, np.conj(theta), assume_a="pos")).real
-    resid = np.maximum(r0 - quad, 0.0)
-    return coeff, float(resid.mean())
-
-
-def exact_freq_wiener(plan, input_err_var, profile=None, design_len=None):
-    """The frequency design solved in mpmath at 40 digits: (coefficients, residual_mse).
-
-    Solves the same system as build_wiener, prior and zero-variance jitter
-    included, exactly enough that a near-singular phi (rank D plus a tiny
-    ridge) costs no float64 digits.
+    The n cells are v = F h + w, with F the n x D matrix DFT at the prior's
+    D delays, h the taps with powers P and w white of variance s (at zero,
+    the 1e-12 r(0) jitter).  The LMMSE tap estimate is
+    C^1/2 (A + s I)^-1 C^1/2 F^H v with C = diag(P) and A = C^1/2 F^H F C^1/2,
+    whose Gram matrix F^H F is summed over the subcarriers rather than taken
+    as n I; its error covariance is s C^1/2 (A + s I)^-1 C^1/2, and the
+    residual is that covariance seen through F, averaged over the n
+    subcarriers.  Returns the (L, n) map from the cells to the taps at
+    delays 0 .. L-1, rows off the prior's support zero.
     """
     delays, powers = _prior_taps(profile, design_len)
-    n_out, pil = plan.n_fft, [int(i) for i in plan.freq_idx]
-    with mpmath.workdps(40):
-        taps = [(mpmath.mpf(float(d)), mpmath.mpf(float(p))) for d, p in zip(delays, powers)]
-        r = {
-            q: mpmath.fsum(p * mpmath.expjpi(-2 * q * d / n_out) for d, p in taps)
-            for q in range(1 - n_out, n_out)
-        }
-        r0 = mpmath.re(r[0])
-        ridge = mpmath.mpf(input_err_var) if input_err_var > 0 else mpmath.mpf(1e-12) * r0
-        k = len(pil)
-        phi_conj = mpmath.matrix(k, k)
-        theta = mpmath.matrix(k, n_out)
-        for i, a in enumerate(pil):
-            for j, b in enumerate(pil):
-                phi_conj[i, j] = mpmath.conj(r[a - b]) + (ridge if i == j else 0)
-            for m in range(n_out):
-                theta[i, m] = r[m - a]
-        x = mpmath.inverse(phi_conj) * theta
-        quad = mpmath.fsum(theta[i, m] * mpmath.conj(x[i, m]) for i in range(k) for m in range(n_out))
-        resid = r0 - mpmath.re(quad) / n_out
-        coeff = np.array([[complex(x[i, m]) for i in range(k)] for m in range(n_out)])
-        return coeff, float(resid)
+    f = np.exp(-2j * np.pi * np.multiply.outer(np.arange(n), delays) / n)
+    sq = np.sqrt(powers)
+    ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
+    gram = f.conj().T @ f
+    system = sq[:, None] * gram * sq[None, :] + ridge * np.eye(delays.size)
+    taps = sq[:, None] * scipy.linalg.solve(system, sq[:, None] * f.conj().T, assume_a="pos")
+    err = ridge * sq[:, None] * scipy.linalg.solve(system, np.diag(sq), assume_a="pos")
+    coeff = np.zeros((delays.max() + 1, n), dtype=np.complex128)
+    coeff[delays] = taps
+    return coeff, float(np.trace(gram @ err).real / n)
 
 
-def exact_time_wiener(plan, input_err_var, fd_hz=0.0, tb_s=0.0):
+def reference_time_system(n_out, input_err_var, fd_hz=0.0, tb_s=0.0):
+    """The dense MMSE system of a time filter with every block a pilot: (phi, theta, r0).
+
+    phi carries the input error variance, or at zero the 1e-12 r(0)
+    jitter, on its diagonal.
+    """
+    # r_t's quadrature follows the largest lag of its call: take every
+    # lag from one call over the full range, as build_wiener does
+    r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
+    pil = np.arange(n_out)
+    phi = r[pil[:, None] - pil[None, :] + n_out - 1] + input_err_var * np.eye(n_out)
+    if input_err_var == 0.0:
+        phi = phi + 1e-12 * r[n_out - 1] * np.eye(n_out)
+    theta = r[pil[None, :] - pil[:, None] + n_out - 1]
+    return phi, theta, r[n_out - 1].real
+
+
+def exact_time_wiener(n_out, input_err_var, fd_hz=0.0, tb_s=0.0):
     """The time design solved in mpmath at 40 digits: (coefficients, residual_mse).
 
-    Takes the float64 reference_system, jitter included, and solves it
+    Takes the float64 reference_time_system, jitter included, and solves it
     exactly, so that the answer carries none of a float64 solver's error
     on the near-singular slow-fading phi.
     """
-    phi, theta, r0 = reference_system("time", plan, input_err_var, fd_hz=fd_hz, tb_s=tb_s)
-    k, n_out = theta.shape
+    phi, theta, r0 = reference_time_system(n_out, input_err_var, fd_hz, tb_s)
+    k = theta.shape[0]
     with mpmath.workdps(40):
 
         def exact(a):
@@ -224,14 +186,32 @@ def exact_time_wiener(plan, input_err_var, fd_hz=0.0, tb_s=0.0):
 
 
 def dense_coefficients(filt):
-    """A filter's pilot -> output map as one (n_out, k) matrix.
+    """A filter's map from its observed cells as one matrix.
 
-    A frequency filter's tap rows are expanded by their n_fft-point DFT;
-    a time filter's coefficients already are that map.
+    A frequency filter's gains times the inverse DFT give its (L, n_fft)
+    map from the subcarriers to the taps at delays 0 .. L-1; a time
+    filter's coefficients already are its map from the blocks.
     """
     if filt.n_fft is None:
         return filt.coefficients
-    return np.fft.fft(filt.coefficients, n=filt.n_fft, axis=0)
+    n, taps = filt.n_fft, filt.coefficients.size
+    idft = np.exp(2j * np.pi * np.multiply.outer(np.arange(taps), np.arange(n)) / n) / n
+    return filt.coefficients[:, None] * idft
+
+
+def reference_impute(values, mask):
+    """Invalid cells replaced row by row by np.interp over the valid ones;
+    a row with no valid cell becomes zeros."""
+    v = np.array(values, dtype=np.complex128, ndmin=2)
+    mk = np.broadcast_to(mask, v.shape)
+    k = np.arange(v.shape[-1])
+    for row, good in zip(v, mk):
+        if not good.any():
+            row[:] = 0.0
+        elif not good.all():
+            re = np.interp(k[~good], k[good], row[good].real)
+            row[~good] = re + 1j * np.interp(k[~good], k[good], row[good].imag)
+    return v.reshape(np.shape(values))
 
 
 def reference_window_sum(arr, back, fwd, axis):

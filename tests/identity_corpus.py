@@ -62,8 +62,8 @@ CONFIGS = {
         **_DESK, "estimator": "ma2d", "constellation": "qpsk", "M_t": 3, "M_f": 4,
     },
     # a short genie CIR window; an LS window and prior support (4) shorter
-    # than the channel the pilots are planned for (6); the profile prior at
-    # 300 km/h; a deeper loop, and pn, which runs no iterations
+    # than the channel (6); the profile prior at 300 km/h; a deeper loop,
+    # and pn, which runs no iterations
     "desk_genie_qpsk_cir3": {**_DESK, "estimator": "genie", "constellation": "qpsk", "cir_len": 3},
     "desk_wiener1d_qpsk_cir4": {
         **_DESK, "estimator": "wiener1d", "constellation": "qpsk", "cir_len": 4,
