@@ -50,7 +50,6 @@ from .soft_rebuild import (
 )
 from .refiners import (
     ConstraintError,
-    Refined,
     WienerFilter,
     build_wiener,
     ma_1d,

@@ -106,10 +106,8 @@ def _refine(
     if not name.startswith("wiener"):
         kw = dict(mask=inst.mask, weights=inst.weights, noise_var=noise_var)
         if name == "ma2d":
-            r = ma_2d(inst.values, cfg.m_t, cfg.m_f, **kw)
-        else:
-            r = ma_1d(inst.values, cfg.m_f, **kw)
-        return CfrEstimate(values=r.values, eps=r.eps, mask=r.mask)
+            return ma_2d(inst.values, cfg.m_t, cfg.m_f, **kw)
+        return ma_1d(inst.values, cfg.m_f, **kw)
 
     # n_fft subcarriers resolve any channel of up to n_fft taps; at most
     # n_fft / 4 bounds the frequency residual s sum P_d / (n P_d + s) by

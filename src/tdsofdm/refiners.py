@@ -8,20 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PowerDelayProfile, cfr, r_t
+from .pn_estimator import CfrEstimate
 
 
 class ConstraintError(ValueError):
     """A sampling-rate constraint of the channel cannot be met."""
-
-
-@dataclass(frozen=True)
-class Refined:
-    """A smoothed grid with its per-bin error variance and the grid-mean MSE."""
-
-    values: np.ndarray
-    per_bin_var: np.ndarray
-    eps: float
-    mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,15 +54,15 @@ def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
     return (p[back + 1 + fwd :][:n] - p[:n]).swapaxes(0, axis)
 
 
-def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:
+def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> CfrEstimate:
     """Masked moving average over a block-by-subcarrier window.
 
     The frequency window on the last axis is centered (even m_f rounds up
     to the next odd); the block window on axis 0 reaches m_t // 2 blocks
     back and (m_t - 1) // 2 forward.  Windows truncate at the edges, skip
-    masked bins and divide by the live bin count; the per-bin variance is
-    noise_var times the window's summed weights over the squared count, and
-    eps averages it over bins that had any live neighbor.
+    masked bins and divide by the live bin count.  eps averages each bin's
+    error variance, noise_var times its window's summed weights over the
+    squared count, over the bins with any live neighbor: the mask.
     """
     if m_t < 1 or m_f < 1:
         raise ValueError("window lengths must be positive")
@@ -88,9 +79,9 @@ def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> Refined:
     ok = cnt > 0.5
     safe = np.where(ok, cnt, 1.0)
     out = np.where(ok, wsum(values * mv) / safe, 0.0)
-    var = np.where(ok, noise_var * wsum(weights * mv) / safe**2, np.inf)
+    var = noise_var * wsum(weights * mv) / safe**2
     eps = float(var[ok].mean()) if ok.any() else float("inf")
-    return Refined(values=out, per_bin_var=var, eps=eps, mask=ok)
+    return CfrEstimate(values=out, eps=eps, mask=ok)
 
 
 def ma_1d(
@@ -100,7 +91,7 @@ def ma_1d(
     mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
-) -> Refined:
+) -> CfrEstimate:
     """Moving average across subcarriers: the single-block window (1, m)."""
     return _moving_average(np.asarray(values), 1, m, mask, weights, noise_var)
 
@@ -113,7 +104,7 @@ def ma_2d(
     mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
     noise_var: float = 0.0,
-) -> Refined:
+) -> CfrEstimate:
     """Moving average over an (m_t, m_f) block-by-subcarrier window.
 
     An even m_t reaches one block further into the past: m_t = 2 averages
@@ -153,9 +144,10 @@ def build_wiener(
     A time filter (n = block_len blocks) solves the n x n system of the
     Jakes block correlation.
 
-    input_err_var is used exactly as given; zero gets a jitter of 1e-12
-    times the prior power r(0) so the design stays finite.  A prior that is
-    not a correlation raises numpy.linalg.LinAlgError.
+    An input_err_var under 1e-12 times the prior power r(0), zero included,
+    is raised to it: slow fading rounds the smallest eigenvalue of the Jakes
+    matrix to about -2e-16 r(0).  A prior that is not a correlation raises
+    numpy.linalg.LinAlgError.
     """
     if input_err_var < 0:
         raise ValueError("input_err_var must be nonnegative")
@@ -177,7 +169,7 @@ def build_wiener(
         raise ValueError(f"a prior delay of {profile.delays.max()} lies at or beyond n = {n}")
     # duplicate delays merge into one tap
     p = np.bincount(profile.delays, weights=profile.powers)
-    ridge = input_err_var if input_err_var > 0 else 1e-12 * p.sum()
+    ridge = max(input_err_var, 1e-12 * p.sum())
     den = n * p + ridge
     return WienerFilter(coefficients=n * p / den, residual_mse=float(ridge * np.sum(p / den)), n_fft=n)
 
@@ -194,7 +186,7 @@ def _time_wiener(n, input_err_var, fd_hz, tb_s) -> WienerFilter:
     r = r_t(np.arange(1 - n, n), fd_hz, tb_s)
     # r[q + n - 1] is the correlation at lag q
     big_r = r[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
-    ridge = input_err_var if input_err_var > 0 else 1e-12 * r[n - 1]
+    ridge = max(input_err_var, 1e-12 * r[n - 1])
     phi = big_r + ridge * np.eye(n)
     np.linalg.cholesky(phi)  # raises LinAlgError unless positive definite
     x = np.linalg.solve(phi, big_r)

@@ -13,13 +13,11 @@ from .phy import FrameGrid
 # power carry almost no signal and are excluded from re-estimation.
 RELIABILITY_FLOOR = 0.05
 
+# demap clips every bit LLR to +-LLR_MAX.
+LLR_MAX = 30.0
+
 _TINY_VAR = 1e-30
 _FAR = 1e13
-# A class sum of demap's level terms at or above _EXACT_SUM is exact to
-# rounding; an LLR built on a smaller one exceeds 640 in magnitude, so a
-# clip at _EXACT_LLR or below saturates it, with room for rounding.
-_EXACT_SUM = np.exp(-640.0)
-_EXACT_LLR = 638.0
 
 
 @dataclass(frozen=True)
@@ -35,16 +33,16 @@ class InstantEstimate:
     weights: np.ndarray
 
 
-def _clamp_far(
-    axes: np.ndarray, sigma2: np.ndarray, llr_max: float, c: Constellation, scratch: np.ndarray
-) -> np.ndarray | None:
+def _clamp_far(axes: np.ndarray, sigma2: np.ndarray, c: Constellation, scratch: np.ndarray) -> np.ndarray | None:
     """Clamp demap's axis values in place at each cell's reach or at _FAR.
 
     Past its reach, the gap between a bit's two class maxima exceeds
-    2 (llr_max + q) and the rest of the class sums moves it by at most
+    2 (LLR_MAX + q) and the rest of the class sums moves it by at most
     log(q / 2), so the LLR saturates; clamping there, and at _FAR, keeps
-    every square finite and the level spacing resolved.  A sigma2 or reach
-    past the float range is inf, the limit where every LLR is zero.
+    every square finite and the level spacing resolved.  demap relabels
+    the values past their reach, since a clamp at _FAR inside a reach need
+    not saturate.  A sigma2 or reach past the float range is inf, the limit
+    where every LLR is zero.
 
     Returns the mask of the values past their reach, or None when no value
     lies past the smallest bound, where the clamp is an identity, NaN
@@ -53,7 +51,7 @@ def _clamp_far(
     q = c.levels.size
     reach = np.empty(sigma2.shape, dtype=np.float64)
     with np.errstate(over="ignore"):
-        np.multiply(llr_max + q, sigma2, out=reach)
+        np.multiply(LLR_MAX + q, sigma2, out=reach)
         reach /= c.levels[1] - c.levels[0]
         reach += c.levels[-1]
     size = np.abs(axes, out=scratch)
@@ -65,8 +63,8 @@ def _clamp_far(
     return far
 
 
-def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, llr_max: float = 30.0) -> np.ndarray:
-    """Exact per-bit LLRs of equalized cells under Gaussian noise.
+def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -> np.ndarray:
+    """Per-bit LLRs of equalized cells under Gaussian noise, clipped to +-LLR_MAX.
 
     Returns a float64 array of shape z.data.shape + (bits_per_symbol,): a
     view of a bit-major buffer, the I bits of each cell before its Q bits.
@@ -79,27 +77,20 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     level terms exp(g - d_j) are taken once per axis value and shared by
     every bit of that axis: g = min d_j belongs to the nearest level, and
     each term is clamped at e^-700.  A class sum of at least e^-640 is then
-    exact to rounding, since at most 4 clamped terms add at most 4 e^-700.
-    If one sum of an LLR is smaller, its other sum holds the nearest level's
-    1 and the LLR exceeds 640 in magnitude, so a clip at llr_max <= 638
-    already gives +-llr_max with the right sign.  Only for a larger llr_max
-    are those entries computed again, with each class shifted by its own
-    smallest term.
+    exact to rounding, since at most 4 clamped terms add at most 4 e^-700;
+    a smaller one puts the LLR past 640 in magnitude, which the clip
+    saturates with the right sign.
 
     A value so far beyond the outermost level that every LLR saturates is
-    clamped before squaring and gets that level's label at +-llr_max.  A
+    clamped before squaring and gets that level's label at +-LLR_MAX.  A
     value past _FAR = 1e13 is taken as if it lay at +-_FAR, where squared
     distances still resolve the level spacing of every constellation; past
-    about 1e16 they tie.  So with llr_max = inf, where nothing saturates,
-    such a value still gets its outermost level's label, and every LLR of a
-    finite input is finite.  Cells masked out upstream get zero LLRs (no
-    information).  noise_var must be nonnegative and llr_max positive;
-    llr_max = inf leaves the LLRs unclipped.
+    about 1e16 they tie.  So every LLR of a finite input is finite.  Cells
+    masked out upstream get zero LLRs (no information).  noise_var must be
+    nonnegative.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
-    if not llr_max > 0:
-        raise ValueError("llr_max must be positive")
     shape = z.data.shape
     sigma2 = np.abs(h_est)
     np.square(sigma2, out=sigma2)
@@ -120,7 +111,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
     # its first bit's slab is scratch until the LLRs are formed
-    far = _clamp_far(axes, sigma2, llr_max, c, out[:, 0])
+    far = _clamp_far(axes, sigma2, c, out[:, 0])
     # classes[l, b]: the indices of the levels whose bit l is b
     classes = np.argsort(c.axis_labels, axis=0, kind="stable").T.reshape(half, 2, -1)
     if q == 2:
@@ -156,22 +147,11 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation, l
             llr = out[:, l]
             np.divide(sums[1], sums[0], out=llr)
             np.log(llr, out=llr)
-            if llr_max <= _EXACT_LLR:
-                continue
-            # redo each inexact entry with each class shifted by its own
-            # smallest term
-            bad = np.minimum(sums[0], sums[1]) < _EXACT_SUM
-            if bad.any():
-                d = (axes[bad][:, None, None] - c.levels[members]) ** 2
-                d /= np.broadcast_to(sigma2, bad.shape)[bad][:, None, None]
-                low = d.min(axis=-1, keepdims=True)
-                lse = np.log(np.exp(np.maximum(low - d, -700.0)).sum(axis=-1)) - low[..., 0]
-                llr[bad] = lse[:, 1] - lse[:, 0]
     if far is not None:
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
-        np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
+        np.moveaxis(out, 1, -1)[far] = LLR_MAX * (2.0 * outer - 1.0)
     out = out.reshape((2 * half,) + shape)
-    np.clip(out, -llr_max, llr_max, out=out)
+    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     out[:, ~ok] = 0.0
     # bit-major in memory; the (..., bits) view costs no transpose
     return np.moveaxis(out, 0, -1)

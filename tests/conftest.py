@@ -18,6 +18,7 @@ import scipy.linalg
 from scipy.special import expit, logsumexp
 
 from tdsofdm import FrameGrid, TimeSignal, build_gi, generate_mseq, r_t
+from tdsofdm.soft_rebuild import LLR_MAX
 
 
 def naive_unitary_dft(x: np.ndarray) -> np.ndarray:
@@ -229,8 +230,9 @@ def reference_window_sum(arr, back, fwd, axis):
     return np.moveaxis(cs[..., hi] - cs[..., lo], -1, axis)
 
 
-def reference_demap(z, h, noise_var, c, llr_max=30.0):
-    """Generic per-bit LLRs: a log-sum-exp over all 2^m points per bit."""
+def reference_demap(z, h, noise_var, c):
+    """Generic per-bit LLRs: a log-sum-exp over all 2^m points per bit,
+    clipped to +-LLR_MAX."""
     h = np.asarray(h, dtype=np.complex128)
     p = np.broadcast_to(np.abs(h) ** 2, z.data.shape)
     ok = p > 0
@@ -245,12 +247,12 @@ def reference_demap(z, h, noise_var, c, llr_max=30.0):
     for l in range(m):
         one = c.bit_labels[:, l] == 1
         out[..., l] = logsumexp(ll[..., one], axis=-1) - logsumexp(ll[..., ~one], axis=-1)
-    np.clip(out, -llr_max, llr_max, out=out)
+    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     out[~ok] = 0.0
     return out
 
 
-def per_class_demap(z, h_est, noise_var, c, llr_max=30.0):
+def per_class_demap(z, h_est, noise_var, c):
     """The per-bit form of demap: for each bit, |x - level|^2 / sigma2 over
     its two label classes, each class shifted by its own smallest term
     before its exponentials are summed.  It takes sqrt(M) exponentials per
@@ -267,7 +269,7 @@ def per_class_demap(z, h_est, noise_var, c, llr_max=30.0):
         ok &= z.mask
 
     # past reach, the gap between a bit's two class maxima exceeds
-    # 2 (llr_max + q) and the rest of the class sums moves it by at most
+    # 2 (LLR_MAX + q) and the rest of the class sums moves it by at most
     # log(q / 2), so the LLR saturates; clamping there, and at 1e150 for a
     # huge sigma2, keeps every square finite.  A sigma2 or reach past the
     # float range is inf, the limit where every LLR is zero.
@@ -277,7 +279,7 @@ def per_class_demap(z, h_est, noise_var, c, llr_max=30.0):
     with np.errstate(over="ignore"):
         np.divide(noise_var, sigma2, out=sigma2)
         np.maximum(sigma2, 1e-30, out=sigma2)
-        np.multiply(llr_max + q, sigma2, out=reach)
+        np.multiply(LLR_MAX + q, sigma2, out=reach)
         reach /= c.levels[1] - c.levels[0]
         reach += c.levels[-1]
     # I/Q on the leading axis, so every pass below runs over whole cell grids
@@ -323,9 +325,9 @@ def per_class_demap(z, h_est, noise_var, c, llr_max=30.0):
         np.subtract(lse[1], lse[0], out=out[:, l])
     if far.any():
         outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
-        np.moveaxis(out, 1, -1)[far] = llr_max * (2.0 * outer - 1.0)
+        np.moveaxis(out, 1, -1)[far] = LLR_MAX * (2.0 * outer - 1.0)
     out = out.reshape((2 * half,) + shape)
-    np.clip(out, -llr_max, llr_max, out=out)
+    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     out[:, ~ok] = 0.0
     # bit-major in memory; the (..., bits) view costs no transpose
     return np.moveaxis(out, 0, -1)

@@ -34,7 +34,6 @@ def test_ma_window_of_one_is_identity():
     v = crandn(rng, (3, 32))
     out = ma_1d(v, 1, noise_var=0.2)
     assert np.array_equal(out.values, v)
-    assert np.allclose(out.per_bin_var, 0.2)
     assert out.eps == pytest.approx(0.2, rel=1e-12)
     assert out.mask.all()
 
@@ -57,8 +56,10 @@ def test_ma_interior_variance_and_eps():
     out = ma_1d(noise + 1.0, m, noise_var=var)
     err2 = np.abs(out.values - 1.0) ** 2
     # interior bins see the full window, edges a truncated one
-    assert np.allclose(out.per_bin_var[:, 2:-2], var / 5)
-    assert np.allclose(out.per_bin_var[:, 0], var / 3)
+    per_bin = np.full(n, var / 5)
+    per_bin[[0, -1]] = var / 3
+    per_bin[[1, -2]] = var / 4
+    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
     emp_interior = err2[:, 2:-2].mean()
     assert emp_interior == pytest.approx(var / 5, rel=0.1)
     assert err2.mean() == pytest.approx(out.eps, rel=0.1)
@@ -73,15 +74,17 @@ def test_ma_excludes_masked_bins():
     assert np.allclose(out.values, 1.0)
     # the masked bin still gets a value from its live neighbors
     assert out.mask[4]
-    assert out.per_bin_var[4] == pytest.approx(0.3 / 2)
-    assert out.per_bin_var[3] == pytest.approx(0.3 / 2)
+    # two live bins in the windows of the edges and of bins 3 to 5, three
+    # elsewhere
+    per_bin = np.full(9, 0.3 / 3)
+    per_bin[[0, 3, 4, 5, 8]] = 0.3 / 2
+    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
 
 
 def test_ma_all_masked():
     out = ma_1d(np.ones(8), 3, mask=np.zeros(8, dtype=bool), noise_var=0.1)
     assert not out.mask.any()
     assert np.all(out.values == 0.0)
-    assert np.all(np.isinf(out.per_bin_var))
     assert out.eps == float("inf")
 
 
@@ -116,7 +119,7 @@ def test_ma_2d_single_block_window_matches_1d():
     a = ma_2d(v, 1, 7, noise_var=0.1)
     b = ma_1d(v, 7, noise_var=0.1)
     assert np.allclose(a.values, b.values)
-    assert np.allclose(a.per_bin_var, b.per_bin_var)
+    assert a.eps == pytest.approx(b.eps, rel=1e-12)
 
 
 def test_ma_2d_time_pairing_is_trailing_and_halves_noise():
@@ -126,7 +129,10 @@ def test_ma_2d_time_pairing_is_trailing_and_halves_noise():
     out = ma_2d(g, 2, 1, noise_var=var)
     assert np.array_equal(out.values[0], g[0])
     assert np.allclose(out.values[1], (g[0] + g[1]) / 2)
-    assert np.allclose(out.per_bin_var[1:], var / 2)
+    # block 0 has no past block to pair with
+    per_bin = np.full(g.shape[0], var / 2)
+    per_bin[0] = var
+    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
     emp = np.mean(np.abs(out.values[1:]) ** 2)
     assert emp == pytest.approx(var / 2, rel=0.1)
 
@@ -261,6 +267,22 @@ def test_wiener_time_design_matches_the_exact_solve(case, var):
     # residual_mse is r(0) - quad with r(0) = 1, so at var = 0 the absolute
     # floor is 1e-12 of the prior power rather than of the tiny residual
     assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("var", [1e-16, 1e-13])
+def test_an_input_variance_below_the_jitter_designs_as_the_jitter(var):
+    # dtmb's slow fading puts the smallest eigenvalue of its Jakes block
+    # matrix near -2.2e-16, so a ridge of 1e-16 left the time system
+    # indefinite and Cholesky raised; any input under the 1e-12 r(0) jitter
+    # now designs exactly as zero does, in time and in frequency
+    cfg = resolve_config({"preset": "dtmb"})
+    time = dict(fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
+    for domain, n, kw in (("time", 10, time), ("freq", 3780, dict(design_len=cfg.cir_len))):
+        got = build_wiener(domain, n, input_err_var=var, **kw)
+        want = build_wiener(domain, n, input_err_var=0.0, **kw)
+        assert np.all(np.isfinite(got.coefficients)) and np.isfinite(got.residual_mse)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert got.residual_mse == want.residual_mse
 
 
 def test_wiener_ignores_zero_power_taps():

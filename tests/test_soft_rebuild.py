@@ -17,6 +17,7 @@ from tdsofdm import (
     map_bits,
     soft_symbols,
 )
+from tdsofdm.soft_rebuild import LLR_MAX
 
 from conftest import (
     crandn,
@@ -41,8 +42,9 @@ def test_qpsk_llrs_match_closed_form():
     rng = np.random.default_rng(30)
     z = crandn(rng, (2, 16))
     h = crandn(rng, 16) + 2.0     # bounded away from zero
-    nv = 0.4
-    llr = demap(FrameGrid(data=z), h, nv, QPSK, llr_max=1e6)
+    nv = 4.0                      # every LLR stays inside the clip
+    llr = demap(FrameGrid(data=z), h, nv, QPSK)
+    assert np.max(np.abs(llr)) < LLR_MAX
     sigma2 = nv / np.abs(h) ** 2
     want_i = 2.0 * np.sqrt(2.0) * z.real / sigma2
     want_q = 2.0 * np.sqrt(2.0) * z.imag / sigma2
@@ -55,9 +57,8 @@ def test_qpsk_llrs_match_closed_form():
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
     nv=st.sampled_from([0.0, 1e-14, 1e-3, 0.4, 50.0]),
-    llr_max=st.sampled_from([30.0, 1e6]),
 )
-def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
+def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv):
     # each QPSK label class holds one level, so the log-sum-exp of a class is
     # minus its one term t and the LLR must be t(class 0) - t(class 1) to the
     # last bit; cells beyond demap's clamp saturate either way
@@ -66,13 +67,13 @@ def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
     h = crandn(rng, 20) * 10.0 ** rng.uniform(-3, 1, 20)
     h[::6] = 0.0
     mask = rng.random(z.shape) > 0.1
-    got = demap(FrameGrid(data=z, mask=mask), h, nv, QPSK, llr_max=llr_max)
+    got = demap(FrameGrid(data=z, mask=mask), h, nv, QPSK)
 
     ok = mask & (np.abs(h) ** 2 > 0)
     sigma2 = np.maximum(nv / np.where(ok, np.abs(h) ** 2, 1.0), 1e-30)
     level0, level1 = QPSK.levels[np.argsort(QPSK.axis_labels[:, 0])]
     want = np.stack([(x - level0) ** 2 / sigma2 - (x - level1) ** 2 / sigma2 for x in (z.real, z.imag)], axis=-1)
-    want = np.clip(want, -llr_max, llr_max)
+    want = np.clip(want, -LLR_MAX, LLR_MAX)
     want[~ok] = 0.0
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -81,7 +82,8 @@ def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv, llr_max):
 def test_llrs_clip_at_default_limit():
     z = FrameGrid(data=np.full((1, 4), 10.0 + 10.0j))
     llr = demap(z, np.ones(4), 0.01, QPSK)
-    assert np.all(np.abs(llr) == 30.0)
+    assert LLR_MAX == 30.0
+    assert np.all(np.abs(llr) == LLR_MAX)
 
 
 def test_uninformative_cells_get_zero_llrs():
@@ -109,16 +111,6 @@ def test_demap_rejects_negative_noise():
     z = FrameGrid(data=np.zeros((1, 2), dtype=np.complex128))
     with pytest.raises(ValueError):
         demap(z, np.ones(2), -0.1, QPSK)
-
-
-@pytest.mark.parametrize("llr_max", [0.0, -1.0, np.nan])
-def test_demap_rejects_a_nonpositive_llr_max(llr_max):
-    z = FrameGrid(data=np.array([[0.3 - 0.1j, 2.0 + 1.0j]]))
-    with pytest.raises(ValueError):
-        demap(z, np.ones(2), 0.1, QAM16, llr_max=llr_max)
-    # no LLR reaches 1e6 here, so an unbounded clip changes nothing
-    unclipped = demap(z, np.ones(2), 0.1, QAM16, llr_max=np.inf)
-    assert np.array_equal(unclipped, demap(z, np.ones(2), 0.1, QAM16, llr_max=1e6))
 
 
 def test_soft_symbols_are_scaled_tanh():
@@ -188,8 +180,8 @@ def test_per_axis_rebuild_matches_the_generic_form(name, z, h_mag, h_phase, null
 
 
 @settings(max_examples=200, deadline=None)
-@given(**CELLS, llr_max=st.sampled_from([30.0, 1e6]))
-def test_demap_matches_the_per_class_form(name, z, h_mag, h_phase, null, mask, log_nv, llr_max):
+@given(**CELLS)
+def test_demap_matches_the_per_class_form(name, z, h_mag, h_phase, null, mask, log_nv):
     # demap shifts every level term by the nearest level once per axis
     # value, where the per-bit form shifts each class by its own nearest
     # level; both are exact to rounding, and QPSK takes no exponentials
@@ -198,8 +190,8 @@ def test_demap_matches_the_per_class_form(name, z, h_mag, h_phase, null, mask, l
     if null >= 0:
         h[null] = 0.0
     grid = FrameGrid(data=z, mask=mask)
-    got = demap(grid, h, 10.0**log_nv, c, llr_max=llr_max)
-    want = per_class_demap(grid, h, 10.0**log_nv, c, llr_max=llr_max)
+    got = demap(grid, h, 10.0**log_nv, c)
+    want = per_class_demap(grid, h, 10.0**log_nv, c)
     if c is QPSK:
         assert np.array_equal(got, want)
     else:
@@ -228,9 +220,11 @@ def test_noiseless_points_match_the_generic_form(c):
     z = np.tile(c.points, (2, 1))
     grid = FrameGrid(data=z)
     h = np.ones(z.shape[1])
-    for nv in (1e-8, 0.1, 10.0):
-        llr = demap(grid, h, nv, c, llr_max=1e6)
-        assert np.max(np.abs(llr - reference_demap(grid, h, nv, c, llr_max=1e6))) <= 1e-8
+    # noise enough that no LLR reaches the clip
+    for nv in (0.1, 1.0, 10.0):
+        llr = demap(grid, h, nv, c)
+        assert np.max(np.abs(llr)) < LLR_MAX
+        assert np.max(np.abs(llr - reference_demap(grid, h, nv, c))) <= 1e-8
         x_hat = soft_symbols(llr, c)
         assert np.max(np.abs(x_hat - reference_soft_symbols(llr, c))) <= 1e-12
     assert np.array_equal(hard_decisions(z, c), reference_hard_decisions(z, c))
@@ -246,12 +240,12 @@ def _tol(z, h, nv, c):
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("scale", [3.0, 1e3])
-@pytest.mark.parametrize("nv, llr_max", [(0.0, 30.0), (1e-14, 30.0), (1e-14, 1e6), (1e-3, 1e6)])
-def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max):
-    # unshifted, exp(-|z - level|^2 / sigma2) underflows to log(0) here, and
-    # one shift per cell instead of per class leaves LLRs of about 1e3 at
-    # nv = 1e-3 as log(0) differences; the grid holds every level of each
-    # axis, midpoints between them and values beyond the outermost one
+@pytest.mark.parametrize("nv", [0.0, 1e-14, 1e-3, 1e4])
+def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv):
+    # unshifted, exp(-|z - level|^2 / sigma2) underflows to log(0) at the
+    # three small noise levels; at nv = 1e4 every LLR stays inside the clip.
+    # The grid holds every level of each axis, midpoints between them and
+    # values beyond the outermost one
     lv = np.unique(np.concatenate([c.levels, (c.levels[1:] + c.levels[:-1]) / 2]))
     axis = np.concatenate([lv, np.linspace(-scale, scale, 23)])
     z = (axis[:, None] + 1j * axis[None, ::-1]).reshape(2, -1)
@@ -259,24 +253,26 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv, llr_max)
     mask = np.ones(z.shape, dtype=bool)
     mask[1, ::7] = False
     grid = FrameGrid(data=z, mask=mask)
-    got = demap(grid, h, nv, c, llr_max=llr_max)
-    want = reference_demap(grid, h, nv, c, llr_max=llr_max)
+    got = demap(grid, h, nv, c)
+    want = reference_demap(grid, h, nv, c)
     assert np.all(np.isfinite(got))
+    if nv > 1.0:
+        assert np.max(np.abs(want)) < LLR_MAX
     assert np.all(np.abs(got - want) <= _tol(z, h, nv, c))
     # the bound is loose where sigma2 is tiny; beyond the outermost level,
     # where demap clamps, saturated LLRs must match exactly
     beyond = np.abs(np.stack([z.real, z.imag], axis=-1)) > c.levels[-1]
-    sat = np.repeat(beyond, c.bits_per_symbol // 2, axis=-1) & (np.abs(want) == llr_max)
+    sat = np.repeat(beyond, c.bits_per_symbol // 2, axis=-1) & (np.abs(want) == LLR_MAX)
     assert np.array_equal(got[sat], want[sat])
 
 
 @pytest.mark.parametrize("c", [QAM16, QAM64], ids=lambda c: c.name)
-@pytest.mark.parametrize("llr_max", [30.0, 600.0, 640.0, 700.0, 1e6])
-def test_demap_repairs_classes_past_the_exponential_clamp(c, llr_max):
-    # demap clamps each level term at e^-700 below the nearest level, so a
-    # sign bit whose far class lies 600 to 800 beyond it needs the per-class
-    # repair for an llr_max above 638; sigma2 puts that class 800 beyond the
-    # outermost level, and the values sweep the positive half of each axis
+def test_demap_saturates_classes_past_the_exponential_clamp(c):
+    # demap clamps each level term at e^-700 below the nearest level, so the
+    # sum of a sign bit's far class, 600 to 800 beyond it, is inexact; its
+    # LLR exceeds 600 and must still clip to the same +-LLR_MAX.  sigma2 puts
+    # that class 800 beyond the outermost level, and the values sweep the
+    # positive half of each axis
     far = c.levels[c.levels.size // 2 - 1]
     sigma2 = (c.levels[-1] - far) ** 2 / 800.0
     a = np.linspace(0.0, c.levels[-1] + 0.02, 300)
@@ -285,10 +281,10 @@ def test_demap_repairs_classes_past_the_exponential_clamp(c, llr_max):
     assert np.any((gap > 600.0) & (gap < 638.0)) and np.any((gap > 700.0) & (gap < 800.0))
     grid = FrameGrid(data=z)
     h = np.ones(z.shape[1])
-    got = demap(grid, h, sigma2, c, llr_max=llr_max)
-    want = reference_demap(grid, h, sigma2, c, llr_max=llr_max)
+    got = demap(grid, h, sigma2, c)
+    want = reference_demap(grid, h, sigma2, c)
     assert np.all(np.abs(got - want) <= _tol(z, h, sigma2, c))
-    assert np.array_equal(np.abs(got) == llr_max, np.abs(want) == llr_max)
+    assert np.array_equal(np.abs(got) == LLR_MAX, np.abs(want) == LLR_MAX)
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
@@ -297,7 +293,7 @@ def test_demap_repairs_classes_past_the_exponential_clamp(c, llr_max):
 def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
     # (z - level)^2 overflows, and at nv = 1e20 the squares of any value
     # far enough out to saturate cancel to zero; the LLRs must still take
-    # the outermost level's label on each axis at +-llr_max, without a warning
+    # the outermost level's label on each axis at +-LLR_MAX, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         llr = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c)[0, 0]
@@ -306,50 +302,31 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
         if abs(x) < 10:
             continue
         outer = c.axis_labels[-1] if x > 0 else c.axis_labels[0]
-        assert np.array_equal(got, 30.0 * (2.0 * outer - 1.0))
+        assert np.array_equal(got, LLR_MAX * (2.0 * outer - 1.0))
     assert np.all(np.isfinite(llr))
-
-
-@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
-@pytest.mark.parametrize("v", [1e200 + 0j, 1e100 + 1j, 1e20 + 1j])
-def test_unclipped_far_out_cells_keep_the_outermost_label(c, v):
-    # with llr_max = inf nothing saturates, so no cell counts as past its
-    # reach; the squares of such a value must still resolve the levels, or
-    # its axis ties at zero LLRs.  Every LLR stays finite, at least as large
-    # as a 1e6 clip's, with its signs, and unchanged where that clip is idle
-    grid = FrameGrid(data=np.array([[v]]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = demap(grid, np.ones(1), 0.1, c, llr_max=np.inf)[0, 0]
-    want = demap(grid, np.ones(1), 0.1, c, llr_max=1e6)[0, 0]
-    assert np.all(np.isfinite(got))
-    assert np.array_equal(np.sign(got), np.sign(want))
-    saturated = np.abs(want) == 1e6
-    assert saturated.any()
-    assert np.all(np.abs(got[saturated]) >= 1e6)
-    assert np.array_equal(got[~saturated], want[~saturated])
 
 
 @pytest.mark.parametrize("nv", [1e-30, 0.1, 1e20])
 def test_values_up_to_1e12_are_not_clamped(nv):
     # the clamp at _FAR lies past 1e12, so there each QPSK LLR is the exact
-    # difference of the unclamped squares, under every noise level and clip
+    # difference of the unclamped squares under every noise level; at
+    # nv = 1e20 no value is past its reach, and a clamp at 1e11 would cut
+    # those LLRs tenfold
     grid = FrameGrid(data=np.array([[1e12 - 3e11j, -1e12 + 1e3j, 5e11 + 0.5j]]))
-    for llr_max in (30.0, 1e6, np.inf):
-        got = demap(grid, np.ones(3), nv, QPSK, llr_max=llr_max)
-        assert np.array_equal(got, per_class_demap(grid, np.ones(3), nv, QPSK, llr_max=llr_max))
+    got = demap(grid, np.ones(3), nv, QPSK)
+    assert np.array_equal(got, per_class_demap(grid, np.ones(3), nv, QPSK))
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
-@pytest.mark.parametrize("h, llr_max, tol", [(1e-5, 30.0, 0.0), (1e-3, 1e6, 1e-300)])
-def test_noise_past_the_float_range_gives_zero_llrs(c, h, llr_max, tol):
+@pytest.mark.parametrize("h, tol", [(1e-5, 0.0), (1e-4, 1e-300)])
+def test_noise_past_the_float_range_gives_zero_llrs(c, h, tol):
     # noise_var / |h|^2 overflows at h = 1e-5, and the saturation reach
-    # (llr_max + q) * sigma2 at h = 1e-3 with llr_max = 1e6; either way the
-    # cell carries no information, and that must come without a warning
+    # (LLR_MAX + q) * sigma2 at h = 1e-4; either way the cell carries no
+    # information, and that must come without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = FrameGrid(data=np.array([[1e3 - 1e3j]]))
-        llr = demap(grid, np.array([h]), 1e300, c, llr_max=llr_max)
+        llr = demap(grid, np.array([h]), 1e300, c)
     assert np.all(np.abs(llr) <= tol)
 
 
