@@ -267,18 +267,26 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv):
 
 
 @pytest.mark.parametrize("c", [QAM16, QAM64], ids=lambda c: c.name)
-def test_demap_saturates_classes_past_the_exponential_clamp(c):
-    # demap clamps each level term at e^-700 below the nearest level, so the
-    # sum of a sign bit's far class, 600 to 800 beyond it, is inexact; its
-    # LLR exceeds 600 and must still clip to the same +-LLR_MAX.  sigma2 puts
-    # that class 800 beyond the outermost level, and the values sweep the
-    # positive half of each axis
+@pytest.mark.parametrize("span", [20.0, 40.0, 800.0, 2000.0, 1e5])
+def test_demap_saturates_like_the_generic_form(c, span):
+    # sigma2 puts a sign bit's far class span beyond the outermost level, and
+    # the values sweep the positive half of each axis.  At span 20 no LLR
+    # reaches the clip and at 40 the clip falls inside the sweep.  demap
+    # clamps each level term at e^-700 below the nearest level, so at 800 the
+    # far class sum, 600 to 800 beyond it, is inexact; its LLR exceeds 600
+    # and must still clip to the same +-LLR_MAX.  At 2000 whole classes sit
+    # under the term clamp, and at 1e5 the outermost values lie past their
+    # reach and are relabeled
     far = c.levels[c.levels.size // 2 - 1]
-    sigma2 = (c.levels[-1] - far) ** 2 / 800.0
+    sigma2 = (c.levels[-1] - far) ** 2 / span
     a = np.linspace(0.0, c.levels[-1] + 0.02, 300)
     z = (a + 1j * a[::-1]).reshape(3, -1)
     gap = ((a - far) ** 2 - np.min((a[:, None] - c.levels) ** 2, axis=-1)) / sigma2
-    assert np.any((gap > 600.0) & (gap < 638.0)) and np.any((gap > 700.0) & (gap < 800.0))
+    assert gap.min() < LLR_MAX and gap.max() > span
+    if span == 800.0:
+        assert np.any((gap > 600.0) & (gap < 638.0)) and np.any((gap > 700.0) & (gap < 800.0))
+    reach = (LLR_MAX + c.levels.size) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1]
+    assert np.any(a > reach) == (span == 1e5)
     grid = FrameGrid(data=z)
     h = np.ones(z.shape[1])
     got = demap(grid, h, sigma2, c)
@@ -304,6 +312,28 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
         outer = c.axis_labels[-1] if x > 0 else c.axis_labels[0]
         assert np.array_equal(got, LLR_MAX * (2.0 * outer - 1.0))
     assert np.all(np.isfinite(llr))
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("v", [3e14 + 1j, -1e17 + 0.5j, 1e20 - 2j])
+def test_unclipped_far_out_cells_keep_the_outermost_label(c, v):
+    # at nv = |v| the value lies inside its reach, so no LLR saturates and
+    # demap takes it as if it lay at +-_FAR = 1e13.  The squares there must
+    # still resolve the levels, or the axis ties at zero LLRs: its sign bit,
+    # the first, must take the outermost level's label, and every LLR must
+    # match the cell at +-_FAR, and the generic form there
+    assert np.array_equal(c.axis_labels[:, 0], c.levels > 0)
+    nv = abs(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c)[0, 0]
+    at_far = FrameGrid(data=np.array([[complex(np.sign(v.real) * 1e13, v.imag)]]))
+    assert got.tobytes() == demap(at_far, np.ones(1), nv, c)[0, 0].tobytes()
+    want = reference_demap(at_far, np.ones(1), nv, c)[0, 0]
+    assert np.all(np.abs(got - want) <= _tol(at_far.data, np.ones(1), nv, c))
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < LLR_MAX
+    outer = c.axis_labels[-1] if v.real > 0 else c.axis_labels[0]
+    assert np.sign(got[0]) == 2.0 * outer[0] - 1.0
 
 
 @pytest.mark.parametrize("nv", [1e-30, 0.1, 1e20])
