@@ -24,7 +24,6 @@ from .channel import (
 )
 from .phy import (
     FrameGrid,
-    TimeSignal,
     assemble,
     equalize,
     ofdm_demodulate,
@@ -50,10 +49,10 @@ from .soft_rebuild import (
 )
 from .refiners import (
     ConstraintError,
-    WienerFilter,
     build_wiener,
     ma_1d,
     ma_2d,
+    time_wiener,
     wiener_1d,
     wiener_2x1d,
 )

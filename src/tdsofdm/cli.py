@@ -74,10 +74,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trial(args: argparse.Namespace) -> int:
-    cfg = resolve_config({**_gather_overrides(args), "trials": 1})
-    snr = cfg.snr_db[0]
     # trial 0 of the first SNR point of a sweep; --out is ignored
-    _, raw = run(replace(cfg, snr_db=cfg.snr_db[:1], out=None), keep_trials=True)
+    cfg = resolve_config({**_gather_overrides(args), "trials": 1, "out": None})
+    snr = cfg.snr_db[0]
+    _, raw = run(replace(cfg, snr_db=cfg.snr_db[:1]), keep_trials=True)
     res = {key: stack[0] for key, stack in raw[snr].items()}
 
     print(f"preset={cfg.preset} channel={cfg.channel} estimator={cfg.estimator} snr_db={snr:g}")

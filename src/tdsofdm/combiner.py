@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import PowerDelayProfile
 from .modulation import constellation, hard_decisions
-from .phy import FrameGrid, TimeSignal, equalize, ola, remove_pn
+from .phy import FrameGrid, equalize, ola, remove_pn
 from .pn_estimator import (
     CfrEstimate,
     cir_from_cfr,
@@ -22,6 +22,7 @@ from .refiners import (
     build_wiener,
     ma_1d,
     ma_2d,
+    time_wiener,
     wiener_1d,
     wiener_2x1d,
 )
@@ -111,12 +112,12 @@ def _refine(
 
     # n_fft subcarriers resolve any channel of up to n_fft taps; at most
     # n_fft / 4 bounds the frequency residual s sum P_d / (n P_d + s) by
-    # s L / n, a quarter of the input error s
+    # s L / n, a quarter of the input error s.  The rule reads the
+    # deployment channel whatever the prior, so cir_len has no say in it
     if 4 * profile.length > n_fft:
         raise ConstraintError(
-            f"frequency sampling rule unsatisfiable: n_fft={n_fft} allows no "
-            f"pilot spacing for a {profile.length}-tap response; increase the FFT "
-            "size or shorten the CIR assumption"
+            f"frequency sampling rule unsatisfiable: the {profile.length}-tap channel "
+            f"exceeds n_fft/4 = {n_fft / 4:g} taps; shorten sfn_delay_us or raise fft_size"
         )
     # every block is a sample of the fading, so Nyquist asks fd*tb < 1/2;
     # 1/4 keeps a 2x margin.  It binds only when a time pass follows
@@ -125,7 +126,8 @@ def _refine(
         raise ConstraintError(f"time sampling rule unsatisfiable: fd*tb={nyq:.4g} exceeds 1/4")
     # the frequency prior is the deployment profile or a uniform one over
     # the longest channel the receiver is dimensioned for (cir_len)
-    prior = profile if cfg.corr_mode == "profile" else None
+    uniform = PowerDelayProfile(np.arange(cfg.cir_len), np.full(cfg.cir_len, 1.0 / cfg.cir_len))
+    prior = profile if cfg.corr_mode == "profile" else uniform
 
     out = np.zeros_like(inst.values)
     mask = np.zeros(inst.values.shape, dtype=bool)
@@ -137,18 +139,15 @@ def _refine(
             eps_parts.append(float("inf"))
             continue
         err_var = float(np.mean(noise_var * inst.weights[sl][live]))
-        ff = build_wiener("freq", n_fft, input_err_var=err_var, profile=prior, design_len=cfg.cir_len)
+        gains, resid = build_wiener(n_fft, input_err_var=err_var, profile=prior)
         if timed:
-            tf = build_wiener(
-                "time", b, input_err_var=ff.residual_mse, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s
-            )
-            out[sl] = wiener_2x1d(inst.values[sl], ff, tf, live)
+            smoother, resid = time_wiener(b, input_err_var=resid, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
+            out[sl] = wiener_2x1d(inst.values[sl], gains, smoother, live)
             mask[sl] = True
-            eps_parts.append(tf.residual_mse)
         else:
-            out[sl] = wiener_1d(inst.values[sl], ff, live)
+            out[sl] = wiener_1d(inst.values[sl], gains, live)
             mask[sl] = live.any(axis=-1)[:, None]
-            eps_parts.append(ff.residual_mse)
+        eps_parts.append(resid)
     return CfrEstimate(values=out, eps=float(np.mean(eps_parts)), mask=mask)
 
 
@@ -183,7 +182,7 @@ def _data_aided(
 
 
 def iterate(
-    rx: TimeSignal,
+    rx: np.ndarray,
     gi: PnSequence,
     cfg: SimConfig,
     profile: PowerDelayProfile,
@@ -199,8 +198,10 @@ def iterate(
     guard with the current estimate, equalizes, rebuilds soft symbols,
     re-estimates, refines, and combines with the PN estimate.  The grid of
     each iteration is equalized with that iteration's final estimate after
-    refreshing the guard removal with it.  cfg is a resolved config;
-    profile is the deployment profile the Wiener refiners check and design for.
+    refreshing the guard removal with it.  rx is the received frame of
+    phy.propagate, one row per block and the closing guard's row last.
+    cfg is a resolved config; profile is the deployment profile the
+    Wiener refiners check and design for.
 
     Returns the final estimate, the final iteration's grid and the
     diagnostics.  Only the final grid is returned: each iteration's grid is
@@ -214,14 +215,14 @@ def iterate(
     iterations = cfg.iterations if cfg.estimator in REFINERS else 0
     c = constellation(cfg.constellation)
     nu = gi.nu
-    n = rx.blocks.shape[1] - nu
+    n = rx.shape[1] - nu
     if n <= 0:
         raise ValueError("blocks shorter than the guard interval")
 
     if initial is not None:
         h1 = initial
     else:
-        cores = rx.blocks[:, gi.core_offset : gi.core_offset + gi.n_pn]
+        cores = rx[:-1, gi.core_offset : gi.core_offset + gi.n_pn]
         # channel tails beyond the core offset act as extra white noise in
         # the correlation window; fold them into the LS error model
         leak_var = window_leak_variance(gi, profile.dense_powers())
@@ -233,7 +234,7 @@ def iterate(
         if it > 0:
             est = _data_aided(z, y, est, h1, gi, cfg, profile, noise_var, diag, truth_cfr)
         # the guard-free frame dies once it is folded and demodulated
-        y = ola(remove_pn(rx, gi, cir_from_cfr(est.values, cfg.cir_len)))
+        y = ola(remove_pn(rx, gi, cir_from_cfr(est.values, cfg.cir_len)), nu)
         z = equalize(y, est.values)
         diag.eps.append(est.eps)
         if truth_cfr is not None:

@@ -211,6 +211,8 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (cfg.threads >= 1, "threads must be positive"),
         (cfg.velocity_kmh >= 0 and cfg.fc_hz > 0, "bad doppler parameters"),
         (cfg.sfn_delay_us >= 0, "sfn_delay_us must be nonnegative"),
+        # a missing directory would fail the write only after the sweep
+        (os.path.isdir(os.path.dirname(cfg.out or "") or "."), f"directory of out {cfg.out!r} does not exist"),
     ]
     for ok, msg in checks:
         if not ok:
@@ -239,7 +241,9 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     truth = cfr(taps[:s], n)
     bits = rng.integers(0, 2, s * n * c.bits_per_symbol, dtype=np.int64).astype(np.uint8)
     # the mapped symbols and the sent frame die once the frame is received
-    rx = propagate(assemble(ofdm_modulate(map_bits(bits, c).reshape(s, n)), gi), taps, noise_var, rng)
+    rx = propagate(
+        assemble(ofdm_modulate(map_bits(bits, c).reshape(s, n)), gi), gi.nu, taps, noise_var, rng
+    )
 
     initial = None
     if cfg.estimator == "genie":

@@ -24,15 +24,6 @@ class FrameGrid:
     mask: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class TimeSignal:
-    """Contiguous block stream: each row is one guard+data block, plus the
-    trailing guard region that closes the last block's overlap-add window."""
-
-    blocks: np.ndarray
-    tail: np.ndarray
-
-
 def ofdm_modulate(x: np.ndarray) -> np.ndarray:
     """Unitary IDFT along the last axis."""
     return np.fft.ifft(np.asarray(x), axis=-1, norm="ortho")
@@ -43,36 +34,38 @@ def ofdm_demodulate(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(x), axis=-1, norm="ortho")
 
 
-def assemble(bodies: np.ndarray, gi: PnSequence) -> TimeSignal:
-    """Prefix every OFDM body with the guard interval and append the closing guard."""
+def assemble(bodies: np.ndarray, gi: PnSequence) -> np.ndarray:
+    """The frame as (s + 1, nu + n) rows: row i is guard i then body i, and
+    the last row is the closing guard, then zeros."""
     bodies = np.atleast_2d(np.asarray(bodies, dtype=np.complex128))
-    s = bodies.shape[0]
-    g = np.broadcast_to(gi.samples, (s, gi.nu))
-    return TimeSignal(
-        blocks=np.concatenate([g, bodies], axis=1),
-        tail=gi.samples.copy(),
-    )
+    s, n = bodies.shape
+    frame = np.zeros((s + 1, gi.nu + n), dtype=np.complex128)
+    frame[:, : gi.nu] = gi.samples
+    frame[:-1, gi.nu :] = bodies
+    return frame
 
 
 def propagate(
-    sig: TimeSignal,
+    frame: np.ndarray,
+    nu: int,
     taps: np.ndarray,
     noise_var: float,
     rng: np.random.Generator,
-) -> TimeSignal:
-    """Convolve the continuous block stream with the per-block CIR and add AWGN.
+) -> np.ndarray:
+    """Convolve the continuous frame stream with the per-row CIR and add AWGN.
 
-    The stream is treated as one linear convolution: samples of block i use
-    tap vector taps[i] (quasi-static switching at block boundaries), so each
-    block's head also carries the tail of what the previous block sent.  The
-    trailing guard region reuses the last available tap vector.
+    The rows of the frame, whose guards are nu samples long, are treated as
+    one linear convolution: samples of row i use tap vector taps[i]
+    (quasi-static switching at row boundaries), so each row's head also
+    carries the tail of what the previous row sent.  Noise covers the
+    samples sent, every row but the last and the closing guard at its head;
+    the rest of the last row holds the guard's noiseless channel spill and
+    is never read.
     """
-    blocks = sig.blocks
-    s, row = blocks.shape
-    if taps.ndim != 2 or taps.shape[0] < s:
-        raise ValueError(f"need at least {s} tap vectors, got {taps.shape}")
+    rows, row = frame.shape
+    if taps.ndim != 2 or taps.shape[0] < rows:
+        raise ValueError(f"need at least {rows} tap vectors, got {taps.shape}")
     le = taps.shape[1]
-    nu = sig.tail.size
     if nu and le - 1 > nu:
         warnings.warn(
             f"channel memory {le - 1} exceeds the guard length {nu}; "
@@ -81,44 +74,39 @@ def propagate(
         )
 
     # the stream behind le - 1 zeros: ext[le - 1 - d + j] is stream sample j - d
-    n = s * row + nu
-    ext = np.zeros(le - 1 + n, dtype=np.complex128)
-    ext[le - 1 : le - 1 + s * row] = blocks.ravel()
-    ext[le - 1 + s * row :] = sig.tail
-    out = np.zeros(n, dtype=np.complex128)
-    body, tail = out[: s * row].reshape(s, row), out[s * row :]
-    last = taps[min(s, taps.shape[0] - 1)]
-    term = np.empty((s, row), dtype=np.complex128)
+    ext = np.zeros(le - 1 + frame.size, dtype=np.complex128)
+    ext[le - 1 :] = frame.ravel()
+    out = np.zeros((rows, row), dtype=np.complex128)
+    term = np.empty((rows, row), dtype=np.complex128)
     # each delay adds its tap times the stream shifted by that delay; delays
     # with no energy in any row (the gap before an SFN echo) add nothing
     for d in np.flatnonzero(np.any(taps != 0, axis=0)):
         start = le - 1 - d
-        np.multiply(taps[:s, d, None], ext[start : start + s * row].reshape(s, row), out=term)
-        body += term
-        if nu:
-            tail += last[d] * ext[start + s * row : start + n]
+        np.multiply(taps[:rows, d, None], ext[start : start + frame.size].reshape(rows, row), out=term)
+        out += term
 
     if noise_var > 0:
+        sent = out.reshape(-1)[: frame.size - row + nu]
         scale = np.sqrt(noise_var / 2.0)
-        w = rng.standard_normal(n)
+        w = rng.standard_normal(sent.size)
         w *= scale
-        out.real += w
+        sent.real += w
         rng.standard_normal(out=w)
         w *= scale
-        out.imag += w
+        sent.imag += w
 
-    return TimeSignal(blocks=body, tail=tail)
+    return out
 
 
-def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal:
-    """Subtract the channel-filtered guard from every guard region.
+def remove_pn(rx: np.ndarray, gi: PnSequence, cir_est: np.ndarray) -> np.ndarray:
+    """Subtract the channel-filtered guard from every guard region of a frame.
 
     cir_est is one tap vector shared by all blocks, or one row per block;
-    the trailing guard reuses the last row.  The subtraction spans the guard
+    the closing guard reuses the last row.  The subtraction spans the guard
     plus the le-1 samples it spills into each data head.
     """
     cir = np.atleast_2d(np.asarray(cir_est, dtype=np.complex128))
-    s, row = rx.blocks.shape
+    s = rx.shape[0] - 1
     nu = gi.nu
     le = cir.shape[1]
     if le > nu:
@@ -131,29 +119,25 @@ def remove_pn(rx: TimeSignal, gi: PnSequence, cir_est: np.ndarray) -> TimeSignal
     g_spec = np.fft.fft(gi.samples, n=nfft)
     est = np.fft.ifft(g_spec * np.fft.fft(cir, n=nfft, axis=1), axis=1)[:, :span]
 
-    blocks = rx.blocks.copy()
-    blocks[:, :span] -= est
-    tail = rx.tail.copy()
-    tail -= est[-1][: tail.size]
-    return TimeSignal(blocks=blocks, tail=tail)
+    cleaned = rx.copy()
+    cleaned[:-1, :span] -= est
+    cleaned[-1, :nu] -= est[-1, :nu]
+    return cleaned
 
 
-def ola(cleaned: TimeSignal) -> np.ndarray:
-    """Fold each block's following guard region onto its data head and demodulate.
+def ola(cleaned: np.ndarray, nu: int) -> np.ndarray:
+    """Fold each row's guard region, nu samples, onto the data head of the
+    row before it and demodulate.
 
     Adding the full guard region back restores circular convolution for the
     data part; the price is a (n + nu)/n noise power boost on the first nu
     data samples' worth of noise energy.
     """
-    s, row = cleaned.blocks.shape
-    nu = cleaned.tail.size
-    n = row - nu
-    if n <= 0 or (nu and nu > n):
-        raise ValueError(f"guard length {nu} incompatible with block length {row}")
-    bodies = cleaned.blocks[:, nu:].copy()
-    if nu:
-        bodies[:-1, :nu] += cleaned.blocks[1:, :nu]
-        bodies[-1, :nu] += cleaned.tail
+    n = cleaned.shape[1] - nu
+    if n <= 0 or nu > n:
+        raise ValueError(f"guard length {nu} incompatible with block length {cleaned.shape[1]}")
+    bodies = cleaned[:-1, nu:].copy()
+    bodies[:, :nu] += cleaned[1:, :nu]
     return ofdm_demodulate(bodies)
 
 

@@ -3,8 +3,6 @@ Wiener smoothing that takes every cell as a pilot."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import PowerDelayProfile, cfr, r_t
@@ -13,22 +11,6 @@ from .pn_estimator import CfrEstimate
 
 class ConstraintError(ValueError):
     """A sampling-rate constraint of the channel cannot be met."""
-
-
-@dataclass(frozen=True)
-class WienerFilter:
-    """MMSE smoother for one domain.
-
-    A frequency filter holds one gain per delay 0 .. L-1: wiener_1d scales
-    the taps of each n_fft-point row by them and returns their DFT.  A time
-    filter holds the (block_len, block_len) map from the observed blocks to
-    the smoothed ones (n_fft is None).  residual_mse is the output MSE
-    averaged over the full axis.
-    """
-
-    coefficients: np.ndarray
-    residual_mse: float
-    n_fft: int | None = None
 
 
 def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
@@ -116,53 +98,27 @@ def ma_2d(
     return _moving_average(values, m_t, m_f, mask, weights, noise_var)
 
 
-def build_wiener(
-    domain: str,
-    n: int,
-    *,
-    input_err_var: float,
-    profile: PowerDelayProfile | None = None,
-    design_len: int | None = None,
-    fd_hz: float = 0.0,
-    tb_s: float = 0.0,
-) -> WienerFilter:
-    """Design the MMSE smoother of n cells, each observed with white error.
+def build_wiener(n: int, *, input_err_var: float, profile: PowerDelayProfile) -> tuple[np.ndarray, float]:
+    """Design the MMSE frequency smoother of n subcarriers, each observed
+    with white error: (gains, residual_mse).
 
-    A frequency filter (n subcarriers) estimates the taps of a prior made
-    of a measured delay profile or, by default, a uniform profile over
-    [0, design_len).  With every subcarrier observed, the n-point IDFT of a
-    row holds tap d plus error of variance s/n, independent across taps, so
-    the MMSE estimate is a per-tap shrinkage of the IDFT by
+    The prior is the delay profile.  With every subcarrier observed, the
+    n-point IDFT of a row holds tap d plus error of variance s/n,
+    independent across taps, so the MMSE estimate is a per-tap shrinkage of
+    the IDFT by the gains
 
         g_d = n P_d / (n P_d + s),   residual_mse = s sum_d P_d / (n P_d + s),
 
-    with s = input_err_var and P_d the prior power at delay d; the residual
-    is the MSE per subcarrier.  This is the DFT-based LMMSE of Edfors et
-    al., IEEE Trans. Commun. 46(7), 1998.  A prior delay at or beyond n
-    raises ValueError.
+    for delays 0 .. L-1, with s = input_err_var and P_d the prior power at
+    delay d; the residual is the MSE per subcarrier.  This is the DFT-based
+    LMMSE of Edfors et al., IEEE Trans. Commun. 46(7), 1998.  A prior delay
+    at or beyond n raises ValueError.
 
-    A time filter (n = block_len blocks) solves the n x n system of the
-    Jakes block correlation.
-
-    An input_err_var under 1e-12 times the prior power r(0), zero included,
-    is raised to it: slow fading rounds the smallest eigenvalue of the Jakes
-    matrix to about -2e-16 r(0).  A prior that is not a correlation raises
+    An input_err_var under 1e-12 times the prior power, zero included, is
+    raised to it.  A prior that is not a correlation raises
     numpy.linalg.LinAlgError.
     """
-    if input_err_var < 0:
-        raise ValueError("input_err_var must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if domain == "time":
-        if fd_hz < 0 or tb_s < 0:
-            raise ValueError("fd_hz and tb_s must be nonnegative")
-        return _time_wiener(n, input_err_var, fd_hz, tb_s)
-    if domain != "freq":
-        raise ValueError(f"unknown filter domain {domain!r}")
-    if profile is None:
-        if design_len is None or design_len < 1:
-            raise ValueError("design_len required for the uniform-profile mode")
-        profile = PowerDelayProfile(np.arange(design_len), np.full(design_len, 1.0 / design_len))
+    _check_design(n, input_err_var)
     if np.any(profile.powers < 0):
         raise np.linalg.LinAlgError("a delay profile with a negative power is not a correlation")
     if profile.delays.max() >= n:
@@ -171,18 +127,27 @@ def build_wiener(
     p = np.bincount(profile.delays, weights=profile.powers)
     ridge = max(input_err_var, 1e-12 * p.sum())
     den = n * p + ridge
-    return WienerFilter(coefficients=n * p / den, residual_mse=float(ridge * np.sum(p / den)), n_fft=n)
+    return n * p / den, float(ridge * np.sum(p / den))
 
 
-def _time_wiener(n, input_err_var, fd_hz, tb_s) -> WienerFilter:
-    """Time design from the Jakes correlation R of the n blocks.
+def time_wiener(n: int, *, input_err_var: float, fd_hz: float, tb_s: float) -> tuple[np.ndarray, float]:
+    """Design the MMSE smoother of n blocks, each observed with white error:
+    (smoother, residual_mse).
 
-    The smoother is W = R (R + s I)^-1 and its error covariance is s W, so
-    residual_mse is s tr(W) / n.  A Cholesky factorization checks that
-    R + s I is positive definite.  Slow fading at a small s makes it near
-    singular, so one refinement step, with its residual formed in extended
-    precision, recovers the digits the solve loses.
+    The smoother is the (n, n) map W = R (R + s I)^-1 from the observed
+    blocks to the smoothed ones, with R the Jakes correlation of the blocks
+    and s = input_err_var.  Its error covariance is s W, so residual_mse is
+    s tr(W) / n.  A Cholesky factorization checks that R + s I is positive
+    definite.  Slow fading at a small s makes it near singular, so one
+    refinement step, with its residual formed in extended precision,
+    recovers the digits the solve loses.
+
+    An input_err_var under 1e-12 r(0), zero included, is raised to it: slow
+    fading rounds the smallest eigenvalue of R to about -2e-16 r(0).
     """
+    _check_design(n, input_err_var)
+    if fd_hz < 0 or tb_s < 0:
+        raise ValueError("fd_hz and tb_s must be nonnegative")
     r = r_t(np.arange(1 - n, n), fd_hz, tb_s)
     # r[q + n - 1] is the correlation at lag q
     big_r = r[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
@@ -192,7 +157,14 @@ def _time_wiener(n, input_err_var, fd_hz, tb_s) -> WienerFilter:
     x = np.linalg.solve(phi, big_r)
     wide = np.longdouble
     x += np.linalg.solve(phi, (big_r.astype(wide) - phi.astype(wide) @ x).astype(np.float64))
-    return WienerFilter(coefficients=x.T, residual_mse=float(ridge * np.trace(x) / n))
+    return x.T, float(ridge * np.trace(x) / n)
+
+
+def _check_design(n: int, input_err_var: float) -> None:
+    if input_err_var < 0:
+        raise ValueError("input_err_var must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be positive")
 
 
 def _impute_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -224,43 +196,42 @@ def _impute_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return v.reshape(np.shape(values))
 
 
-def _shrunk_taps(values, filt: WienerFilter, mask) -> np.ndarray:
-    """Impute invalid cells, then the filter's gains times each row's taps."""
+def _shrunk_taps(values, gains: np.ndarray, mask) -> np.ndarray:
+    """Impute invalid cells, then the gains times each row's taps."""
     v = np.asarray(values, dtype=np.complex128)
-    n = filt.n_fft
-    if v.shape[-1] != n:
-        raise ValueError(f"expected {n} subcarriers on the last axis, got {v.shape[-1]}")
+    if gains.size > v.shape[-1]:
+        raise ValueError(f"{gains.size} gains exceed the {v.shape[-1]} subcarriers of a row")
     if mask is not None and not np.all(mask):
         v = _impute_invalid(v, mask)
-    taps = np.fft.ifft(v, axis=-1)[..., : filt.coefficients.size]
-    taps *= filt.coefficients
+    taps = np.fft.ifft(v, axis=-1)[..., : gains.size]
+    taps *= gains
     return taps
 
 
-def wiener_1d(values: np.ndarray, filt: WienerFilter, mask: np.ndarray | None = None) -> np.ndarray:
-    """Smooth each row of n_fft subcarriers with a prebuilt frequency filter.
+def wiener_1d(values: np.ndarray, gains: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Smooth each row of subcarriers with the gains of build_wiener.
 
     Invalid cells (mask False) are imputed from their valid neighbors
     first; a row with no valid cell at all comes back as zeros.  The output
-    MSE is the filter's residual_mse.
+    MSE is the design's residual_mse.
     """
-    return cfr(_shrunk_taps(values, filt, mask), filt.n_fft)
+    return cfr(_shrunk_taps(values, gains, mask), np.shape(values)[-1])
 
 
 def wiener_2x1d(
-    grid: np.ndarray, freq_filter: WienerFilter, time_filter: WienerFilter, mask: np.ndarray | None = None
+    grid: np.ndarray, gains: np.ndarray, smoother: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Separable smoothing of a (block_len, n_fft) grid.
 
-    The shrunk taps of each block, then the time pass over the
-    (block_len, L) taps, then one DFT per block: the time pass commutes
-    with the DFT, so it runs on L columns instead of n_fft.
+    The taps of each block shrunk by the gains of build_wiener, then the
+    time_wiener smoother over the (block_len, L) taps, then one DFT per
+    block: the time pass commutes with the DFT, so it runs on L columns
+    instead of n_fft.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.ndim != 2:
         raise ValueError("expected a (block_len, n_fft) grid")
-    blocks = time_filter.coefficients.shape[1]
+    blocks = smoother.shape[1]
     if grid.shape[0] != blocks:
         raise ValueError(f"expected {blocks} blocks, got {grid.shape[0]}")
-    taps = _shrunk_taps(grid, freq_filter, mask)
-    return cfr(time_filter.coefficients @ taps, freq_filter.n_fft)
+    return cfr(smoother @ _shrunk_taps(grid, gains, mask), grid.shape[1])

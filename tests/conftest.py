@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit, logsumexp
 
-from tdsofdm import FrameGrid, TimeSignal, build_gi, generate_mseq, r_t
+from tdsofdm import FrameGrid, PowerDelayProfile, build_gi, generate_mseq, r_t
 from tdsofdm.soft_rebuild import LLR_MAX
 
 
@@ -39,48 +39,40 @@ def naive_raw_dft(x: np.ndarray, n_out: int) -> np.ndarray:
     return x @ w.T
 
 
-def naive_stream_conv(blocks: np.ndarray, tail: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Per-sample linear convolution of the concatenated stream.
+def naive_stream_conv(frame: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-sample linear convolution of the frame's rows read as one stream.
 
-    Sample n of block i uses tap row i; the trailing samples reuse the last
-    applicable row, matching the quasi-static block-switching convention.
+    Sample n of row i uses tap row i, the quasi-static block-switching
+    convention.  Returns the flat stream.
     """
-    blocks = np.atleast_2d(blocks)
-    s, row = blocks.shape
-    taps = np.atleast_2d(taps)
-    stream = np.concatenate([blocks.ravel(), tail])
-    le = taps.shape[1]
+    frame = np.atleast_2d(frame)
+    row = frame.shape[1]
+    stream = frame.ravel()
     out = np.zeros(stream.size, dtype=np.complex128)
     for n in range(stream.size):
-        b = n // row if n < s * row else s
-        t = taps[min(b, taps.shape[0] - 1)]
-        for l in range(le):
+        t = taps[n // row]
+        for l in range(taps.shape[1]):
             if n - l >= 0:
                 out[n] += t[l] * stream[n - l]
     return out
 
 
-def convolve_propagate(sig, taps, noise_var, rng):
-    """propagate as one np.convolve per block over all taps, then the noise
-    as one complex draw: the straightforward form the library's sum over
-    nonzero tap columns must match, to rounding."""
-    s, row = sig.blocks.shape
+def convolve_propagate(frame, nu, taps, noise_var, rng):
+    """propagate as one np.convolve per row over all taps, then the noise
+    over the sent samples, every row but the last and the closing guard of
+    nu samples, as one complex draw: the straightforward form the library's
+    sum over nonzero tap columns must match, to rounding."""
+    rows, row = frame.shape
     le = taps.shape[1]
-    nu = sig.tail.size
-    stream = np.concatenate([sig.blocks.ravel(), sig.tail])
-    ext = np.concatenate([np.zeros(le - 1, dtype=np.complex128), stream])
-    out = np.empty(stream.size, dtype=np.complex128)
-    for i in range(s):
-        seg = ext[i * row : i * row + row + le - 1]
-        out[i * row : (i + 1) * row] = np.convolve(seg, taps[i], mode="valid")
-    if nu:
-        seg = ext[s * row : s * row + nu + le - 1]
-        out[s * row :] = np.convolve(seg, taps[min(s, taps.shape[0] - 1)], mode="valid")
+    ext = np.concatenate([np.zeros(le - 1, dtype=np.complex128), frame.ravel()])
+    out = np.empty((rows, row), dtype=np.complex128)
+    for i in range(rows):
+        out[i] = np.convolve(ext[i * row : (i + 1) * row + le - 1], taps[i], mode="valid")
     if noise_var > 0:
-        n = stream.size
+        n = (rows - 1) * row + nu
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out += np.sqrt(noise_var / 2.0) * w
-    return TimeSignal(blocks=out[: s * row].reshape(s, row), tail=out[s * row :])
+        out.reshape(-1)[:n] += np.sqrt(noise_var / 2.0) * w
+    return out
 
 
 def where_equalize(y, h_est):
@@ -111,14 +103,12 @@ def einsum_soft_symbols(llr, c):
     return mean[0] + 1j * mean[1]
 
 
-def _prior_taps(profile, design_len):
-    """Delays and powers of a frequency prior: the profile, or uniform over design_len taps."""
-    if profile is not None:
-        return profile.delays, profile.powers
-    return np.arange(design_len), np.full(design_len, 1.0 / design_len)
+def uniform_prior(length):
+    """The uniform frequency prior over delays 0 .. length-1."""
+    return PowerDelayProfile(np.arange(length), np.full(length, 1.0 / length))
 
 
-def exact_freq_wiener(n, input_err_var, profile=None, design_len=None):
+def exact_freq_wiener(n, input_err_var, profile):
     """The dense LMMSE frequency design over n observed subcarriers:
     (tap map, residual_mse).
 
@@ -132,7 +122,7 @@ def exact_freq_wiener(n, input_err_var, profile=None, design_len=None):
     subcarriers.  Returns the (L, n) map from the cells to the taps at
     delays 0 .. L-1, rows off the prior's support zero.
     """
-    delays, powers = _prior_taps(profile, design_len)
+    delays, powers = profile.delays, profile.powers
     f = np.exp(-2j * np.pi * np.multiply.outer(np.arange(n), delays) / n)
     sq = np.sqrt(powers)
     ridge = input_err_var if input_err_var > 0 else 1e-12 * powers.sum()
@@ -152,7 +142,7 @@ def reference_time_system(n_out, input_err_var, fd_hz=0.0, tb_s=0.0):
     jitter, on its diagonal.
     """
     # r_t's quadrature follows the largest lag of its call: take every
-    # lag from one call over the full range, as build_wiener does
+    # lag from one call over the full range, as time_wiener does
     r = r_t(np.arange(1 - n_out, n_out), fd_hz, tb_s).astype(np.complex128)
     pil = np.arange(n_out)
     phi = r[pil[:, None] - pil[None, :] + n_out - 1] + input_err_var * np.eye(n_out)
@@ -186,18 +176,11 @@ def exact_time_wiener(n_out, input_err_var, fd_hz=0.0, tb_s=0.0):
         return coeff, float(mpmath.fsum(resid) / n_out)
 
 
-def dense_coefficients(filt):
-    """A filter's map from its observed cells as one matrix.
-
-    A frequency filter's gains times the inverse DFT give its (L, n_fft)
-    map from the subcarriers to the taps at delays 0 .. L-1; a time
-    filter's coefficients already are its map from the blocks.
-    """
-    if filt.n_fft is None:
-        return filt.coefficients
-    n, taps = filt.n_fft, filt.coefficients.size
-    idft = np.exp(2j * np.pi * np.multiply.outer(np.arange(taps), np.arange(n)) / n) / n
-    return filt.coefficients[:, None] * idft
+def dense_freq_map(gains, n):
+    """A frequency design's gains times the inverse DFT: its (L, n) map from
+    the n subcarriers to the taps at delays 0 .. L-1, as one matrix."""
+    idft = np.exp(2j * np.pi * np.multiply.outer(np.arange(gains.size), np.arange(n)) / n) / n
+    return gains[:, None] * idft
 
 
 def reference_impute(values, mask):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tdsofdm import (
-    TimeSignal,
     analytic_mse_pn,
     assemble,
     build_gi,
@@ -36,10 +35,11 @@ from tdsofdm import (
     resolve_config,
     run,
     sfn_profile,
+    time_wiener,
     wiener_1d,
 )
 
-from conftest import crandn
+from conftest import crandn, uniform_prior
 
 SNRS = (0.0, 10.0, 20.0, 30.0)
 SEED = 20260822
@@ -104,8 +104,8 @@ def test_a01_stream_to_circular_identity():
         bits = rng.integers(0, 2, 4 * n * 2).astype(np.uint8)
         x = map_bits(bits, c).reshape(4, n)
         tx = assemble(ofdm_modulate(x), gi)
-        rx = propagate(tx, np.tile(taps, (4, 1)), 0.0, rng)
-        y = ola(remove_pn(rx, gi, taps))
+        rx = propagate(tx, nu, np.tile(taps, (5, 1)), 0.0, rng)
+        y = ola(remove_pn(rx, gi, taps), nu)
         want = np.fft.fft(taps, n) * x
         rel = np.max(np.abs(y - want)) / np.max(np.abs(want))
         worst = max(worst, rel)
@@ -122,8 +122,7 @@ def test_a02_guard_fold_noise_boost():
         want = (n + nu) / n
         acc, cnt = 0.0, 0
         for _ in range(10):
-            sig = TimeSignal(blocks=crandn(rng, (1000, n + nu)), tail=crandn(rng, nu))
-            y = ola(sig)
+            y = ola(crandn(rng, (1001, n + nu)), nu)
             acc += float(np.sum(np.abs(y) ** 2))
             cnt += y.size
         ratio = acc / cnt
@@ -161,11 +160,11 @@ def test_a03_error_model_closed_forms():
     vals = []
     for snr in SNRS:
         var = noise_var(snr)
-        filt = build_wiener("freq", 64, input_err_var=var, design_len=4)
+        gains, resid = build_wiener(64, input_err_var=var, profile=uniform_prior(4))
         taps = crandn(rng, (4000, 4), var=0.25)
         truth = cfr(taps, 64)
-        out = wiener_1d(truth + crandn(rng, (4000, 64), var=var), filt)
-        vals.append(float(np.mean(np.abs(out - truth) ** 2)) / filt.residual_mse)
+        out = wiener_1d(truth + crandn(rng, (4000, 64), var=var), gains)
+        vals.append(float(np.mean(np.abs(out - truth) ** 2)) / resid)
     ratios["wiener_f"] = vals
 
     # two-dimensional moving average on a static flat grid
@@ -187,11 +186,11 @@ def test_a03_error_model_closed_forms():
     vals = []
     for snr in SNRS:
         var = noise_var(snr)
-        tf = build_wiener("time", 8, input_err_var=var, fd_hz=0.01, tb_s=1.0)
+        smoother, resid = time_wiener(8, input_err_var=var, fd_hz=0.01, tb_s=1.0)
         g = np.einsum("ij,rjk->rik", chol, crandn(rng, (2000, 8, 32)))
         obs = g + crandn(rng, (2000, 8, 32), var=var)
-        out = np.einsum("bp,rpk->rbk", tf.coefficients, obs)
-        vals.append(float(np.mean(np.abs(out - g) ** 2)) / tf.residual_mse)
+        out = np.einsum("bp,rpk->rbk", smoother, obs)
+        vals.append(float(np.mean(np.abs(out - g) ** 2)) / resid)
     ratios["wiener_t"] = vals
 
     elapsed = time.monotonic() - t0

@@ -126,6 +126,36 @@ def test_unsatisfiable_pilot_spacing_exits_3(tmp_path, capsys):
     assert "constraint error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:channel memory")
+def test_frequency_sampling_rule_error_names_its_fixes(tmp_path, capsys):
+    # a 130 us echo makes a 139-tap desk channel, past the 128 taps that
+    # n_fft / 4 allows; a shorter cir_len cannot help, the rule reads the
+    # deployment channel
+    cfgfile = tmp_path / "sfn.cfg"
+    cfgfile.write_text("sfn_delay_us = 130\n")
+    rc = main(["sweep", "--config", str(cfgfile), "--estimator", "wiener1d", "--trials", "1", "--snr", "10"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "frequency sampling rule" in err
+    assert "sfn_delay_us" in err and "fft_size" in err
+    assert "pilot spacing" not in err and "CIR assumption" not in err
+
+
+def test_out_in_a_missing_directory_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("tdsofdm.cli.run", no_run)
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["sweep", "--trials", "1", "--snr", "10", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "does not exist" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ConfigError, match="directory of out"):
+        resolve_config({"out": str(out)})
+
+
 def test_config_file_setting_pn_seed_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "pn.cfg"
     cfgfile.write_text("pn_seed = 1\ntrials = 1\nsnr_db = 20\n")

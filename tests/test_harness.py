@@ -319,20 +319,19 @@ def test_wiener1d_ignores_the_time_sampling_rule():
 def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
     # record every refine output and the time filters designed inside it
     refines = []
-    build, refine = tdsofdm.combiner.build_wiener, tdsofdm.combiner._refine
+    build, refine = tdsofdm.combiner.time_wiener, tdsofdm.combiner._refine
 
-    def recording_build(domain, *args, **kwargs):
-        filt = build(domain, *args, **kwargs)
-        if domain == "time":
-            refines[-1][1].append(filt.residual_mse)
-        return filt
+    def recording_build(*args, **kwargs):
+        smoother, resid = build(*args, **kwargs)
+        refines[-1][1].append(resid)
+        return smoother, resid
 
     def recording_refine(*args, **kwargs):
         refines.append([None, []])
         refines[-1][0] = refine(*args, **kwargs)
         return refines[-1][0]
 
-    monkeypatch.setattr(tdsofdm.combiner, "build_wiener", recording_build)
+    monkeypatch.setattr(tdsofdm.combiner, "time_wiener", recording_build)
     monkeypatch.setattr(tdsofdm.combiner, "_refine", recording_refine)
     cfg = resolve_config(
         {"estimator": "wiener2x1d", "block_len": block_len, "trials": 2, "snr_db": "5,25", "seed": 3}

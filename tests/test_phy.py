@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tdsofdm import (
-    TimeSignal,
     assemble,
     constellation,
     equalize,
@@ -64,23 +63,31 @@ def test_demodulator_matches_direct_transform():
 def test_assemble_layout_and_guard_power(desk_gi):
     rng = np.random.default_rng(3)
     bodies = crandn(rng, (6, 512))
-    sig = assemble(bodies, desk_gi)
-    assert sig.blocks.shape == (6, 576)
-    assert np.array_equal(sig.blocks[:, :64], np.tile(desk_gi.samples, (6, 1)))
-    assert np.array_equal(sig.blocks[:, 64:], bodies)
-    assert np.array_equal(sig.tail, desk_gi.samples)
+    frame = assemble(bodies, desk_gi)
+    # one row per body, then the closing guard followed by zeros
+    assert frame.shape == (7, 576)
+    assert np.array_equal(frame[:, :64], np.tile(desk_gi.samples, (7, 1)))
+    assert np.array_equal(frame[:-1, 64:], bodies)
+    assert not frame[-1, 64:].any()
     # boosted guard carries twice the data power
-    gp = np.mean(np.abs(sig.blocks[:, :64]) ** 2)
-    dp = np.mean(np.abs(sig.blocks[:, 64:]) ** 2)
+    gp = np.mean(np.abs(frame[:-1, :64]) ** 2)
+    dp = np.mean(np.abs(frame[:-1, 64:]) ** 2)
     assert gp / dp == pytest.approx(2.0, rel=0.1)
 
 
 def test_propagate_identity_channel(gi3_16):
     rng = np.random.default_rng(5)
-    sig = assemble(crandn(rng, (4, 64)), gi3_16)
-    out = propagate(sig, static_channel([1.0], 4), 0.0, rng)
-    assert np.array_equal(out.blocks, sig.blocks)
-    assert np.array_equal(out.tail, sig.tail)
+    frame = assemble(crandn(rng, (4, 64)), gi3_16)
+    out = propagate(frame, 16, static_channel([1.0], 5), 0.0, rng)
+    assert np.array_equal(out, frame)
+
+
+def test_propagate_rejects_fewer_tap_rows_than_frame_rows(gi3_16):
+    # four bodies make five frame rows: the closing guard has a row of its own
+    rng = np.random.default_rng(5)
+    frame = assemble(crandn(rng, (4, 64)), gi3_16)
+    with pytest.raises(ValueError, match="need at least 5 tap vectors"):
+        propagate(frame, 16, static_channel([1.0], 4), 0.0, rng)
 
 
 def test_propagate_matches_per_sample_convolution():
@@ -90,12 +97,11 @@ def test_propagate_matches_per_sample_convolution():
     rng = np.random.default_rng(6)
     bodies = crandn(rng, (3, 8))
     gi = build_gi(generate_mseq(2), 4, 2.0)       # nu=4, n_pn=3
-    sig = assemble(bodies, gi)
-    taps = crandn(rng, (3, 3))
-    out = propagate(sig, taps, 0.0, rng)
-    want = naive_stream_conv(sig.blocks, sig.tail, taps)
-    got = np.concatenate([out.blocks.ravel(), out.tail])
-    assert np.max(np.abs(got - want)) < 1e-12
+    frame = assemble(bodies, gi)
+    taps = crandn(rng, (4, 3))
+    out = propagate(frame, gi.nu, taps, 0.0, rng)
+    want = naive_stream_conv(frame, taps)
+    assert np.max(np.abs(out.ravel() - want)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,20 +117,18 @@ def test_propagate_matches_per_sample_convolution():
 )
 def test_propagate_matches_per_block_convolution(seed, s, extra_rows, body, nu, le, columns, noise_var):
     # dense, gapped (SFN-like) and all-zero tap columns, one block or more,
-    # with and without a trailing guard
+    # with and without a guard
     rng = np.random.default_rng(seed)
-    sig = TimeSignal(blocks=crandn(rng, (s, nu + body)), tail=crandn(rng, nu))
-    taps = np.zeros((s + extra_rows, le), dtype=np.complex128)
+    frame = crandn(rng, (s + 1, nu + body))
+    taps = np.zeros((s + 1 + extra_rows, le), dtype=np.complex128)
     cols = sorted(c for c in columns if c < le)
     taps[:, cols] = crandn(rng, (taps.shape[0], len(cols)))
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)      # taps outrunning the guard
-        got = propagate(sig, taps, noise_var, got_rng)
-        want = convolve_propagate(sig, taps, noise_var, want_rng)
-    assert got.blocks.shape == want.blocks.shape and got.tail.shape == want.tail.shape
-    got = np.concatenate([got.blocks.ravel(), got.tail])
-    want = np.concatenate([want.blocks.ravel(), want.tail])
+        got = propagate(frame, nu, taps, noise_var, got_rng)
+        want = convolve_propagate(frame, nu, taps, noise_var, want_rng)
+    assert got.shape == want.shape == frame.shape
     # the two sum the taps in different orders
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     # later draws from the generator stay aligned
@@ -140,8 +144,8 @@ def test_propagate_measured_snr(desk_gi):
     sig = assemble(ofdm_modulate(x), desk_gi)
     for snr_db in (5.0, 20.0):
         noise_var = 10.0 ** (-snr_db / 10.0)
-        rx = propagate(sig, static_channel([1.0], s), noise_var, rng)
-        w = rx.blocks[:, 64:] - sig.blocks[:, 64:]
+        rx = propagate(sig, 64, static_channel([1.0], s + 1), noise_var, rng)
+        w = rx[:-1, 64:] - sig[:-1, 64:]
         measured = 10 * np.log10(1.0 / np.mean(np.abs(w) ** 2))
         assert abs(measured - snr_db) < 0.1
 
@@ -149,11 +153,11 @@ def test_propagate_measured_snr(desk_gi):
 def test_propagate_warns_when_channel_outruns_guard(gi3_16):
     rng = np.random.default_rng(8)
     sig = assemble(crandn(rng, (2, 64)), gi3_16)
-    taps = np.zeros((2, 18), dtype=np.complex128)
+    taps = np.zeros((3, 18), dtype=np.complex128)
     taps[:, 0] = 1.0
     taps[:, 17] = 0.5
     with pytest.warns(UserWarning, match="guard"):
-        propagate(sig, taps, 0.0, rng)
+        propagate(sig, 16, taps, 0.0, rng)
 
 
 def test_remove_pn_perfect_estimate_clears_guard(gi3_16):
@@ -161,16 +165,16 @@ def test_remove_pn_perfect_estimate_clears_guard(gi3_16):
     s = 5
     sig = assemble(ofdm_modulate(crandn(rng, (s, 64))), gi3_16)
     taps = crandn(rng, 6)
-    rx = propagate(sig, static_channel(taps, s), 0.0, rng)
+    rx = propagate(sig, 16, static_channel(taps, s + 1), 0.0, rng)
     cleaned = remove_pn(rx, gi3_16, taps)
     # the guard and its spill vanish wherever only the guard contributed:
     # block 0 head precedes any data
     span = 16 + 6 - 1
-    residual = np.abs(cleaned.blocks[0, :16]) ** 2
-    original = np.abs(rx.blocks[0, :16]) ** 2
+    residual = np.abs(cleaned[0, :16]) ** 2
+    original = np.abs(rx[0, :16]) ** 2
     assert residual.mean() / original.mean() < 1e-20
-    assert cleaned.blocks.shape == rx.blocks.shape
-    assert span <= rx.blocks.shape[1]
+    assert cleaned.shape == rx.shape
+    assert span <= rx.shape[1]
 
 
 def test_remove_pn_residual_is_the_estimation_error(gi3_16):
@@ -181,17 +185,17 @@ def test_remove_pn_residual_is_the_estimation_error(gi3_16):
     sig = assemble(np.zeros((s, 64), dtype=np.complex128), gi3_16)
     taps = crandn(rng, 4)
     delta = crandn(rng, 4, var=1e-2)
-    rx = propagate(sig, static_channel(taps, s), 0.0, rng)
+    rx = propagate(sig, 16, static_channel(taps, s + 1), 0.0, rng)
     cleaned = remove_pn(rx, gi3_16, taps + delta)
-    want = -naive_stream_conv(gi3_16.samples[None, :], np.zeros(0), delta[None, :])
-    assert np.max(np.abs(cleaned.blocks[1, :16] - want)) < 1e-12
+    want = -naive_stream_conv(gi3_16.samples[None, :], delta[None, :])
+    assert np.max(np.abs(cleaned[1, :16] - want)) < 1e-12
 
 
 def test_remove_pn_zero_estimate_is_a_no_op(gi3_16):
     rng = np.random.default_rng(11)
     sig = assemble(crandn(rng, (2, 64)), gi3_16)
     cleaned = remove_pn(sig, gi3_16, np.zeros(3))
-    assert np.array_equal(cleaned.blocks, sig.blocks)
+    assert np.array_equal(cleaned, sig)
 
 
 def test_remove_pn_rejects_bad_shapes(gi3_16):
@@ -202,7 +206,7 @@ def test_remove_pn_rejects_bad_shapes(gi3_16):
     with pytest.raises(ValueError):
         remove_pn(sig, gi3_16, np.ones((3, 4)))    # neither 1 nor s rows
     with pytest.raises(ValueError):
-        remove_pn(sig, gi3_16, np.ones((5, 4)))    # no extra row for the tail
+        remove_pn(sig, gi3_16, np.ones((5, 4)))    # no row for the closing guard
 
 
 def test_overlap_add_restores_circular_convolution(gi3_16):
@@ -212,8 +216,8 @@ def test_overlap_add_restores_circular_convolution(gi3_16):
     x = x.reshape(s, 64)
     taps = crandn(rng, 9)
     sig = assemble(ofdm_modulate(x), gi3_16)
-    rx = propagate(sig, static_channel(taps, s), 0.0, rng)
-    y = ola(remove_pn(rx, gi3_16, taps))
+    rx = propagate(sig, 16, static_channel(taps, s + 1), 0.0, rng)
+    y = ola(remove_pn(rx, gi3_16, taps), 16)
     want = np.fft.fft(taps, 64) * x
     assert np.max(np.abs(y - want)) / np.max(np.abs(want)) < 1e-12
     assert y.shape == (s, 64)
@@ -223,7 +227,7 @@ def test_overlap_add_single_block(gi3_16):
     rng = np.random.default_rng(14)
     x = crandn(rng, (1, 64))
     sig = assemble(ofdm_modulate(x), gi3_16)
-    y = ola(remove_pn(sig, gi3_16, np.array([1.0])))
+    y = ola(remove_pn(sig, gi3_16, np.array([1.0])), 16)
     assert np.max(np.abs(y - x)) < 1e-10
 
 
@@ -232,11 +236,7 @@ def test_overlap_add_noise_power_boost(desk_gi):
     # (n + nu) / n
     rng = np.random.default_rng(15)
     s, row, nu = 1500, 576, 64
-    noise = crandn(rng, (s, row))
-    tail = crandn(rng, nu)
-    from tdsofdm import TimeSignal
-
-    y = ola(TimeSignal(blocks=noise, tail=tail))
+    y = ola(crandn(rng, (s + 1, row)), nu)
     boost = np.mean(np.abs(y) ** 2)
     assert boost == pytest.approx(576.0 / 512.0, rel=0.01)
 
@@ -279,8 +279,8 @@ def test_end_to_end_noiseless_bit_recovery(gi3_16):
         x = map_bits(bits, c).reshape(3, 64)
         taps = crandn(rng, 5)
         sig = assemble(ofdm_modulate(x), gi3_16)
-        rx = propagate(sig, static_channel(taps, 3), 0.0, rng)
-        z = equalize(ola(remove_pn(rx, gi3_16, taps)), np.fft.fft(taps, 64))
+        rx = propagate(sig, 16, static_channel(taps, 4), 0.0, rng)
+        z = equalize(ola(remove_pn(rx, gi3_16, taps), 16), np.fft.fft(taps, 64))
         assert np.array_equal(hard_decisions(z.data, c), bits)
 
 

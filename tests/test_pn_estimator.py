@@ -39,8 +39,8 @@ def test_ls_recovers_channel_exactly_without_noise(gi3_16):
     s = 4
     taps = crandn(rng, 5)
     sig = assemble(ofdm_modulate(crandn(rng, (s, 64))), gi3_16)
-    rx = propagate(sig, np.tile(taps, (s, 1)), 0.0, rng)
-    win = rx.blocks[:, gi3_16.core_offset : gi3_16.core_offset + gi3_16.n_pn]
+    rx = propagate(sig, 16, np.tile(taps, (s + 1, 1)), 0.0, rng)
+    win = rx[:-1, gi3_16.core_offset : gi3_16.core_offset + gi3_16.n_pn]
     est = ls_pn(win, gi3_16, 5, 0.0, 64)
     truth = cfr(taps, 64)
     assert np.max(np.abs(est.values - truth)) < 1e-10
@@ -174,11 +174,11 @@ def test_leakage_sets_the_noiseless_estimation_floor(desk_gi):
     c = constellation("qpsk")
     total, count = 0.0, 0
     for _ in range(25):
-        taps = realize(prof, 0.0, 1.0, 12, rng)
+        taps = realize(prof, 0.0, 1.0, 13, rng)
         bits = rng.integers(0, 2, 12 * 512 * 2).astype(np.uint8)
         x = map_bits(bits, c).reshape(12, 512)
-        rx = propagate(assemble(ofdm_modulate(x), desk_gi), taps, 0.0, rng)
-        win = rx.blocks[:, 1:64]
+        rx = propagate(assemble(ofdm_modulate(x), desk_gi), 64, taps, 0.0, rng)
+        win = rx[:-1, 1:64]
         est = ls_pn(win, desk_gi, cir_len, 0.0, 512)
         truth = cfr(taps[0], 512)
         total += np.sum(np.abs(est.values[1:] - truth) ** 2)

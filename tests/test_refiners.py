@@ -14,6 +14,7 @@ from tdsofdm import (
     preset_profile,
     realize,
     resolve_config,
+    time_wiener,
     wiener_1d,
     wiener_2x1d,
 )
@@ -21,11 +22,12 @@ from tdsofdm.refiners import _impute_invalid, _window_sum
 
 from conftest import (
     crandn,
-    dense_coefficients,
+    dense_freq_map,
     exact_freq_wiener,
     exact_time_wiener,
     reference_impute,
     reference_window_sum,
+    uniform_prior,
 )
 
 
@@ -171,31 +173,34 @@ def test_window_sum_matches_the_gather_form_on_a_dtmb_grid(back, fwd, axis):
 def test_wiener_every_bin_piloted_is_near_identity():
     # noiseless cells reproduce any signal the design covers
     rng = np.random.default_rng(46)
-    filt = build_wiener("freq", 16, input_err_var=0.0, design_len=4)
-    assert filt.residual_mse < 1e-9
+    gains, resid = build_wiener(16, input_err_var=0.0, profile=uniform_prior(4))
+    assert resid < 1e-9
     v = cfr(crandn(rng, 4), 16)
-    assert np.max(np.abs(wiener_1d(v, filt) - v)) < 1e-6
+    assert np.max(np.abs(wiener_1d(v, gains) - v)) < 1e-6
 
 
 @pytest.mark.parametrize("var", [0.25, 1e-3])
 def test_wiener_flat_profile_closed_form(var):
-    filt = build_wiener("freq", 32, input_err_var=var, profile=preset_profile("flat", 1.0))
-    assert filt.coefficients.shape == (1,)
-    assert filt.coefficients[0] == pytest.approx(32 / (32 + var), rel=1e-15)
-    assert filt.residual_mse == pytest.approx(var / (32 + var), rel=1e-15)
+    gains, resid = build_wiener(32, input_err_var=var, profile=preset_profile("flat", 1.0))
+    assert gains.shape == (1,)
+    assert gains[0] == pytest.approx(32 / (32 + var), rel=1e-15)
+    assert resid == pytest.approx(var / (32 + var), rel=1e-15)
 
 
 def test_wiener_build_rejects_bad_arguments():
+    # build_wiener is the frequency design alone: it takes no domain
+    with pytest.raises(TypeError):
+        build_wiener("freq", 64, input_err_var=0.1, profile=uniform_prior(4))
     with pytest.raises(ValueError):
-        build_wiener("lattice", 64, input_err_var=0.1, design_len=4)
+        build_wiener(64, input_err_var=-0.1, profile=uniform_prior(4))
     with pytest.raises(ValueError):
-        build_wiener("freq", 64, input_err_var=0.1)
+        build_wiener(0, input_err_var=0.1, profile=uniform_prior(1))
     with pytest.raises(ValueError):
-        build_wiener("freq", 64, input_err_var=-0.1, design_len=4)
+        time_wiener(4, input_err_var=0.1, fd_hz=-1.0, tb_s=1.0)
     with pytest.raises(ValueError):
-        build_wiener("freq", 0, input_err_var=0.1, design_len=1)
+        time_wiener(4, input_err_var=-0.1, fd_hz=0.0, tb_s=0.0)
     with pytest.raises(ValueError):
-        build_wiener("time", 4, input_err_var=0.1, fd_hz=-1.0, tb_s=1.0)
+        time_wiener(0, input_err_var=0.1, fd_hz=0.0, tb_s=0.0)
 
 
 # an asymmetric profile
@@ -204,13 +209,13 @@ _SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5,
 
 def test_wiener_rejects_a_prior_delay_at_or_beyond_n():
     # n subcarriers resolve delays 0 .. n-1 alone; a later one would alias
-    assert build_wiener("freq", 64, input_err_var=0.1, design_len=64).coefficients.size == 64
+    assert build_wiener(64, input_err_var=0.1, profile=uniform_prior(64))[0].size == 64
     with pytest.raises(ValueError, match="at or beyond n = 64"):
-        build_wiener("freq", 64, input_err_var=0.1, design_len=65)
+        build_wiener(64, input_err_var=0.1, profile=uniform_prior(65))
     echo = PowerDelayProfile(delays=np.array([0, 3, 64]), powers=np.array([0.6, 0.3, 0.1]))
     with pytest.raises(ValueError, match="at or beyond n = 64"):
-        build_wiener("freq", 64, input_err_var=0.1, profile=echo)
-    assert build_wiener("freq", 65, input_err_var=0.1, profile=echo).coefficients.size == 65
+        build_wiener(64, input_err_var=0.1, profile=echo)
+    assert build_wiener(65, input_err_var=0.1, profile=echo)[0].size == 65
 
 
 def _preset_profile(overrides):
@@ -220,26 +225,26 @@ def _preset_profile(overrides):
 # n subcarriers and prior: uniform, TU6 and SFN priors at desk and dtmb
 # sizes, and a small skewed profile on a grid that is no power of two
 _FREQ_DESIGNS = {
-    "uniform-desk": (512, dict(design_len=6)),
-    "uniform-dtmb": (3780, dict(design_len=39)),
-    "tu6-desk": (512, dict(profile=_preset_profile({"preset": "desk"}))),
-    "tu6-dtmb": (3780, dict(profile=_preset_profile({"preset": "dtmb"}))),
-    "sfn-desk": (512, dict(profile=_preset_profile({"preset": "desk", "sfn_delay_us": 20}))),
-    "sfn-dtmb": (3780, dict(profile=_preset_profile({"preset": "dtmb", "sfn_delay_us": 30}))),
-    "skewed-ragged": (71, dict(profile=_SKEWED)),
+    "uniform-desk": (512, uniform_prior(6)),
+    "uniform-dtmb": (3780, uniform_prior(39)),
+    "tu6-desk": (512, _preset_profile({"preset": "desk"})),
+    "tu6-dtmb": (3780, _preset_profile({"preset": "dtmb"})),
+    "sfn-desk": (512, _preset_profile({"preset": "desk", "sfn_delay_us": 20})),
+    "sfn-dtmb": (3780, _preset_profile({"preset": "dtmb", "sfn_delay_us": 30})),
+    "skewed-ragged": (71, _SKEWED),
 }
 
 
 @pytest.mark.parametrize("var", [0.0, 1e-3, 0.1])
 @pytest.mark.parametrize("case", sorted(_FREQ_DESIGNS))
 def test_wiener_closed_form_matches_the_dense_lmmse(case, var):
-    n, kw = _FREQ_DESIGNS[case]
-    filt = build_wiener("freq", n, input_err_var=var, **kw)
-    want_coeff, want_resid = exact_freq_wiener(n, var, **kw)
-    got = dense_coefficients(filt)
+    n, prior = _FREQ_DESIGNS[case]
+    gains, resid = build_wiener(n, input_err_var=var, profile=prior)
+    want_coeff, want_resid = exact_freq_wiener(n, var, prior)
+    got = dense_freq_map(gains, n)
     assert got.shape == want_coeff.shape
     assert np.max(np.abs(got - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
-    assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=0.0)
+    assert resid == pytest.approx(want_resid, rel=1e-12, abs=0.0)
 
 
 # block_len, the Jakes fading and the input variances of the time designs.
@@ -258,15 +263,14 @@ _TIME_DESIGNS = {
 @pytest.mark.parametrize("case, var", [(c, v) for c, d in sorted(_TIME_DESIGNS.items()) for v in d[2]])
 def test_wiener_time_design_matches_the_exact_solve(case, var):
     n, fd_hz, _ = _TIME_DESIGNS[case]
-    filt = build_wiener("time", n, input_err_var=var, fd_hz=fd_hz, tb_s=1.0)
+    got, resid = time_wiener(n, input_err_var=var, fd_hz=fd_hz, tb_s=1.0)
     # a slow-fading phi costs a float64 solve 2e-11: solve it exactly
     want_coeff, want_resid = exact_time_wiener(n, var, fd_hz=fd_hz, tb_s=1.0)
-    got = dense_coefficients(filt)
     assert got.shape == want_coeff.shape == (n, n)
     assert np.max(np.abs(got - want_coeff)) <= 1e-12 * np.max(np.abs(want_coeff))
     # residual_mse is r(0) - quad with r(0) = 1, so at var = 0 the absolute
     # floor is 1e-12 of the prior power rather than of the tiny residual
-    assert filt.residual_mse == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
+    assert resid == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("var", [1e-16, 1e-13])
@@ -277,12 +281,13 @@ def test_an_input_variance_below_the_jitter_designs_as_the_jitter(var):
     # now designs exactly as zero does, in time and in frequency
     cfg = resolve_config({"preset": "dtmb"})
     time = dict(fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
-    for domain, n, kw in (("time", 10, time), ("freq", 3780, dict(design_len=cfg.cir_len))):
-        got = build_wiener(domain, n, input_err_var=var, **kw)
-        want = build_wiener(domain, n, input_err_var=0.0, **kw)
-        assert np.all(np.isfinite(got.coefficients)) and np.isfinite(got.residual_mse)
-        assert np.array_equal(got.coefficients, want.coefficients)
-        assert got.residual_mse == want.residual_mse
+    freq = dict(profile=uniform_prior(cfg.cir_len))
+    for design, n, kw in ((time_wiener, 10, time), (build_wiener, 3780, freq)):
+        got, got_resid = design(n, input_err_var=var, **kw)
+        want, want_resid = design(n, input_err_var=0.0, **kw)
+        assert np.all(np.isfinite(got)) and np.isfinite(got_resid)
+        assert np.array_equal(got, want)
+        assert got_resid == want_resid
 
 
 def test_wiener_ignores_zero_power_taps():
@@ -290,54 +295,54 @@ def test_wiener_ignores_zero_power_taps():
         delays=np.append(_SKEWED.delays, 4), powers=np.append(_SKEWED.powers, 0.0)
     )
     for var in (0.0, 1e-3, 0.1):
-        want = build_wiener("freq", 64, input_err_var=var, profile=_SKEWED)
-        got = build_wiener("freq", 64, input_err_var=var, profile=padded)
-        assert np.array_equal(got.coefficients, want.coefficients)
-        assert got.residual_mse == want.residual_mse
+        want, want_resid = build_wiener(64, input_err_var=var, profile=_SKEWED)
+        got, got_resid = build_wiener(64, input_err_var=var, profile=padded)
+        assert np.array_equal(got, want)
+        assert got_resid == want_resid
 
 
 def test_wiener_non_positive_definite_system_raises():
     # a "profile" with a negative power is no correlation at all
     bad = PowerDelayProfile(delays=np.array([0, 1]), powers=np.array([2.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError):
-        build_wiener("freq", 32, input_err_var=0.0, profile=bad)
+        build_wiener(32, input_err_var=0.0, profile=bad)
 
 
 def test_wiener_interpolates_constants_and_zeros():
-    filt = build_wiener("freq", 32, input_err_var=0.0, profile=preset_profile("flat", 1.0))
-    out = wiener_1d(np.full(32, 2.0 + 1.0j), filt)
+    gains, _ = build_wiener(32, input_err_var=0.0, profile=preset_profile("flat", 1.0))
+    out = wiener_1d(np.full(32, 2.0 + 1.0j), gains)
     assert np.max(np.abs(out - (2.0 + 1.0j))) < 1e-6
-    assert np.all(wiener_1d(np.zeros(32), filt) == 0.0)
+    assert np.all(wiener_1d(np.zeros(32), gains) == 0.0)
 
 
 def test_wiener_residual_tracks_simulation():
     rng = np.random.default_rng(47)
     for var in (1.0, 0.01):
-        filt = build_wiener("freq", 32, input_err_var=var, design_len=4)
+        gains, resid = build_wiener(32, input_err_var=var, profile=uniform_prior(4))
         draws = 4000
         taps = crandn(rng, (draws, 4), var=0.25)
         truth = cfr(taps, 32)
-        out = wiener_1d(truth + crandn(rng, (draws, 32), var=var), filt)
+        out = wiener_1d(truth + crandn(rng, (draws, 32), var=var), gains)
         emp = np.mean(np.abs(out - truth) ** 2)
-        assert emp == pytest.approx(filt.residual_mse, rel=0.1)
+        assert emp == pytest.approx(resid, rel=0.1)
 
 
-def test_wiener_pilot_count_mismatch():
-    filt = build_wiener("freq", 32, input_err_var=0.1, design_len=4)
+def test_wiener_rejects_more_gains_than_subcarriers():
+    gains, _ = build_wiener(32, input_err_var=0.1, profile=uniform_prior(4))
     with pytest.raises(ValueError, match="subcarriers"):
-        wiener_1d(np.zeros(5), filt)
+        wiener_1d(np.zeros(3), gains)
 
 
 def test_wiener_imputes_invalid_pilots_exactly_for_linear_fields():
-    filt = build_wiener("freq", 32, input_err_var=0.05, design_len=4)
+    gains, _ = build_wiener(32, input_err_var=0.05, profile=uniform_prior(4))
     k = np.arange(32)
     truth = 0.3 + 0.02 * k + 1j * (1.0 - 0.01 * k)
     dirty = truth.copy()
     dirty[5] = 99.0 + 99.0j
     mask = np.ones(32, dtype=bool)
     mask[5] = False
-    clean_out = wiener_1d(truth, filt)
-    dirty_out = wiener_1d(dirty, filt, mask=mask)
+    clean_out = wiener_1d(truth, gains)
+    dirty_out = wiener_1d(dirty, gains, mask=mask)
     assert np.max(np.abs(dirty_out - clean_out)) < 1e-12
 
 
@@ -363,40 +368,40 @@ def test_imputation_matches_np_interp_row_by_row(s, n, drop, dead_row, seed):
 
 
 def test_wiener_row_with_no_valid_pilots_returns_zeros():
-    filt = build_wiener("freq", 32, input_err_var=0.05, design_len=4)
-    out = wiener_1d(np.ones((2, 32)), filt, mask=np.array([[False] * 32, [True] * 32]))
+    gains, _ = build_wiener(32, input_err_var=0.05, profile=uniform_prior(4))
+    out = wiener_1d(np.ones((2, 32)), gains, mask=np.array([[False] * 32, [True] * 32]))
     assert np.all(out[0] == 0.0)
     assert np.all(out[1] != 0.0)
 
 
 def test_wiener_2x1d_shape_checks():
-    ff = build_wiener("freq", 32, input_err_var=0.1, design_len=4)
-    tf = build_wiener("time", 4, input_err_var=0.1, fd_hz=0.0, tb_s=0.0)
+    gains, _ = build_wiener(32, input_err_var=0.1, profile=uniform_prior(4))
+    smoother, _ = time_wiener(4, input_err_var=0.1, fd_hz=0.0, tb_s=0.0)
     with pytest.raises(ValueError):
-        wiener_2x1d(np.zeros(32), ff, tf)
+        wiener_2x1d(np.zeros(32), gains, smoother)
     with pytest.raises(ValueError, match="blocks"):
-        wiener_2x1d(np.zeros((3, 32)), ff, tf)
+        wiener_2x1d(np.zeros((3, 32)), gains, smoother)
     with pytest.raises(ValueError, match="subcarriers"):
-        wiener_2x1d(np.zeros((4, 16)), ff, tf)
+        wiener_2x1d(np.zeros((4, 3)), gains, smoother)
 
 
 def test_wiener_2x1d_static_noiseless_is_exact():
     rng = np.random.default_rng(48)
-    ff = build_wiener("freq", 32, input_err_var=0.0, design_len=4)
-    tf = build_wiener("time", 4, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
+    gains, _ = build_wiener(32, input_err_var=0.0, profile=uniform_prior(4))
+    smoother, _ = time_wiener(4, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
     truth = cfr(crandn(rng, 4, var=0.25), 32)
-    out = wiener_2x1d(np.tile(truth, (4, 1)), ff, tf)
+    out = wiener_2x1d(np.tile(truth, (4, 1)), gains, smoother)
     assert out.shape == (4, 32)
     assert np.max(np.abs(out - truth)) < 1e-6
 
 
 def test_wiener_2x1d_single_pilot_block_replicates_freq_pass():
     rng = np.random.default_rng(49)
-    ff = build_wiener("freq", 32, input_err_var=0.0, design_len=4)
-    tf = build_wiener("time", 1, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
+    gains, _ = build_wiener(32, input_err_var=0.0, profile=uniform_prior(4))
+    smoother, _ = time_wiener(1, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
     grid = crandn(rng, (1, 32))
-    out = wiener_2x1d(grid, ff, tf)
-    row = wiener_1d(grid, ff)[0]
+    out = wiener_2x1d(grid, gains, smoother)
+    row = wiener_1d(grid, gains)[0]
     assert np.max(np.abs(out - row)) < 1e-6
 
 
@@ -406,16 +411,16 @@ def test_wiener_2x1d_time_pass_commutes_with_the_dft(prior, masked):
     # the time pass on the taps, then the DFT, equals the time pass on the
     # full frequency pass of every block
     rng = np.random.default_rng(52)
-    kw = dict(profile=_SKEWED) if prior == "profile" else dict(design_len=7)
-    ff = build_wiener("freq", 70, input_err_var=0.05, **kw)
-    tf = build_wiener("time", 8, input_err_var=ff.residual_mse, fd_hz=0.01, tb_s=1.0)
+    profile = _SKEWED if prior == "profile" else uniform_prior(7)
+    gains, resid = build_wiener(70, input_err_var=0.05, profile=profile)
+    smoother, _ = time_wiener(8, input_err_var=resid, fd_hz=0.01, tb_s=1.0)
     grid = crandn(rng, (8, 70))
     mask = None
     if masked:
         mask = rng.random(grid.shape) > 0.3
         mask[1] = False                  # a block with no valid cell
-    want = tf.coefficients @ wiener_1d(grid, ff, mask)
-    got = wiener_2x1d(grid, ff, tf, mask)
+    want = smoother @ wiener_1d(grid, gains, mask)
+    got = wiener_2x1d(grid, gains, smoother, mask)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -426,27 +431,27 @@ def test_wiener_2x1d_cascade_tracks_residual():
     )
     for snr_db in (10.0, 20.0, 30.0):
         var = 10.0 ** (-snr_db / 10.0)
-        ff = build_wiener("freq", 32, input_err_var=var, profile=prof)
-        tf = build_wiener("time", 8, input_err_var=ff.residual_mse, fd_hz=0.01, tb_s=1.0)
+        gains, resid = build_wiener(32, input_err_var=var, profile=prof)
+        smoother, resid = time_wiener(8, input_err_var=resid, fd_hz=0.01, tb_s=1.0)
         total, count = 0.0, 0
         for _ in range(400):
             truth = cfr(realize(prof, 0.01, 1.0, 8, rng), 32)
-            out = wiener_2x1d(truth + crandn(rng, (8, 32), var=var), ff, tf)
+            out = wiener_2x1d(truth + crandn(rng, (8, 32), var=var), gains, smoother)
             total += np.sum(np.abs(out - truth) ** 2)
             count += out.size
-        ratio = (total / count) / tf.residual_mse
+        ratio = (total / count) / resid
         assert 0.85 < ratio < 1.15, f"snr {snr_db}: ratio {ratio:.3f}"
 
 
 def test_wiener_beats_plain_averaging():
     rng = np.random.default_rng(51)
     var = 0.1
-    filt = build_wiener("freq", 64, input_err_var=var, design_len=4)
+    gains, _ = build_wiener(64, input_err_var=var, profile=uniform_prior(4))
     wins = 0
     for _ in range(200):
         truth = cfr(crandn(rng, 4, var=0.25), 64)
         cells = truth + crandn(rng, 64, var=var)
-        wout = wiener_1d(cells, filt)
+        wout = wiener_1d(cells, gains)
         mout = ma_1d(cells, 5).values
         if np.mean(np.abs(wout - truth) ** 2) <= np.mean(np.abs(mout - truth) ** 2):
             wins += 1

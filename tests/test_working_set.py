@@ -9,8 +9,9 @@ from tdsofdm import resolve_config, run
 
 # the benchmark workloads of perfbench/workloads.json at one SNR point and
 # one trial, with a bound on each one's traced peak in MiB.  The dtmb peak
-# holds about a dozen frame arrays of 0.58 MiB: 7.1 MiB traced, and 1.7
-# MiB on desk.  Keeping each iteration's grid and guard-free frame alive
+# holds about a dozen frame arrays of 0.58 MiB (grids) to 0.70 MiB (the
+# received frame, its closing guard row included): 7.19 MiB traced, and
+# 1.70 MiB on desk.  Keeping each iteration's grid and guard-free frame alive
 # again reads 8.4 MiB on dtmb; keeping every frame array until its trial
 # ended read 12.3 MiB on dtmb and 2.55 MiB on desk
 WORKLOADS = {
