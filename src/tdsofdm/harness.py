@@ -23,7 +23,7 @@ from .channel import (
     realize,
     sfn_profile,
 )
-from .combiner import ESTIMATORS, iterate
+from .combiner import ESTIMATORS, check_sampling_rules, iterate
 from .modulation import CONSTELLATIONS, constellation, map_bits
 # iterate slices the grids; perfbench/spans.py still wraps this binding
 from .modulation import hard_decisions  # noqa: F401
@@ -231,14 +231,15 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     """One Monte-Carlo trial at one SNR: returns per-iteration metrics.
 
     The draw order (channel, bits, noise) is fixed, so every estimator sees
-    identical realizations for a given seed and trial index.
+    identical realizations for a given seed and trial index.  The loop
+    scores its estimates against the drawn taps; only the genie forms the
+    true CFR here, as its initial estimate.
     """
     c = constellation(cfg.constellation)
     s, n = cfg.num_symbols, cfg.fft_size
     noise_var = c.eta_alpha * 10.0 ** (-snr_db / 10.0)
 
     taps = realize(profile, cfg.fd_hz, cfg.tb_s, s + 1, rng)
-    truth = cfr(taps[:s], n)
     bits = rng.integers(0, 2, s * n * c.bits_per_symbol, dtype=np.int64).astype(np.uint8)
     # the mapped symbols and the sent frame die once the frame is received
     rx = propagate(
@@ -249,9 +250,9 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     if cfg.estimator == "genie":
         # the genie's window holds every tap of the true channel
         cfg = replace(cfg, cir_len=min(profile.length, gi.n_pn))
-        initial = CfrEstimate(values=truth, eps=0.0)
+        initial = CfrEstimate(values=cfr(taps[:s], n), eps=0.0, taps=taps[:s])
     _, _, diag = iterate(
-        rx, gi, cfg, profile, noise_var, truth_cfr=truth, initial=initial, truth_bits=bits
+        rx, gi, cfg, profile, noise_var, truth_taps=taps[:s], initial=initial, truth_bits=bits
     )
     return {
         "mse": np.array(diag.mse),
@@ -292,8 +293,12 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     freed heap stays mapped.  Every trial allocates and frees the same
     frame-sized arrays, which glibc would otherwise hand back to the kernel
     and page-fault in again on the next trial.
+
+    The Wiener sampling rules are checked before the first trial draws a
+    channel, so a config that breaks them raises ConstraintError at once.
     """
     profile = cfg.profile()
+    check_sampling_rules(cfg, profile, cfg.fft_size)
     gi = build_gi(generate_mseq(cfg.pn_order), cfg.gi_len, cfg.pn_power_boost)
     _keep_freed_arrays()
 

@@ -17,12 +17,17 @@ class CfrEstimate:
 
     values is (n_fft,) or (num_symbols, n_fft); eps is the analytic MSE per
     subcarrier; mask, when present, is False where the estimate fell back or
-    could not be formed.
+    could not be formed, and broadcasts against values.  taps, when present,
+    is the impulse response whose n_fft-point DFT is values, one row per
+    row of values; an estimate born tap-limited carries it, so stages that
+    need only the CIR skip the inverse transform.  A tap-carrying estimate
+    masks whole rows: its mask, if any, has a last axis of length 1.
     """
 
     values: np.ndarray
     eps: float
     mask: np.ndarray | None = None
+    taps: np.ndarray | None = None
 
 
 def ls_pn(
@@ -37,7 +42,7 @@ def ls_pn(
     The core's cyclic prefix makes the received core a circular convolution,
     so division bin by bin in the core's DFT domain inverts the channel.
     The impulse response keeps only the first cir_len taps before
-    re-expansion onto the n_fft-point grid.
+    re-expansion onto the n_fft-point grid; the estimate carries them.
     """
     rx_core = np.asarray(rx_core, dtype=np.complex128)
     if rx_core.shape[-1] != pn.n_pn:
@@ -49,8 +54,9 @@ def ls_pn(
         raise ValueError("PN core spectrum has a (near-)null bin; cannot invert")
 
     h_bar = np.fft.fft(rx_core, axis=-1, norm="ortho") / pn.spectrum
-    values = cfr(cir_from_cfr(h_bar, cir_len), n_fft)
-    return CfrEstimate(values=values, eps=analytic_mse_pn(pn, cir_len, noise_var))
+    taps = cir_from_cfr(h_bar, cir_len)
+    eps = analytic_mse_pn(pn, cir_len, noise_var)
+    return CfrEstimate(values=cfr(taps, n_fft), eps=eps, taps=taps)
 
 
 def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PowerDelayProfile, cfr, r_t
+from .channel import PowerDelayProfile, r_t
 from .pn_estimator import CfrEstimate
 
 
@@ -196,8 +196,15 @@ def _impute_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return v.reshape(np.shape(values))
 
 
-def _shrunk_taps(values, gains: np.ndarray, mask) -> np.ndarray:
-    """Impute invalid cells, then the gains times each row's taps."""
+def wiener_1d(values: np.ndarray, gains: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Smooth each row of subcarriers with the gains of build_wiener.
+
+    Returns the smoothed taps, gains.size per row: the gains times the
+    row's taps, whose DFT on the row's subcarriers is the smoothed row.
+    Invalid cells (mask False) are imputed from their valid neighbors
+    first; a row with no valid cell at all comes back as zeros.  The output
+    MSE per subcarrier is the design's residual_mse.
+    """
     v = np.asarray(values, dtype=np.complex128)
     if gains.size > v.shape[-1]:
         raise ValueError(f"{gains.size} gains exceed the {v.shape[-1]} subcarriers of a row")
@@ -208,25 +215,15 @@ def _shrunk_taps(values, gains: np.ndarray, mask) -> np.ndarray:
     return taps
 
 
-def wiener_1d(values: np.ndarray, gains: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Smooth each row of subcarriers with the gains of build_wiener.
-
-    Invalid cells (mask False) are imputed from their valid neighbors
-    first; a row with no valid cell at all comes back as zeros.  The output
-    MSE is the design's residual_mse.
-    """
-    return cfr(_shrunk_taps(values, gains, mask), np.shape(values)[-1])
-
-
 def wiener_2x1d(
     grid: np.ndarray, gains: np.ndarray, smoother: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Separable smoothing of a (block_len, n_fft) grid.
+    """Separable smoothing of a (block_len, n_fft) grid: the smoothed
+    (block_len, gains.size) taps.
 
     The taps of each block shrunk by the gains of build_wiener, then the
-    time_wiener smoother over the (block_len, L) taps, then one DFT per
-    block: the time pass commutes with the DFT, so it runs on L columns
-    instead of n_fft.
+    time_wiener smoother over the (block_len, L) taps: the time pass
+    commutes with the DFT, so it runs on L columns instead of n_fft.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.ndim != 2:
@@ -234,4 +231,4 @@ def wiener_2x1d(
     blocks = smoother.shape[1]
     if grid.shape[0] != blocks:
         raise ValueError(f"expected {blocks} blocks, got {grid.shape[0]}")
-    return cfr(smoother @ _shrunk_taps(grid, gains, mask), grid.shape[1])
+    return smoother @ wiener_1d(grid, gains, mask)

@@ -163,7 +163,7 @@ def test_a03_error_model_closed_forms():
         gains, resid = build_wiener(64, input_err_var=var, profile=uniform_prior(4))
         taps = crandn(rng, (4000, 4), var=0.25)
         truth = cfr(taps, 64)
-        out = wiener_1d(truth + crandn(rng, (4000, 64), var=var), gains)
+        out = cfr(wiener_1d(truth + crandn(rng, (4000, 64), var=var), gains), 64)
         vals.append(float(np.mean(np.abs(out - truth) ** 2)) / resid)
     ratios["wiener_f"] = vals
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from tdsofdm import (
     CfrEstimate,
+    ConstraintError,
+    PowerDelayProfile,
     assemble,
     cfr,
-    cir_from_cfr,
     combine,
     constellation,
     equalize,
@@ -25,6 +26,8 @@ from tdsofdm import (
     remove_pn,
     resolve_config,
 )
+from tdsofdm.combiner import _refine, _scorer
+from tdsofdm.soft_rebuild import InstantEstimate
 
 from conftest import crandn
 
@@ -138,6 +141,100 @@ def test_combine_falls_back_where_second_estimate_is_masked():
     assert np.array_equal(out.values[~mask], v1[~mask])
 
 
+def assert_taps_match(est, n):
+    """The estimate's taps transform to its values, to rounding."""
+    assert np.max(np.abs(cfr(est.taps, n) - est.values)) <= 1e-12 * np.max(np.abs(est.values))
+
+
+def test_combine_blends_the_taps_of_two_tap_carrying_estimates():
+    rng = np.random.default_rng(70)
+    t1, t2 = crandn(rng, (3, 2)), crandn(rng, (3, 5))
+    mask = np.array([[True], [False], [True]])
+    out = combine(
+        CfrEstimate(values=cfr(t1, 16), eps=0.02, taps=t1),
+        CfrEstimate(values=cfr(t2, 16), eps=0.01, mask=mask, taps=t2),
+    )
+    assert out.taps.shape == (3, 5)
+    assert_taps_match(out, 16)
+    assert np.allclose(out.taps[0, :2], (t1[0] + 2.0 * t2[0, :2]) / 3.0)
+    assert np.allclose(out.taps[0, 2:], 2.0 * t2[0, 2:] / 3.0)
+    # the masked row falls back to h1, zero-padded
+    assert np.array_equal(out.taps[1], np.r_[t1[1], np.zeros(3)])
+    assert np.array_equal(out.values[1], cfr(t1, 16)[1])
+    # an arm without taps leaves the result without them
+    plain = CfrEstimate(values=cfr(t2, 16), eps=0.01)
+    assert combine(CfrEstimate(values=cfr(t1, 16), eps=0.02, taps=t1), plain).taps is None
+
+
+def test_combine_rejects_taps_under_a_per_bin_mask():
+    rng = np.random.default_rng(71)
+    t = crandn(rng, (2, 3))
+    mask = np.ones((2, 16), dtype=bool)
+    mask[0, 4] = False
+    with pytest.raises(ValueError, match="whole rows"):
+        combine(
+            CfrEstimate(values=cfr(t, 16), eps=0.1, taps=t),
+            CfrEstimate(values=cfr(t, 16), eps=0.1, mask=mask, taps=t),
+        )
+
+
+@pytest.mark.parametrize("estimator", ["wiener1d", "wiener2x1d"])
+def test_wiener_estimates_and_their_combination_carry_taps(estimator):
+    # the 6-tap profile prior is longer than the 3-tap LS window, and blocks
+    # 2 and 3 (one wiener2x1d chunk) have no reliable cell
+    rng = np.random.default_rng(72)
+    cfg = resolve_config({"estimator": estimator, "corr_mode": "profile", "cir_len": 3, "block_len": 2})
+    profile = cfg.profile()
+    s, n = cfg.num_symbols, cfg.fft_size
+    assert profile.length > cfg.cir_len
+    mask = rng.random((s, n)) > 0.2
+    mask[2:4] = False
+    inst = InstantEstimate(values=crandn(rng, (s, n)), mask=mask, weights=rng.uniform(0.5, 2.0, (s, n)))
+    h2 = _refine(inst, cfg, profile, n, 0.05)
+    assert h2.taps.shape == (s, profile.length) and h2.mask.shape == (s, 1)
+    assert h2.mask[:, 0].tolist() == [True] * 2 + [False] * 2 + [True] * 6
+    assert_taps_match(h2, n)
+    assert np.all(h2.values[2:4] == 0.0)
+
+    t1 = crandn(rng, (s, cfg.cir_len))
+    h1 = CfrEstimate(values=cfr(t1, n), eps=0.01, taps=t1)
+    out = combine(h1, h2)
+    assert out.taps.shape == (s, profile.length)
+    assert_taps_match(out, n)
+    assert np.array_equal(out.values[2:4], h1.values[2:4])
+    assert np.array_equal(out.taps[2:4, : cfg.cir_len], t1[2:4])
+    assert np.all(out.taps[2:4, cfg.cir_len :] == 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 3780])
+def test_tap_mse_is_the_full_grid_mse(n):
+    rng = np.random.default_rng(73)
+    truth = crandn(rng, (5, 39))
+    score = _scorer(truth, n)
+    truth_cfr = cfr(truth, n)
+    # taps longer and shorter than the truth's, and an estimate without taps
+    for length in (45, 39, 7):
+        taps = crandn(rng, (5, length), var=1e-3)
+        taps[:, : min(length, 39)] += truth[:, :length]
+        est = CfrEstimate(values=cfr(taps, n), eps=0.0, taps=taps)
+        full = float(np.mean(np.abs(est.values - truth_cfr) ** 2))
+        assert score(est) == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert score(replace(est, taps=None)) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_loop_checks_the_sampling_rules_before_the_pn_stage(gi3_16):
+    # a 17-tap deployment channel exceeds the 64 / 4 taps the frequency
+    # rule allows; the LS stage on this frame would run
+    rng = np.random.default_rng(74)
+    rx, _ = make_rx(rng, gi3_16, np.array([1.0 + 0j]), 2, 0.01)
+    cfg, _ = loop_config(cir_len=1, iterations=1)
+    long = PowerDelayProfile(delays=np.array([0, 16]), powers=np.array([0.5, 0.5]))
+    with pytest.raises(ConstraintError, match="frequency sampling rule"):
+        iterate(rx, gi3_16, cfg, long, 0.01)
+    # no Wiener pass, no rule
+    iterate(rx, gi3_16, replace(cfg, iterations=0), long, 0.01)
+
+
 def test_loop_with_no_iterations_is_the_plain_ls_receiver(gi3_16):
     rng = np.random.default_rng(64)
     taps = crandn(rng, 3)
@@ -148,9 +245,11 @@ def test_loop_with_no_iterations_is_the_plain_ls_receiver(gi3_16):
 
     cores = rx[:-1, 9:16]
     h1 = ls_pn(cores, gi3_16, 3, nv, 64)
-    cleaned = remove_pn(rx, gi3_16, cir_from_cfr(h1.values, 3))
+    # guard removal reads the taps the LS estimate carries
+    cleaned = remove_pn(rx, gi3_16, h1.taps)
     z_ref = equalize(ola(cleaned, 16), h1.values)
     assert np.array_equal(est.values, h1.values)
+    assert np.array_equal(est.taps, h1.taps)
     assert est.eps == h1.eps
     assert np.array_equal(z.data, z_ref.data)
     assert diag.eps == [h1.eps]
@@ -165,8 +264,10 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     rx, _ = make_rx(rng, gi3_16, taps, 4, nv)
     truth = np.ones((4, 64), dtype=np.complex128)
     cfg, profile = loop_config(cir_len=1, iterations=2, estimator="ma1d", M_f=5)
+    # an initial estimate without taps runs on its values throughout
     initial = CfrEstimate(values=truth.copy(), eps=0.0)
-    est, _, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth, initial=initial)
+    truth_taps = np.ones((4, 1), dtype=np.complex128)
+    est, _, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_taps=truth_taps, initial=initial)
     assert len(diag.mse) == 3
     assert all(m <= 1e-10 for m in diag.mse)
     assert est.eps == 0.0
@@ -178,9 +279,9 @@ def test_loop_improves_the_ls_stage(gi3_16):
     nv = 10.0 ** (-2.0)
     rx, x = make_rx(rng, gi3_16, taps, 24, nv)
     bits = hard_decisions(x, QPSK)
-    truth = np.tile(cfr(taps, 64), (24, 1))
+    truth = np.tile(taps, (24, 1))
     cfg, profile = loop_config(cir_len=3, iterations=2, estimator="wiener1d", M_f=5)
-    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_cfr=truth, truth_bits=bits)
+    est, z, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_taps=truth, truth_bits=bits)
     assert len(diag.eps) == len(diag.mse) == len(diag.ber) == 3
     assert len(diag.h2_eps) == len(diag.h2_mse) == 2
     # each iteration's BER is taken from its grid; the last grid is returned

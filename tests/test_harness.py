@@ -315,6 +315,34 @@ def test_wiener1d_ignores_the_time_sampling_rule():
         run(resolve_config({**fast, "estimator": "wiener2x1d"}))
 
 
+# estimator -> calls per trial of combiner.cir_from_cfr, combiner.cfr and
+# harness.cfr: the Wiener loop never inverts a CFR or forms the true one,
+# ma1d's combined estimates carry no taps, and the genie's initial estimate
+# is the true CFR
+_TAP_PATH_CALLS = {"wiener1d": (0, 2, 0), "ma1d": (2, 1, 0), "genie": (0, 0, 1)}
+
+
+@pytest.mark.parametrize("estimator", sorted(_TAP_PATH_CALLS))
+def test_a_dtmb_trial_inverts_only_estimates_without_taps(monkeypatch, estimator):
+    calls = dict.fromkeys(["combiner.cir_from_cfr", "combiner.cfr", "harness.cfr"], 0)
+
+    def count(module, attr):
+        real = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__.rsplit('.', 1)[1]}.{attr}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    count(tdsofdm.combiner, "cir_from_cfr")
+    count(tdsofdm.combiner, "cfr")
+    count(tdsofdm.harness, "cfr")
+    rows = run(resolve_config({"preset": "dtmb", "estimator": estimator, "trials": 1, "snr_db": "10"}))
+    assert np.isfinite([r.mse_empirical for r in rows]).all()
+    assert tuple(calls.values()) == _TAP_PATH_CALLS[estimator]
+
+
 @pytest.mark.parametrize("block_len", [5, 2])
 def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
     # record every refine output and the time filters designed inside it

@@ -47,6 +47,15 @@ def test_ls_recovers_channel_exactly_without_noise(gi3_16):
     assert est.eps == 0.0
 
 
+def test_ls_estimate_carries_the_taps_of_its_values(gi3_16):
+    rng = np.random.default_rng(28)
+    win = crandn(rng, (4, gi3_16.n_pn))
+    est = ls_pn(win, gi3_16, 5, 0.1, 64)
+    assert est.taps.shape == (4, 5)
+    assert np.max(np.abs(cfr(est.taps, 64) - est.values)) <= 1e-12 * np.max(np.abs(est.values))
+    assert np.max(np.abs(cir_from_cfr(est.values, 5) - est.taps)) <= 1e-12 * np.max(np.abs(est.taps))
+
+
 def test_ls_flat_channel_gives_unit_response(gi3_16):
     win = np.fft.ifft(np.fft.fft(gi3_16.samples[9:16]))
     est = ls_pn(win, gi3_16, 1, 0.0, 16)

@@ -31,6 +31,16 @@ from conftest import (
 )
 
 
+def smooth_1d(values, gains, mask=None):
+    """wiener_1d's smoothed rows: the DFT of its taps on the rows' subcarriers."""
+    return cfr(wiener_1d(values, gains, mask), np.shape(values)[-1])
+
+
+def smooth_2x1d(grid, gains, smoother, mask=None):
+    """wiener_2x1d's smoothed grid: the DFT of its taps on each block."""
+    return cfr(wiener_2x1d(grid, gains, smoother, mask), np.shape(grid)[-1])
+
+
 def test_ma_window_of_one_is_identity():
     rng = np.random.default_rng(40)
     v = crandn(rng, (3, 32))
@@ -176,7 +186,7 @@ def test_wiener_every_bin_piloted_is_near_identity():
     gains, resid = build_wiener(16, input_err_var=0.0, profile=uniform_prior(4))
     assert resid < 1e-9
     v = cfr(crandn(rng, 4), 16)
-    assert np.max(np.abs(wiener_1d(v, gains) - v)) < 1e-6
+    assert np.max(np.abs(smooth_1d(v, gains) - v)) < 1e-6
 
 
 @pytest.mark.parametrize("var", [0.25, 1e-3])
@@ -310,9 +320,9 @@ def test_wiener_non_positive_definite_system_raises():
 
 def test_wiener_interpolates_constants_and_zeros():
     gains, _ = build_wiener(32, input_err_var=0.0, profile=preset_profile("flat", 1.0))
-    out = wiener_1d(np.full(32, 2.0 + 1.0j), gains)
+    out = smooth_1d(np.full(32, 2.0 + 1.0j), gains)
     assert np.max(np.abs(out - (2.0 + 1.0j))) < 1e-6
-    assert np.all(wiener_1d(np.zeros(32), gains) == 0.0)
+    assert np.all(smooth_1d(np.zeros(32), gains) == 0.0)
 
 
 def test_wiener_residual_tracks_simulation():
@@ -322,7 +332,7 @@ def test_wiener_residual_tracks_simulation():
         draws = 4000
         taps = crandn(rng, (draws, 4), var=0.25)
         truth = cfr(taps, 32)
-        out = wiener_1d(truth + crandn(rng, (draws, 32), var=var), gains)
+        out = smooth_1d(truth + crandn(rng, (draws, 32), var=var), gains)
         emp = np.mean(np.abs(out - truth) ** 2)
         assert emp == pytest.approx(resid, rel=0.1)
 
@@ -341,8 +351,8 @@ def test_wiener_imputes_invalid_pilots_exactly_for_linear_fields():
     dirty[5] = 99.0 + 99.0j
     mask = np.ones(32, dtype=bool)
     mask[5] = False
-    clean_out = wiener_1d(truth, gains)
-    dirty_out = wiener_1d(dirty, gains, mask=mask)
+    clean_out = smooth_1d(truth, gains)
+    dirty_out = smooth_1d(dirty, gains, mask=mask)
     assert np.max(np.abs(dirty_out - clean_out)) < 1e-12
 
 
@@ -369,7 +379,7 @@ def test_imputation_matches_np_interp_row_by_row(s, n, drop, dead_row, seed):
 
 def test_wiener_row_with_no_valid_pilots_returns_zeros():
     gains, _ = build_wiener(32, input_err_var=0.05, profile=uniform_prior(4))
-    out = wiener_1d(np.ones((2, 32)), gains, mask=np.array([[False] * 32, [True] * 32]))
+    out = smooth_1d(np.ones((2, 32)), gains, mask=np.array([[False] * 32, [True] * 32]))
     assert np.all(out[0] == 0.0)
     assert np.all(out[1] != 0.0)
 
@@ -390,7 +400,7 @@ def test_wiener_2x1d_static_noiseless_is_exact():
     gains, _ = build_wiener(32, input_err_var=0.0, profile=uniform_prior(4))
     smoother, _ = time_wiener(4, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
     truth = cfr(crandn(rng, 4, var=0.25), 32)
-    out = wiener_2x1d(np.tile(truth, (4, 1)), gains, smoother)
+    out = smooth_2x1d(np.tile(truth, (4, 1)), gains, smoother)
     assert out.shape == (4, 32)
     assert np.max(np.abs(out - truth)) < 1e-6
 
@@ -400,8 +410,8 @@ def test_wiener_2x1d_single_pilot_block_replicates_freq_pass():
     gains, _ = build_wiener(32, input_err_var=0.0, profile=uniform_prior(4))
     smoother, _ = time_wiener(1, input_err_var=0.0, fd_hz=0.0, tb_s=0.0)
     grid = crandn(rng, (1, 32))
-    out = wiener_2x1d(grid, gains, smoother)
-    row = wiener_1d(grid, gains)[0]
+    out = smooth_2x1d(grid, gains, smoother)
+    row = smooth_1d(grid, gains)[0]
     assert np.max(np.abs(out - row)) < 1e-6
 
 
@@ -419,8 +429,8 @@ def test_wiener_2x1d_time_pass_commutes_with_the_dft(prior, masked):
     if masked:
         mask = rng.random(grid.shape) > 0.3
         mask[1] = False                  # a block with no valid cell
-    want = smoother @ wiener_1d(grid, gains, mask)
-    got = wiener_2x1d(grid, gains, smoother, mask)
+    want = smoother @ smooth_1d(grid, gains, mask)
+    got = smooth_2x1d(grid, gains, smoother, mask)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -436,7 +446,7 @@ def test_wiener_2x1d_cascade_tracks_residual():
         total, count = 0.0, 0
         for _ in range(400):
             truth = cfr(realize(prof, 0.01, 1.0, 8, rng), 32)
-            out = wiener_2x1d(truth + crandn(rng, (8, 32), var=var), gains, smoother)
+            out = smooth_2x1d(truth + crandn(rng, (8, 32), var=var), gains, smoother)
             total += np.sum(np.abs(out - truth) ** 2)
             count += out.size
         ratio = (total / count) / resid
@@ -451,7 +461,7 @@ def test_wiener_beats_plain_averaging():
     for _ in range(200):
         truth = cfr(crandn(rng, 4, var=0.25), 64)
         cells = truth + crandn(rng, 64, var=var)
-        wout = wiener_1d(cells, gains)
+        wout = smooth_1d(cells, gains)
         mout = ma_1d(cells, 5).values
         if np.mean(np.abs(wout - truth) ** 2) <= np.mean(np.abs(mout - truth) ** 2):
             wins += 1
