@@ -10,13 +10,9 @@ import numpy as np
 from .channel import PowerDelayProfile, cfr
 from .modulation import constellation, hard_decisions
 from .phy import FrameGrid, equalize, ola, remove_pn
-from .pn_estimator import (
-    CfrEstimate,
-    cir_from_cfr,
-    ls_pn,
-    mean_interference_power,
-    window_leak_variance,
-)
+from .pn_estimator import CfrEstimate, ls_pn, mean_interference_power, window_leak_variance
+# every estimate carries its taps; perfbench/spans.py still wraps this binding
+from .pn_estimator import cir_from_cfr  # noqa: F401
 from .refiners import (
     ConstraintError,
     build_wiener,
@@ -59,9 +55,9 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
 
     The weight on h1 is eps2/(eps1+eps2) and the combined MSE is the
     harmonic term eps1*eps2/(eps1+eps2); two exact inputs combine with
-    equal weights.  Bins masked out of h2 fall back to h1 alone.  When both
-    carry taps, their taps blend with the same weight and the same
-    fallback, the shorter zero-padded, and the result carries them.
+    equal weights.  Rows masked out of h2 fall back to h1 alone; a mask
+    that splits a row raises ValueError.  The taps blend with the same
+    weight and the same fallback, the shorter zero-padded.
     """
     v1 = np.asarray(h1.values)
     v2 = np.asarray(h2.values)
@@ -80,17 +76,14 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
         beta = e2 / (e1 + e2)
         eps = e1 * e2 / (e1 + e2)
     values = beta * v1 + (1.0 - beta) * v2
-    taps = None
-    if h1.taps is not None and h2.taps is not None:
-        length = max(h1.taps.shape[-1], h2.taps.shape[-1])
-        t1 = _widen(h1.taps, length)
-        taps = beta * t1 + (1.0 - beta) * _widen(h2.taps, length)
+    length = max(h1.taps.shape[-1], h2.taps.shape[-1])
+    t1 = _widen(h1.taps, length)
+    taps = beta * t1 + (1.0 - beta) * _widen(h2.taps, length)
     if h2.mask is not None and not h2.mask.all():
+        if h2.mask.shape[-1] != 1:
+            raise ValueError("a tap-carrying estimate must mask whole rows")
         values = np.where(h2.mask, values, v1)
-        if taps is not None:
-            if h2.mask.shape[-1] != 1:
-                raise ValueError("a tap-carrying estimate must mask whole rows")
-            taps = np.where(h2.mask, taps, t1)
+        taps = np.where(h2.mask, taps, t1)
     return CfrEstimate(values=values, eps=float(eps), taps=taps)
 
 
@@ -132,34 +125,33 @@ def _refine(
 ) -> CfrEstimate:
     """Run cfg.estimator, one of REFINERS, on an instantaneous estimate.
 
-    ma1d and ma2d smooth with a moving average over (1, m_f) and
-    (m_t, m_f) blocks by subcarriers.  wiener1d and wiener2x1d take every
-    reliable cell as a pilot: per chunk of blocks, the cells' mean error
-    variance sets a frequency design and pass, and for wiener2x1d a time
-    design and pass follow.  The Wiener estimates carry their taps and
-    mask whole rows: wiener1d blocks that had no reliable cell, wiener2x1d
-    chunks that had none.  Only wiener2x1d splits the frame into chunks of
-    cfg.block_len blocks.  The frame may hold any number of blocks that
-    cfg.block_len divides.  check_sampling_rules is the caller's.
+    Every refiner takes each reliable cell as a pilot.  Per chunk of
+    blocks, the cells' mean error variance sets a frequency design, the
+    circular m_f-bin average of ma_1d or the Wiener gains of build_wiener,
+    and ma2d and wiener2x1d follow it with a time design, ma_2d's m_t-block
+    average or time_wiener's smoother.  One pass applies them: impute the
+    unreliable cells, IDFT, gains, time matrix, DFT.  Each estimate carries
+    its taps, n_fft per row for a moving average and the prior's length for
+    a Wiener refiner, and masks whole rows: ma1d and wiener1d blocks that
+    had no reliable cell, ma2d and wiener2x1d chunks that had none.  Only
+    wiener2x1d splits the frame into chunks of cfg.block_len blocks; the
+    others take it as one.  The frame may hold any number of blocks that
+    the chunk length divides.  check_sampling_rules is the caller's.
     """
     name = cfg.estimator
     s = inst.values.shape[0]
-    timed = name == "wiener2x1d"
-    b = cfg.block_len if timed else s
+    ma, timed = name.startswith("ma"), name in ("ma2d", "wiener2x1d")
+    b = cfg.block_len if name == "wiener2x1d" else s
     if s % b:
         raise ValueError(f"block_len {b} does not divide {s} symbols")
-    if not name.startswith("wiener"):
-        kw = dict(mask=inst.mask, weights=inst.weights, noise_var=noise_var)
-        if name == "ma2d":
-            return ma_2d(inst.values, cfg.m_t, cfg.m_f, **kw)
-        return ma_1d(inst.values, cfg.m_f, **kw)
 
-    # the frequency prior is the deployment profile or a uniform one over
-    # the longest channel the receiver is dimensioned for (cir_len)
+    # the prior is the deployment profile or a uniform one over the longest
+    # channel the receiver is dimensioned for (cir_len)
     uniform = PowerDelayProfile(np.arange(cfg.cir_len), np.full(cfg.cir_len, 1.0 / cfg.cir_len))
     prior = profile if cfg.corr_mode == "profile" else uniform
+    time_kw = dict(fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
 
-    taps = np.zeros((s, prior.length), dtype=np.complex128)
+    taps = np.zeros((s, n_fft if ma else prior.length), dtype=np.complex128)
     mask = np.zeros((s, 1), dtype=bool)
     eps_parts = []
     for c0 in range(0, s, b):
@@ -169,9 +161,15 @@ def _refine(
             eps_parts.append(float("inf"))
             continue
         err_var = float(np.mean(noise_var * inst.weights[sl][live]))
-        gains, resid = build_wiener(n_fft, input_err_var=err_var, profile=prior)
+        if ma:
+            gains, resid = ma_1d(n_fft, cfg.m_f, input_err_var=err_var, profile=prior)
+            if timed:
+                smoother, resid = ma_2d(b, cfg.m_t, gains, input_err_var=err_var, profile=prior, **time_kw)
+        else:
+            gains, resid = build_wiener(n_fft, input_err_var=err_var, profile=prior)
+            if timed:
+                smoother, resid = time_wiener(b, input_err_var=resid, **time_kw)
         if timed:
-            smoother, resid = time_wiener(b, input_err_var=resid, fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
             taps[sl] = wiener_2x1d(inst.values[sl], gains, smoother, live)
             mask[sl] = True
         else:
@@ -181,26 +179,16 @@ def _refine(
     return CfrEstimate(values=cfr(taps, n_fft), eps=float(np.mean(eps_parts)), mask=mask, taps=taps)
 
 
-def _scorer(truth_taps: np.ndarray, n_fft: int) -> Callable[[CfrEstimate], float]:
-    """The MSE per subcarrier of an estimate against the true taps.
-
-    A tap-carrying estimate is scored on its taps: by Parseval, the mean
-    of |DFT(delta)|^2 over n_fft subcarriers is L times the mean of
-    |delta|^2 over L taps.  Any other estimate is scored on its values,
-    against the true CFR, formed on first use and kept.
+def _scorer(truth_taps: np.ndarray) -> Callable[[CfrEstimate], float]:
+    """The MSE per subcarrier of an estimate against the true taps, scored
+    on the estimate's taps: by Parseval, the mean of |DFT(delta)|^2 over
+    the n_fft subcarriers is L times the mean of |delta|^2 over L taps.
     """
-    truth_cfr = None
 
     def score(est: CfrEstimate) -> float:
-        nonlocal truth_cfr
-        if est.taps is not None:
-            length = max(est.taps.shape[-1], truth_taps.shape[-1])
-            err = np.abs(_widen(est.taps, length) - _widen(truth_taps, length))
-            return length * float(np.mean(np.square(err, out=err)))
-        if truth_cfr is None:
-            truth_cfr = cfr(truth_taps, n_fft)
-        err = np.abs(est.values - truth_cfr)
-        return float(np.mean(np.square(err, out=err)))
+        length = max(est.taps.shape[-1], truth_taps.shape[-1])
+        err = np.abs(_widen(est.taps, length) - _widen(truth_taps, length))
+        return length * float(np.mean(np.square(err, out=err)))
 
     return score
 
@@ -248,18 +236,18 @@ def iterate(
     re-estimates, refines, and combines with the PN estimate.  The grid of
     each iteration is equalized with that iteration's final estimate after
     refreshing the guard removal with it.  Guard removal reads the first
-    cfg.cir_len taps the estimate carries, and inverts its values only for
-    an estimate without taps.  rx is the received frame of phy.propagate,
-    one row per block and the closing guard's row last.  cfg is a resolved
-    config; profile is the deployment profile the Wiener refiners check
-    and design for.  check_sampling_rules runs before the PN stage.
+    cfg.cir_len taps the estimate carries.  rx is the received frame of
+    phy.propagate, one row per block and the closing guard's row last.  cfg
+    is a resolved config; profile is the deployment profile the Wiener
+    refiners check, and the refiners' prior under the profile corr_mode.
+    check_sampling_rules runs before the PN stage.
 
     Returns the final estimate, the final iteration's grid and the
     diagnostics.  Only the final grid is returned: each iteration's grid is
     scored as it is made and then dropped.  truth_taps, the true channel's
     taps with one row per block (or one row for all), adds each
-    iteration's MSE to the diagnostics, scored on the taps of an estimate
-    that carries them; truth_bits, the frame's bits in map_bits order, adds
+    iteration's MSE to the diagnostics, scored on the estimate's taps;
+    truth_bits, the frame's bits in map_bits order, adds
     its uncoded BER.  Neither changes the estimates.  initial, when given,
     replaces the PN LS stage (exact-start and genie studies).
     """
@@ -282,18 +270,14 @@ def iterate(
         leak_var = window_leak_variance(gi, profile.dense_powers())
         h1 = ls_pn(cores, gi, cfg.cir_len, noise_var + leak_var, n)
 
-    score = None if truth_taps is None else _scorer(np.asarray(truth_taps), n)
+    score = _scorer(np.asarray(truth_taps)) if truth_taps is not None else None
     est = h1
     diag = IterationDiag()
     for it in range(iterations + 1):
         if it > 0:
             est = _data_aided(z, y, est, h1, gi, cfg, profile, noise_var, diag, score)
-        if est.taps is None:
-            cir = cir_from_cfr(est.values, cfg.cir_len)
-        else:
-            cir = est.taps[..., : cfg.cir_len]
         # the guard-free frame dies once it is folded and demodulated
-        y = ola(remove_pn(rx, gi, cir), nu)
+        y = ola(remove_pn(rx, gi, est.taps[..., : cfg.cir_len]), nu)
         z = equalize(y, est.values)
         diag.eps.append(est.eps)
         if score is not None:

@@ -48,10 +48,12 @@ class SimConfig:
     (num_symbols) and cir_len (the channel length, capped by the PN core).
     The estimation loop, combiner.iterate, reads the resolved config
     directly.  cir_len is its LS and guard-removal window and the support
-    of the uniform Wiener prior.  m_t and m_f are the moving-average
-    windows: ma1d smooths over (1, m_f) blocks by subcarriers and ma2d over
-    (m_t, m_f).  wiener1d and wiener2x1d take every cell as a pilot and
-    read neither.
+    of the uniform prior of every refiner.  m_t and m_f are the
+    moving-average windows: ma1d averages each block over m_f subcarriers,
+    centered and taken circularly, an even m_f rounded up to the next odd,
+    and ma2d then averages m_t blocks, m_t // 2 back and (m_t - 1) // 2
+    forward, truncated at the frame's edges.  wiener1d and wiener2x1d read
+    neither.
     """
 
     preset: str

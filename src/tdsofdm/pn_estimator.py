@@ -16,18 +16,17 @@ class CfrEstimate:
     """A channel frequency response estimate with its mean-square error.
 
     values is (n_fft,) or (num_symbols, n_fft); eps is the analytic MSE per
-    subcarrier; mask, when present, is False where the estimate fell back or
-    could not be formed, and broadcasts against values.  taps, when present,
-    is the impulse response whose n_fft-point DFT is values, one row per
-    row of values; an estimate born tap-limited carries it, so stages that
-    need only the CIR skip the inverse transform.  A tap-carrying estimate
-    masks whole rows: its mask, if any, has a last axis of length 1.
+    subcarrier; taps is the impulse response whose n_fft-point DFT is
+    values, one row per row of values, at most n_fft taps long, so stages
+    that need only the CIR skip the inverse transform.  mask, when present,
+    is False on the rows where the estimate could not be formed: its last
+    axis has length 1 and it broadcasts against values.
     """
 
     values: np.ndarray
     eps: float
+    taps: np.ndarray
     mask: np.ndarray | None = None
-    taps: np.ndarray | None = None
 
 
 def ls_pn(

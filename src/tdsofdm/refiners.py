@@ -1,101 +1,84 @@
-"""Noise suppression on instantaneous CFR estimates: moving averages and
-Wiener smoothing that takes every cell as a pilot."""
+"""Noise suppression on instantaneous CFR estimates, taking every cell as a
+pilot: the designs of moving averages and of Wiener smoothing, and the one
+pass that applies either."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .channel import PowerDelayProfile, r_t
-from .pn_estimator import CfrEstimate
 
 
 class ConstraintError(ValueError):
     """A sampling-rate constraint of the channel cannot be met."""
 
 
-def _window_sum(arr: np.ndarray, back: int, fwd: int, axis: int) -> np.ndarray:
-    """Sliding sum over [i-back, i+fwd] along axis, truncated at the edges.
+def ma_1d(n: int, m: int, *, input_err_var: float, profile: PowerDelayProfile) -> tuple[np.ndarray, float]:
+    """Design the moving average of m subcarriers on rows of n, each
+    observed with white error: (gains, residual_mse).
 
-    The cumulative sum P along axis is padded with back + 1 zeros in front
-    and fwd copies of the total behind, so the sum at every position i, the
-    edges included, is P[i + back + 1 + fwd] - P[i].
+    Every subcarrier is active, so a row's CFR is periodic in k, and a
+    centered window of m bins taken circularly (an even m rounds up to the
+    next odd) is a per-tap gain on the row's IDFT:
+
+        g_d = (1/m) sum_{|q| <= m//2} cos(2 pi q d / n),   d = 0 .. n-1.
+
+    residual_mse is the MSE per subcarrier: the input error the window
+    passes, s sum_d g_d^2 / n with s = input_err_var, plus the bias on the
+    prior, sum_d P_d (1 - g_d)^2, with P_d the prior power at delay d.
     """
-    # a one-bin window returns its input, which P[i + 1] - P[i] may round
-    if back == 0 and fwd == 0:
-        return arr
-    a = np.asarray(arr)
-    n = a.shape[axis]
-    shape = list(a.shape)
-    shape[axis] += back + 1 + fwd
-    # the axis leads only in the swapped views: cumsum along a strided axis
-    # is slower than along the array's own
-    p = np.empty(shape, np.result_type(a, 0.0)).swapaxes(0, axis)
-    p[: back + 1] = 0.0
-    np.cumsum(a, axis=axis, out=p[back + 1 : back + 1 + n].swapaxes(0, axis))
-    p[back + 1 + n :] = p[back + n]
-    return (p[back + 1 + fwd :][:n] - p[:n]).swapaxes(0, axis)
-
-
-def _moving_average(values, m_t, m_f, mask, weights, noise_var) -> CfrEstimate:
-    """Masked moving average over a block-by-subcarrier window.
-
-    The frequency window on the last axis is centered (even m_f rounds up
-    to the next odd); the block window on axis 0 reaches m_t // 2 blocks
-    back and (m_t - 1) // 2 forward.  Windows truncate at the edges, skip
-    masked bins and divide by the live bin count.  eps averages each bin's
-    error variance, noise_var times its window's summed weights over the
-    squared count, over the bins with any live neighbor: the mask.
-    """
-    if m_t < 1 or m_f < 1:
+    _check_design(n, input_err_var)
+    if m < 1:
         raise ValueError("window lengths must be positive")
-    half = m_f // 2
-    back, fwd = m_t // 2, (m_t - 1) // 2
-    mv = np.ones(values.shape) if mask is None else mask.astype(np.float64)
-    if weights is None:
-        weights = np.ones(values.shape)
-
-    def wsum(a):
-        return _window_sum(_window_sum(a, back, fwd, 0), half, half, -1)
-
-    cnt = np.round(wsum(mv))
-    ok = cnt > 0.5
-    safe = np.where(ok, cnt, 1.0)
-    out = np.where(ok, wsum(values * mv) / safe, 0.0)
-    var = noise_var * wsum(weights * mv) / safe**2
-    eps = float(var[ok].mean()) if ok.any() else float("inf")
-    return CfrEstimate(values=out, eps=eps, mask=ok)
-
-
-def ma_1d(
-    values: np.ndarray,
-    m: int,
-    *,
-    mask: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-    noise_var: float = 0.0,
-) -> CfrEstimate:
-    """Moving average across subcarriers: the single-block window (1, m)."""
-    return _moving_average(np.asarray(values), 1, m, mask, weights, noise_var)
+    p = _prior_powers(n, profile)
+    half = m // 2
+    q = np.arange(1, half + 1)
+    gains = (1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(q, np.arange(n)) / n).sum(axis=0)) / (2 * half + 1)
+    noise = input_err_var * float(np.sum(gains**2)) / n
+    return gains, noise + float(np.sum(p * (1.0 - gains[: p.size]) ** 2))
 
 
 def ma_2d(
-    values: np.ndarray,
+    n_blocks: int,
     m_t: int,
-    m_f: int,
+    gains: np.ndarray,
     *,
-    mask: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-    noise_var: float = 0.0,
-) -> CfrEstimate:
-    """Moving average over an (m_t, m_f) block-by-subcarrier window.
+    input_err_var: float,
+    profile: PowerDelayProfile,
+    fd_hz: float,
+    tb_s: float,
+) -> tuple[np.ndarray, float]:
+    """Design the moving average of m_t blocks that follows the frequency
+    gains of ma_1d: (smoother, residual_mse).
 
-    An even m_t reaches one block further into the past: m_t = 2 averages
-    blocks {i-1, i}.
+    The smoother is the banded, row-stochastic (n_blocks, n_blocks) matrix T
+    whose row i averages blocks i - m_t//2 .. i + (m_t-1)//2, truncated at
+    the edges: an even m_t reaches one block further into the past, so
+    m_t = 2 averages blocks {i-1, i}.  residual_mse is the MSE per
+    subcarrier averaged over the blocks.  Block i passes the input error
+    s sum_p T_ip^2 sum_d g_d^2 / n, with s = input_err_var and n =
+    gains.size, and adds the bias sum_d P_d (1 - 2 g_d c_i + g_d^2 q_i),
+    with c = (T o R) 1 and q_i = T_i R T_i^T for R the Jakes correlation
+    of the blocks and P_d the prior power at delay d.  With T = I this is
+    ma_1d's residual.
     """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError("expected a (num_blocks, n_fft) grid")
-    return _moving_average(values, m_t, m_f, mask, weights, noise_var)
+    _check_design(n_blocks, input_err_var)
+    if m_t < 1:
+        raise ValueError("window lengths must be positive")
+    if fd_hz < 0 or tb_s < 0:
+        raise ValueError("fd_hz and tb_s must be nonnegative")
+    n = gains.size
+    p = _prior_powers(n, profile)
+    g = gains[: p.size]
+    lag = np.subtract.outer(np.arange(n_blocks), np.arange(n_blocks))
+    band = (lag <= m_t // 2) & (lag >= -((m_t - 1) // 2))
+    smoother = band / band.sum(axis=1, keepdims=True)
+    big_r = r_t(lag, fd_hz, tb_s)
+    c = np.sum(smoother * big_r, axis=1)
+    q = np.einsum("ip,pq,iq->i", smoother, big_r, smoother)
+    noise = input_err_var * np.sum(smoother**2, axis=1) * np.sum(gains**2) / n
+    bias = np.sum(p) - 2.0 * c * np.sum(p * g) + q * np.sum(p * g**2)
+    return smoother, float(np.mean(noise + bias))
 
 
 def build_wiener(n: int, *, input_err_var: float, profile: PowerDelayProfile) -> tuple[np.ndarray, float]:
@@ -119,12 +102,7 @@ def build_wiener(n: int, *, input_err_var: float, profile: PowerDelayProfile) ->
     numpy.linalg.LinAlgError.
     """
     _check_design(n, input_err_var)
-    if np.any(profile.powers < 0):
-        raise np.linalg.LinAlgError("a delay profile with a negative power is not a correlation")
-    if profile.delays.max() >= n:
-        raise ValueError(f"a prior delay of {profile.delays.max()} lies at or beyond n = {n}")
-    # duplicate delays merge into one tap
-    p = np.bincount(profile.delays, weights=profile.powers)
+    p = _prior_powers(n, profile)
     ridge = max(input_err_var, 1e-12 * p.sum())
     den = n * p + ridge
     return n * p / den, float(ridge * np.sum(p / den))
@@ -167,6 +145,16 @@ def _check_design(n: int, input_err_var: float) -> None:
         raise ValueError("n must be positive")
 
 
+def _prior_powers(n: int, profile: PowerDelayProfile) -> np.ndarray:
+    """The prior power at each delay 0 .. L-1 of a frequency design of n
+    subcarriers; duplicate delays merge into one tap."""
+    if np.any(profile.powers < 0):
+        raise np.linalg.LinAlgError("a delay profile with a negative power is not a correlation")
+    if profile.delays.max() >= n:
+        raise ValueError(f"a prior delay of {profile.delays.max()} lies at or beyond n = {n}")
+    return np.bincount(profile.delays, weights=profile.powers)
+
+
 def _impute_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Replace invalid cells by linear interpolation from valid neighbors.
 
@@ -197,7 +185,8 @@ def _impute_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def wiener_1d(values: np.ndarray, gains: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Smooth each row of subcarriers with the gains of build_wiener.
+    """Smooth each row of subcarriers with per-tap gains: those of
+    build_wiener, of ma_1d or any other.
 
     Returns the smoothed taps, gains.size per row: the gains times the
     row's taps, whose DFT on the row's subcarriers is the smoothed row.
@@ -221,9 +210,10 @@ def wiener_2x1d(
     """Separable smoothing of a (block_len, n_fft) grid: the smoothed
     (block_len, gains.size) taps.
 
-    The taps of each block shrunk by the gains of build_wiener, then the
-    time_wiener smoother over the (block_len, L) taps: the time pass
-    commutes with the DFT, so it runs on L columns instead of n_fft.
+    The taps of each block weighted by the gains of wiener_1d, then the
+    smoother, time_wiener's or ma_2d's, over the (block_len, L) taps: the
+    time pass commutes with the DFT, so it runs on L columns instead of
+    n_fft.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.ndim != 2:

@@ -198,21 +198,6 @@ def reference_impute(values, mask):
     return v.reshape(np.shape(values))
 
 
-def reference_window_sum(arr, back, fwd, axis):
-    """Sliding sum over [i-back, i+fwd], truncated at the edges: one gather
-    of the zero-prefixed cumulative sum at each window's two ends.  A
-    one-bin window returns its input."""
-    if back == 0 and fwd == 0:
-        return arr
-    a = np.moveaxis(np.asarray(arr), axis, -1)
-    n = a.shape[-1]
-    zero = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
-    cs = np.concatenate([zero, np.cumsum(a, axis=-1)], axis=-1)
-    hi = np.minimum(np.arange(n) + fwd + 1, n)
-    lo = np.maximum(np.arange(n) - back, 0)
-    return np.moveaxis(cs[..., hi] - cs[..., lo], -1, axis)
-
-
 def reference_demap(z, h, noise_var, c):
     """Generic per-bit LLRs: a log-sum-exp over all 2^m points per bit,
     clipped to +-LLR_MAX."""

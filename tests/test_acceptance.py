@@ -37,6 +37,7 @@ from tdsofdm import (
     sfn_profile,
     time_wiener,
     wiener_1d,
+    wiener_2x1d,
 )
 
 from conftest import crandn, uniform_prior
@@ -148,12 +149,14 @@ def test_a03_error_model_closed_forms():
         vals.append(emp / analytic_mse_pn(gi8, 38, var))
     ratios["ls"] = vals
 
-    # flat moving average
+    # moving average over a 4-tap ensemble: noise plus bias
     vals = []
     for snr in SNRS:
         var = noise_var(snr)
-        r = ma_1d(1.0 + crandn(rng, (1000, 512), var=var), 5, noise_var=var)
-        vals.append(float(np.mean(np.abs(r.values - 1.0) ** 2)) / r.eps)
+        gains, resid = ma_1d(512, 5, input_err_var=var, profile=uniform_prior(4))
+        truth = cfr(crandn(rng, (1000, 4), var=0.25), 512)
+        out = cfr(wiener_1d(truth + crandn(rng, (1000, 512), var=var), gains), 512)
+        vals.append(float(np.mean(np.abs(out - truth) ** 2)) / resid)
     ratios["ma"] = vals
 
     # frequency smoother of every subcarrier over a 4-tap ensemble
@@ -167,16 +170,20 @@ def test_a03_error_model_closed_forms():
         vals.append(float(np.mean(np.abs(out - truth) ** 2)) / resid)
     ratios["wiener_f"] = vals
 
-    # two-dimensional moving average on a static flat grid
+    # two-dimensional moving average over a 4-tap ensemble in block fading
     vals = []
     for snr in SNRS:
         var = noise_var(snr)
-        acc, eps = 0.0, None
+        gains, _ = ma_1d(32, 3, input_err_var=var, profile=uniform_prior(4))
+        smoother, resid = ma_2d(
+            8, 2, gains, input_err_var=var, profile=uniform_prior(4), fd_hz=0.01, tb_s=1.0
+        )
+        acc = 0.0
         for _ in range(300):
-            r = ma_2d(1.0 + crandn(rng, (8, 32), var=var), 2, 3, noise_var=var)
-            acc += float(np.mean(np.abs(r.values - 1.0) ** 2))
-            eps = r.eps
-        vals.append(acc / 300 / eps)
+            truth = cfr(realize(uniform_prior(4), 0.01, 1.0, 8, rng), 32)
+            out = cfr(wiener_2x1d(truth + crandn(rng, (8, 32), var=var), gains, smoother), 32)
+            acc += float(np.mean(np.abs(out - truth) ** 2))
+        vals.append(acc / 300 / resid)
     ratios["ma2"] = vals
 
     # time smoother of every block over correlated block fading

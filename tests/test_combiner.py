@@ -26,7 +26,7 @@ from tdsofdm import (
     remove_pn,
     resolve_config,
 )
-from tdsofdm.combiner import _refine, _scorer
+from tdsofdm.combiner import REFINERS, _refine, _scorer
 from tdsofdm.soft_rebuild import InstantEstimate
 
 from conftest import crandn
@@ -50,12 +50,17 @@ def make_rx(rng, gi, taps, s, noise_var, c=QPSK):
     return rx, x
 
 
+def estimate(values, eps, mask=None):
+    """An estimate of values that carries all their taps."""
+    return CfrEstimate(values=values, eps=eps, taps=np.fft.ifft(values, axis=-1), mask=mask)
+
+
 def test_combine_weights_by_error_variance():
     rng = np.random.default_rng(60)
     v1, v2 = crandn(rng, 32), crandn(rng, 32)
     out = combine(
-        CfrEstimate(values=v1, eps=0.02),
-        CfrEstimate(values=v2, eps=0.01),
+        estimate(v1, 0.02),
+        estimate(v2, 0.01),
     )
     assert np.allclose(out.values, (v1 + 2.0 * v2) / 3.0)
     assert out.eps == pytest.approx(1.0 / 150.0, rel=1e-12)
@@ -64,23 +69,23 @@ def test_combine_weights_by_error_variance():
 def test_combine_degenerate_cases():
     rng = np.random.default_rng(61)
     v1, v2 = crandn(rng, 8), crandn(rng, 8)
-    h1 = CfrEstimate(values=v1, eps=0.3)
-    exact = combine(h1, CfrEstimate(values=v2, eps=0.0))
+    h1 = estimate(v1, 0.3)
+    exact = combine(h1, estimate(v2, 0.0))
     assert np.array_equal(exact.values, v2) and exact.eps == 0.0
-    h2_inf = CfrEstimate(values=v2, eps=float("inf"))
+    h2_inf = estimate(v2, float("inf"))
     keep1 = combine(h1, h2_inf)
     assert np.array_equal(keep1.values, v1) and keep1.eps == 0.3
-    h1_inf = CfrEstimate(values=v1, eps=float("inf"))
-    keep2 = combine(h1_inf, CfrEstimate(values=v2, eps=0.2))
+    h1_inf = estimate(v1, float("inf"))
+    keep2 = combine(h1_inf, estimate(v2, 0.2))
     assert np.array_equal(keep2.values, v2) and keep2.eps == 0.2
     eq = combine(
-        CfrEstimate(values=v1, eps=0.1),
-        CfrEstimate(values=v2, eps=0.1),
+        estimate(v1, 0.1),
+        estimate(v2, 0.1),
     )
     assert np.allclose(eq.values, (v1 + v2) / 2) and eq.eps == pytest.approx(0.05)
     both0 = combine(
-        CfrEstimate(values=v1, eps=0.0),
-        CfrEstimate(values=v2, eps=0.0),
+        estimate(v1, 0.0),
+        estimate(v2, 0.0),
     )
     assert np.allclose(both0.values, (v1 + v2) / 2) and both0.eps == 0.0
 
@@ -89,13 +94,13 @@ def test_combine_rejects_bad_inputs():
     v = np.zeros(4, dtype=np.complex128)
     with pytest.raises(ValueError, match="shape"):
         combine(
-            CfrEstimate(values=v, eps=0.1),
-            CfrEstimate(values=np.zeros(5, dtype=np.complex128), eps=0.1),
+            estimate(v, 0.1),
+            estimate(np.zeros(5, dtype=np.complex128), 0.1),
         )
     with pytest.raises(ValueError, match="eps"):
         combine(
-            CfrEstimate(values=v, eps=-0.1),
-            CfrEstimate(values=v, eps=0.1),
+            estimate(v, -0.1),
+            estimate(v, 0.1),
         )
 
 
@@ -107,8 +112,8 @@ def test_combine_rejects_bad_inputs():
 def test_combined_error_never_exceeds_either_input(e1, e2):
     v = np.ones(4, dtype=np.complex128)
     out = combine(
-        CfrEstimate(values=v, eps=e1),
-        CfrEstimate(values=v, eps=e2),
+        estimate(v, e1),
+        estimate(v, e2),
     )
     assert out.eps <= min(e1, e2) * (1 + 1e-12)
 
@@ -122,23 +127,20 @@ def test_combining_weight_minimizes_the_error_quadratic():
         best = betas[np.argmin(curve)]
         assert abs(best - e2 / (e1 + e2)) <= 1e-3
         out = combine(
-            CfrEstimate(values=np.ones(2), eps=e1),
-            CfrEstimate(values=np.ones(2), eps=e2),
+            estimate(np.ones(2), e1),
+            estimate(np.ones(2), e2),
         )
         assert out.eps <= curve.min() + 1e-12
 
 
 def test_combine_falls_back_where_second_estimate_is_masked():
     rng = np.random.default_rng(63)
-    v1, v2 = crandn(rng, 16), crandn(rng, 16)
-    mask = np.ones(16, dtype=bool)
-    mask[[3, 9]] = False
-    out = combine(
-        CfrEstimate(values=v1, eps=0.1),
-        CfrEstimate(values=v2, eps=0.1, mask=mask),
-    )
-    assert np.allclose(out.values[mask], (v1 + v2)[mask] / 2)
-    assert np.array_equal(out.values[~mask], v1[~mask])
+    v1, v2 = crandn(rng, (5, 16)), crandn(rng, (5, 16))
+    rows = np.array([True, False, True, True, False])
+    out = combine(estimate(v1, 0.1), estimate(v2, 0.1, mask=rows[:, None]))
+    assert np.allclose(out.values[rows], (v1 + v2)[rows] / 2)
+    assert np.array_equal(out.values[~rows], v1[~rows])
+    assert np.array_equal(out.taps[~rows], np.fft.ifft(v1[~rows], axis=-1))
 
 
 def assert_taps_match(est, n):
@@ -161,9 +163,9 @@ def test_combine_blends_the_taps_of_two_tap_carrying_estimates():
     # the masked row falls back to h1, zero-padded
     assert np.array_equal(out.taps[1], np.r_[t1[1], np.zeros(3)])
     assert np.array_equal(out.values[1], cfr(t1, 16)[1])
-    # an arm without taps leaves the result without them
-    plain = CfrEstimate(values=cfr(t2, 16), eps=0.01)
-    assert combine(CfrEstimate(values=cfr(t1, 16), eps=0.02, taps=t1), plain).taps is None
+    # every estimate carries taps
+    with pytest.raises(TypeError, match="taps"):
+        CfrEstimate(values=cfr(t2, 16), eps=0.01)
 
 
 def test_combine_rejects_taps_under_a_per_bin_mask():
@@ -178,10 +180,11 @@ def test_combine_rejects_taps_under_a_per_bin_mask():
         )
 
 
-@pytest.mark.parametrize("estimator", ["wiener1d", "wiener2x1d"])
-def test_wiener_estimates_and_their_combination_carry_taps(estimator):
+@pytest.mark.parametrize("estimator", REFINERS)
+def test_refined_estimates_and_their_combination_carry_taps(estimator):
     # the 6-tap profile prior is longer than the 3-tap LS window, and blocks
-    # 2 and 3 (one wiener2x1d chunk) have no reliable cell
+    # 2 and 3 (one wiener2x1d chunk) have no reliable cell; ma2d takes the
+    # frame as one chunk, so it masks no block
     rng = np.random.default_rng(72)
     cfg = resolve_config({"estimator": estimator, "corr_mode": "profile", "cir_len": 3, "block_len": 2})
     profile = cfg.profile()
@@ -191,35 +194,49 @@ def test_wiener_estimates_and_their_combination_carry_taps(estimator):
     mask[2:4] = False
     inst = InstantEstimate(values=crandn(rng, (s, n)), mask=mask, weights=rng.uniform(0.5, 2.0, (s, n)))
     h2 = _refine(inst, cfg, profile, n, 0.05)
-    assert h2.taps.shape == (s, profile.length) and h2.mask.shape == (s, 1)
-    assert h2.mask[:, 0].tolist() == [True] * 2 + [False] * 2 + [True] * 6
+    length = n if estimator.startswith("ma") else profile.length
+    dead = [] if estimator == "ma2d" else [2, 3]
+    assert h2.taps.shape == (s, length) and h2.mask.shape == (s, 1)
+    assert np.flatnonzero(~h2.mask[:, 0]).tolist() == dead
     assert_taps_match(h2, n)
-    assert np.all(h2.values[2:4] == 0.0)
+    assert np.all(h2.values[dead] == 0.0)
 
     t1 = crandn(rng, (s, cfg.cir_len))
     h1 = CfrEstimate(values=cfr(t1, n), eps=0.01, taps=t1)
     out = combine(h1, h2)
-    assert out.taps.shape == (s, profile.length)
+    assert out.taps.shape == (s, length)
     assert_taps_match(out, n)
-    assert np.array_equal(out.values[2:4], h1.values[2:4])
-    assert np.array_equal(out.taps[2:4, : cfg.cir_len], t1[2:4])
-    assert np.all(out.taps[2:4, cfg.cir_len :] == 0.0)
+    assert np.array_equal(out.values[dead], h1.values[dead])
+    assert np.array_equal(out.taps[dead, : cfg.cir_len], t1[dead])
+    assert np.all(out.taps[dead, cfg.cir_len :] == 0.0)
+
+
+@pytest.mark.parametrize("estimator", REFINERS)
+def test_a_frame_with_no_reliable_cell_refines_to_nothing(estimator):
+    cfg = resolve_config({"estimator": estimator})
+    s, n = cfg.num_symbols, cfg.fft_size
+    inst = InstantEstimate(
+        values=np.ones((s, n), dtype=np.complex128), mask=np.zeros((s, n), dtype=bool), weights=np.ones((s, n))
+    )
+    h2 = _refine(inst, cfg, cfg.profile(), n, 0.05)
+    assert h2.eps == float("inf")
+    assert not h2.mask.any()
+    assert np.all(h2.values == 0.0)
 
 
 @pytest.mark.parametrize("n", [64, 3780])
 def test_tap_mse_is_the_full_grid_mse(n):
     rng = np.random.default_rng(73)
     truth = crandn(rng, (5, 39))
-    score = _scorer(truth, n)
+    score = _scorer(truth)
     truth_cfr = cfr(truth, n)
-    # taps longer and shorter than the truth's, and an estimate without taps
-    for length in (45, 39, 7):
+    # taps longer and shorter than the truth's, and as long as the grid
+    for length in (n, 45, 39, 7):
         taps = crandn(rng, (5, length), var=1e-3)
         taps[:, : min(length, 39)] += truth[:, :length]
         est = CfrEstimate(values=cfr(taps, n), eps=0.0, taps=taps)
         full = float(np.mean(np.abs(est.values - truth_cfr) ** 2))
         assert score(est) == pytest.approx(full, rel=1e-12, abs=0.0)
-        assert score(replace(est, taps=None)) == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 def test_loop_checks_the_sampling_rules_before_the_pn_stage(gi3_16):
@@ -264,9 +281,8 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     rx, _ = make_rx(rng, gi3_16, taps, 4, nv)
     truth = np.ones((4, 64), dtype=np.complex128)
     cfg, profile = loop_config(cir_len=1, iterations=2, estimator="ma1d", M_f=5)
-    # an initial estimate without taps runs on its values throughout
-    initial = CfrEstimate(values=truth.copy(), eps=0.0)
     truth_taps = np.ones((4, 1), dtype=np.complex128)
+    initial = CfrEstimate(values=truth.copy(), eps=0.0, taps=truth_taps.copy())
     est, _, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_taps=truth_taps, initial=initial)
     assert len(diag.mse) == 3
     assert all(m <= 1e-10 for m in diag.mse)

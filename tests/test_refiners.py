@@ -18,7 +18,7 @@ from tdsofdm import (
     wiener_1d,
     wiener_2x1d,
 )
-from tdsofdm.refiners import _impute_invalid, _window_sum
+from tdsofdm.refiners import _impute_invalid
 
 from conftest import (
     crandn,
@@ -26,7 +26,6 @@ from conftest import (
     exact_freq_wiener,
     exact_time_wiener,
     reference_impute,
-    reference_window_sum,
     uniform_prior,
 )
 
@@ -41,143 +40,152 @@ def smooth_2x1d(grid, gains, smoother, mask=None):
     return cfr(wiener_2x1d(grid, gains, smoother, mask), np.shape(grid)[-1])
 
 
+# an asymmetric profile
+_SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5, 0.25, 0.15, 0.1]))
+
+
+def circular_average(values, m):
+    """The centered m-bin average of each row, taken circularly, summed bin
+    by bin; an even m rounds up to the next odd."""
+    half = m // 2
+    return sum(np.roll(values, q, axis=-1) for q in range(-half, half + 1)) / (2 * half + 1)
+
+
 def test_ma_window_of_one_is_identity():
     rng = np.random.default_rng(40)
     v = crandn(rng, (3, 32))
-    out = ma_1d(v, 1, noise_var=0.2)
-    assert np.array_equal(out.values, v)
-    assert out.eps == pytest.approx(0.2, rel=1e-12)
-    assert out.mask.all()
+    gains, resid = ma_1d(32, 1, input_err_var=0.2, profile=uniform_prior(4))
+    assert np.array_equal(gains, np.ones(32))
+    assert resid == 0.2
+    assert np.max(np.abs(smooth_1d(v, gains) - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_ma_even_window_rounds_up():
-    rng = np.random.default_rng(41)
-    v = crandn(rng, 64)
-    assert np.array_equal(ma_1d(v, 4).values, ma_1d(v, 5).values)
+    kw = dict(input_err_var=0.1, profile=uniform_prior(6))
+    gains4, resid4 = ma_1d(64, 4, **kw)
+    gains5, resid5 = ma_1d(64, 5, **kw)
+    assert np.array_equal(gains4, gains5)
+    assert resid4 == resid5
 
 
 def test_ma_preserves_constants():
-    out = ma_1d(np.full(50, 3.0 - 1.0j), 9)
-    assert np.allclose(out.values, 3.0 - 1.0j, atol=1e-12)
+    gains, _ = ma_1d(50, 9, input_err_var=0.1, profile=uniform_prior(4))
+    assert gains[0] == 1.0
+    out = smooth_1d(np.full(50, 3.0 - 1.0j), gains)
+    assert np.allclose(out, 3.0 - 1.0j, atol=1e-12)
 
 
-def test_ma_interior_variance_and_eps():
-    rng = np.random.default_rng(42)
-    rows, n, var, m = 3000, 64, 0.5, 5
-    noise = crandn(rng, (rows, n), var=var)
-    out = ma_1d(noise + 1.0, m, noise_var=var)
-    err2 = np.abs(out.values - 1.0) ** 2
-    # interior bins see the full window, edges a truncated one
-    per_bin = np.full(n, var / 5)
-    per_bin[[0, -1]] = var / 3
-    per_bin[[1, -2]] = var / 4
-    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
-    emp_interior = err2[:, 2:-2].mean()
-    assert emp_interior == pytest.approx(var / 5, rel=0.1)
-    assert err2.mean() == pytest.approx(out.eps, rel=0.1)
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 21])
+@pytest.mark.parametrize("n", [64, 3780])
+def test_ma_gains_are_the_circular_window_average(n, m):
+    rng = np.random.default_rng(41)
+    v = crandn(rng, (4, n))
+    gains, _ = ma_1d(n, m, input_err_var=0.1, profile=uniform_prior(4))
+    want = circular_average(v, m)
+    assert np.max(np.abs(smooth_1d(v, gains) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_ma_excludes_masked_bins():
+def test_ma_imputes_masked_cells():
+    # a poisoned cell under the mask is imputed from its neighbors first
+    gains, _ = ma_1d(9, 3, input_err_var=0.3, profile=uniform_prior(2))
     v = np.ones(9, dtype=np.complex128)
-    v[4] = 1e6                       # poisoned, but masked out
+    v[4] = 1e6
     mask = np.ones(9, dtype=bool)
     mask[4] = False
-    out = ma_1d(v, 3, mask=mask, noise_var=0.3)
-    assert np.allclose(out.values, 1.0)
-    # the masked bin still gets a value from its live neighbors
-    assert out.mask[4]
-    # two live bins in the windows of the edges and of bins 3 to 5, three
-    # elsewhere
-    per_bin = np.full(9, 0.3 / 3)
-    per_bin[[0, 3, 4, 5, 8]] = 0.3 / 2
-    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
+    assert np.allclose(smooth_1d(v, gains, mask), 1.0, atol=1e-12)
 
 
-def test_ma_all_masked():
-    out = ma_1d(np.ones(8), 3, mask=np.zeros(8, dtype=bool), noise_var=0.1)
-    assert not out.mask.any()
-    assert np.all(out.values == 0.0)
-    assert out.eps == float("inf")
-
-
-def test_ma_never_hurts_a_static_flat_channel():
+def test_ma_residual_of_a_single_tap_prior_is_the_noise_alone():
+    # a window passes a flat channel whole, so the residual is the noise
+    # s / m and a longer window never hurts
     rng = np.random.default_rng(43)
     var = 0.25
+    flat = preset_profile("flat", 1.0)
     obs = 2.0 + crandn(rng, (400, 64), var=var)
-    base = ma_1d(obs, 1, noise_var=var)
-    mse1 = np.mean(np.abs(base.values - 2.0) ** 2)
-    for m in (3, 5, 9, 15):
-        out = ma_1d(obs, m, noise_var=var)
-        assert out.eps <= base.eps
-        assert np.mean(np.abs(out.values - 2.0) ** 2) <= mse1
+    mse = []
+    for m in (1, 3, 5, 9, 15):
+        gains, resid = ma_1d(64, m, input_err_var=var, profile=flat)
+        assert resid == pytest.approx(var / m, rel=1e-12)
+        mse.append(np.mean(np.abs(smooth_1d(obs, gains) - 2.0) ** 2))
+    assert mse == sorted(mse, reverse=True)
+    assert mse[1] == pytest.approx(var / 3, rel=0.05)
+
+
+def test_ma_residual_tracks_simulation():
+    # the residual is the noise the window passes plus its bias on taps
+    # drawn from the prior
+    rng = np.random.default_rng(42)
+    for var in (1.0, 0.01, 1e-4):
+        gains, resid = ma_1d(64, 5, input_err_var=var, profile=_SKEWED)
+        draws = 4000
+        taps = crandn(rng, (draws, _SKEWED.length)) * np.sqrt(_SKEWED.dense_powers())
+        truth = cfr(taps, 64)
+        out = smooth_1d(truth + crandn(rng, (draws, 64), var=var), gains)
+        emp = np.mean(np.abs(out - truth) ** 2)
+        assert emp == pytest.approx(resid, rel=0.1)
 
 
 def test_ma_rejects_bad_windows():
+    kw = dict(input_err_var=0.1, profile=uniform_prior(2))
     with pytest.raises(ValueError):
-        ma_1d(np.ones(4), 0)
+        ma_1d(4, 0, **kw)
     with pytest.raises(ValueError):
-        ma_1d(np.ones(4), -3)
+        ma_1d(4, -3, **kw)
+    gains, _ = ma_1d(4, 3, **kw)
+    time = dict(fd_hz=0.0, tb_s=1.0)
     with pytest.raises(ValueError):
-        ma_2d(np.ones((2, 4)), 0, 3)
+        ma_2d(2, 0, gains, **kw, **time)
     with pytest.raises(ValueError):
-        ma_2d(np.ones((2, 4)), 2, 0)
+        ma_2d(0, 2, gains, **kw, **time)
     with pytest.raises(ValueError):
-        ma_2d(np.ones(8), 2, 3)
+        ma_2d(2, 2, gains, **kw, fd_hz=-1.0, tb_s=1.0)
 
 
 def test_ma_2d_single_block_window_matches_1d():
-    rng = np.random.default_rng(44)
-    v = crandn(rng, (4, 32))
-    a = ma_2d(v, 1, 7, noise_var=0.1)
-    b = ma_1d(v, 7, noise_var=0.1)
-    assert np.allclose(a.values, b.values)
-    assert a.eps == pytest.approx(b.eps, rel=1e-12)
+    kw = dict(input_err_var=0.1, profile=_SKEWED)
+    gains, resid = ma_1d(32, 7, **kw)
+    smoother, resid2 = ma_2d(4, 1, gains, **kw, fd_hz=0.05, tb_s=1.0)
+    assert np.array_equal(smoother, np.eye(4))
+    assert resid2 == pytest.approx(resid, rel=1e-12)
 
 
 def test_ma_2d_time_pairing_is_trailing_and_halves_noise():
     rng = np.random.default_rng(45)
     var = 0.4
+    gains = np.ones(16)
+    smoother, resid = ma_2d(
+        200, 2, gains, input_err_var=var, profile=preset_profile("flat", 1.0), fd_hz=0.0, tb_s=1.0
+    )
     g = crandn(rng, (200, 16), var=var)
-    out = ma_2d(g, 2, 1, noise_var=var)
-    assert np.array_equal(out.values[0], g[0])
-    assert np.allclose(out.values[1], (g[0] + g[1]) / 2)
+    out = smooth_2x1d(g, gains, smoother)
+    assert np.allclose(out[0], g[0])
+    assert np.allclose(out[1], (g[0] + g[1]) / 2)
     # block 0 has no past block to pair with
-    per_bin = np.full(g.shape[0], var / 2)
-    per_bin[0] = var
-    assert out.eps == pytest.approx(per_bin.mean(), rel=1e-12)
-    emp = np.mean(np.abs(out.values[1:]) ** 2)
+    per_block = np.full(g.shape[0], var / 2)
+    per_block[0] = var
+    assert resid == pytest.approx(per_block.mean(), rel=1e-12)
+    emp = np.mean(np.abs(out[1:]) ** 2)
     assert emp == pytest.approx(var / 2, rel=0.1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(1, 40),
-    other=st.integers(1, 3),
-    axis=st.sampled_from([0, -1]),
-    is_complex=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_window_sum_matches_the_gather_form(data, n, other, axis, is_complex, seed):
-    # windows from a single bin to far past both ends of the axis
-    back = data.draw(st.integers(0, n + 3), label="back")
-    fwd = data.draw(st.integers(0, n + 3), label="fwd")
-    rng = np.random.default_rng(seed)
-    shape = (n, other) if axis == 0 else (other, n)
-    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-    if is_complex:
-        a = a + 1j * rng.standard_normal(shape)
-    want = reference_window_sum(a, back, fwd, axis)
-    got = _window_sum(a, back, fwd, axis)
-    assert got.shape == want.shape and got.dtype == a.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("back, fwd, axis", [(1, 0, 0), (2, 3, 0), (7, 7, -1), (0, 12, -1)])
-def test_window_sum_matches_the_gather_form_on_a_dtmb_grid(back, fwd, axis):
-    rng = np.random.default_rng(46)
-    a = crandn(rng, (10, 3780))
-    assert np.array_equal(_window_sum(a, back, fwd, axis), reference_window_sum(a, back, fwd, axis))
+@pytest.mark.parametrize("m_t", [1, 2, 3, 4])
+def test_ma_2d_residual_tracks_simulation(m_t):
+    # the bias of a time window on Jakes fading, and of the frequency
+    # window on the prior
+    rng = np.random.default_rng(53)
+    fd_hz, blocks = 0.05, 8
+    for var in (0.1, 1e-3):
+        gains, _ = ma_1d(32, 3, input_err_var=var, profile=_SKEWED)
+        smoother, resid = ma_2d(
+            blocks, m_t, gains, input_err_var=var, profile=_SKEWED, fd_hz=fd_hz, tb_s=1.0
+        )
+        total, count = 0.0, 0
+        for _ in range(1500):
+            truth = cfr(realize(_SKEWED, fd_hz, 1.0, blocks, rng), 32)
+            out = smooth_2x1d(truth + crandn(rng, (blocks, 32), var=var), gains, smoother)
+            total += np.sum(np.abs(out - truth) ** 2)
+            count += out.size
+        assert total / count == pytest.approx(resid, rel=0.1)
 
 
 def test_wiener_every_bin_piloted_is_near_identity():
@@ -211,10 +219,6 @@ def test_wiener_build_rejects_bad_arguments():
         time_wiener(4, input_err_var=-0.1, fd_hz=0.0, tb_s=0.0)
     with pytest.raises(ValueError):
         time_wiener(0, input_err_var=0.1, fd_hz=0.0, tb_s=0.0)
-
-
-# an asymmetric profile
-_SKEWED = PowerDelayProfile(delays=np.array([0, 1, 3, 6]), powers=np.array([0.5, 0.25, 0.15, 0.1]))
 
 
 def test_wiener_rejects_a_prior_delay_at_or_beyond_n():
@@ -457,12 +461,13 @@ def test_wiener_beats_plain_averaging():
     rng = np.random.default_rng(51)
     var = 0.1
     gains, _ = build_wiener(64, input_err_var=var, profile=uniform_prior(4))
+    ma_gains, _ = ma_1d(64, 5, input_err_var=var, profile=uniform_prior(4))
     wins = 0
     for _ in range(200):
         truth = cfr(crandn(rng, 4, var=0.25), 64)
         cells = truth + crandn(rng, 64, var=var)
         wout = smooth_1d(cells, gains)
-        mout = ma_1d(cells, 5).values
+        mout = smooth_1d(cells, ma_gains)
         if np.mean(np.abs(wout - truth) ** 2) <= np.mean(np.abs(mout - truth) ** 2):
             wins += 1
     assert wins >= 180
