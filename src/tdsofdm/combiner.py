@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,18 +51,17 @@ class IterationDiag:
 
 
 def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
-    """Variance-weighted convex combination of two estimates.
+    """Variance-weighted convex combination of two estimates' taps.
 
     The weight on h1 is eps2/(eps1+eps2) and the combined MSE is the
     harmonic term eps1*eps2/(eps1+eps2); two exact inputs combine with
-    equal weights.  Rows masked out of h2 fall back to h1 alone; a mask
-    that splits a row raises ValueError.  The taps blend with the same
-    weight and the same fallback, the shorter zero-padded.
+    equal weights.  The blend is linear, so the CFRs blend with the same
+    weight.  The estimates must have the same rows; the shorter taps are
+    zero-padded.  Rows masked out of h2 fall back to h1 alone; a mask that
+    splits a row raises ValueError.
     """
-    v1 = np.asarray(h1.values)
-    v2 = np.asarray(h2.values)
-    if v1.shape != v2.shape:
-        raise ValueError(f"shape mismatch: {v1.shape} vs {v2.shape}")
+    if h1.taps.shape[:-1] != h2.taps.shape[:-1]:
+        raise ValueError(f"row mismatch: {h1.taps.shape[:-1]} vs {h2.taps.shape[:-1]}")
     e1, e2 = float(h1.eps), float(h2.eps)
     if e1 < 0 or e2 < 0:
         raise ValueError("eps must be nonnegative")
@@ -75,16 +74,14 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
     else:
         beta = e2 / (e1 + e2)
         eps = e1 * e2 / (e1 + e2)
-    values = beta * v1 + (1.0 - beta) * v2
     length = max(h1.taps.shape[-1], h2.taps.shape[-1])
     t1 = _widen(h1.taps, length)
     taps = beta * t1 + (1.0 - beta) * _widen(h2.taps, length)
     if h2.mask is not None and not h2.mask.all():
         if h2.mask.shape[-1] != 1:
-            raise ValueError("a tap-carrying estimate must mask whole rows")
-        values = np.where(h2.mask, values, v1)
+            raise ValueError("an estimate must mask whole rows")
         taps = np.where(h2.mask, taps, t1)
-    return CfrEstimate(values=values, eps=float(eps), taps=taps)
+    return CfrEstimate(eps=float(eps), taps=taps)
 
 
 def _widen(taps: np.ndarray, length: int) -> np.ndarray:
@@ -130,13 +127,14 @@ def _refine(
     circular m_f-bin average of ma_1d or the Wiener gains of build_wiener,
     and ma2d and wiener2x1d follow it with a time design, ma_2d's m_t-block
     average or time_wiener's smoother.  One pass applies them: impute the
-    unreliable cells, IDFT, gains, time matrix, DFT.  Each estimate carries
-    its taps, n_fft per row for a moving average and the prior's length for
-    a Wiener refiner, and masks whole rows: ma1d and wiener1d blocks that
-    had no reliable cell, ma2d and wiener2x1d chunks that had none.  Only
-    wiener2x1d splits the frame into chunks of cfg.block_len blocks; the
-    others take it as one.  The frame may hold any number of blocks that
-    the chunk length divides.  check_sampling_rules is the caller's.
+    unreliable cells, IDFT, gains, time matrix.  The estimate is the
+    resulting taps, with no DFT back to the grid: n_fft per row for a
+    moving average and the prior's length for a Wiener refiner.  It masks
+    whole rows: ma1d and wiener1d blocks that had no reliable cell, ma2d
+    and wiener2x1d chunks that had none.  Only wiener2x1d splits the
+    frame into chunks of cfg.block_len blocks; the others take it as one.
+    The frame may hold any number of blocks that the chunk length divides.
+    check_sampling_rules is the caller's.
     """
     name = cfg.estimator
     s = inst.values.shape[0]
@@ -176,45 +174,41 @@ def _refine(
             taps[sl] = wiener_1d(inst.values[sl], gains, live)
             mask[sl] = live.any(axis=-1, keepdims=True)
         eps_parts.append(resid)
-    return CfrEstimate(values=cfr(taps, n_fft), eps=float(np.mean(eps_parts)), mask=mask, taps=taps)
+    return CfrEstimate(eps=float(np.mean(eps_parts)), taps=taps, mask=mask)
 
 
-def _scorer(truth_taps: np.ndarray) -> Callable[[CfrEstimate], float]:
-    """The MSE per subcarrier of an estimate against the true taps, scored
-    on the estimate's taps: by Parseval, the mean of |DFT(delta)|^2 over
-    the n_fft subcarriers is L times the mean of |delta|^2 over L taps.
+def _tap_mse(taps: np.ndarray, truth_taps: np.ndarray) -> float:
+    """The MSE per subcarrier of taps against the true taps: by Parseval,
+    the mean of |DFT(delta)|^2 over the n_fft subcarriers is L times the
+    mean of |delta|^2 over L taps.
     """
-
-    def score(est: CfrEstimate) -> float:
-        length = max(est.taps.shape[-1], truth_taps.shape[-1])
-        err = np.abs(_widen(est.taps, length) - _widen(truth_taps, length))
-        return length * float(np.mean(np.square(err, out=err)))
-
-    return score
+    length = max(taps.shape[-1], truth_taps.shape[-1])
+    err = np.abs(_widen(taps, length) - _widen(truth_taps, length))
+    return length * float(np.mean(np.square(err, out=err)))
 
 
 def _data_aided(
-    z: FrameGrid, y: np.ndarray, est: CfrEstimate, h1: CfrEstimate, gi: PnSequence, cfg: SimConfig,
-    profile: PowerDelayProfile, noise_var: float, diag: IterationDiag,
-    score: Callable[[CfrEstimate], float] | None,
+    z: FrameGrid, y: np.ndarray, h: np.ndarray, eps: float, h1: CfrEstimate, gi: PnSequence, cfg: SimConfig,
+    profile: PowerDelayProfile, noise_var: float, diag: IterationDiag, truth_taps: np.ndarray | None,
 ) -> CfrEstimate:
     """The data-aided half of one iteration: the next combined estimate.
 
-    Demaps z under the current estimate est, rebuilds soft symbols,
-    re-estimates from the OLA grid y, refines and combines with the PN
-    estimate h1.  The soft symbols, the instantaneous and the refined
+    Demaps z under h, the CFR of the current estimate, whose MSE is eps,
+    rebuilds soft symbols, re-estimates from the OLA grid y, refines and
+    combines with the PN estimate h1.  truth_taps, when given, scores the
+    refined estimate.  The soft symbols, the instantaneous and the refined
     estimates are locals, so they die when it returns.
     """
     c = constellation(cfg.constellation)
     n = y.shape[-1]
-    tap_err = np.full(cfg.cir_len, est.eps / cfg.cir_len)
+    tap_err = np.full(cfg.cir_len, eps / cfg.cir_len)
     sigma_eff = (n + gi.nu) / n * noise_var + mean_interference_power(gi, tap_err, n)
     # the soft symbols die once the instantaneous estimate is formed
-    inst = instantaneous_estimate(soft_symbols(demap(z, est.values, sigma_eff, c), c), y, c)
+    inst = instantaneous_estimate(soft_symbols(demap(z, h, sigma_eff, c), c), y, c)
     h2 = _refine(inst, cfg, profile, n, sigma_eff)
     diag.h2_eps.append(h2.eps)
-    if score is not None:
-        diag.h2_mse.append(score(h2))
+    if truth_taps is not None:
+        diag.h2_mse.append(_tap_mse(h2.taps, truth_taps))
     return combine(h1, h2)
 
 
@@ -236,20 +230,21 @@ def iterate(
     re-estimates, refines, and combines with the PN estimate.  The grid of
     each iteration is equalized with that iteration's final estimate after
     refreshing the guard removal with it.  Guard removal reads the first
-    cfg.cir_len taps the estimate carries.  rx is the received frame of
-    phy.propagate, one row per block and the closing guard's row last.  cfg
-    is a resolved config; profile is the deployment profile the Wiener
-    refiners check, and the refiners' prior under the profile corr_mode.
-    check_sampling_rules runs before the PN stage.
+    cfg.cir_len taps of the estimate; the iteration forms the estimate's
+    CFR once, for its equalizer and the next iteration's demap.  rx is the
+    received frame of phy.propagate, one row per block and the closing
+    guard's row last.  cfg is a resolved config; profile is the deployment
+    profile the Wiener refiners check, and the refiners' prior under the
+    profile corr_mode.  check_sampling_rules runs before the PN stage.
 
     Returns the final estimate, the final iteration's grid and the
     diagnostics.  Only the final grid is returned: each iteration's grid is
     scored as it is made and then dropped.  truth_taps, the true channel's
     taps with one row per block (or one row for all), adds each
     iteration's MSE to the diagnostics, scored on the estimate's taps;
-    truth_bits, the frame's bits in map_bits order, adds
-    its uncoded BER.  Neither changes the estimates.  initial, when given,
-    replaces the PN LS stage (exact-start and genie studies).
+    truth_bits, the frame's bits in map_bits order, adds its uncoded BER.
+    Neither changes the estimates.  initial, when given, replaces the PN
+    LS stage (exact-start and genie studies).
     """
     if cfg.estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {cfg.estimator!r}; expected one of {ESTIMATORS}")
@@ -268,20 +263,22 @@ def iterate(
         # channel tails beyond the core offset act as extra white noise in
         # the correlation window; fold them into the LS error model
         leak_var = window_leak_variance(gi, profile.dense_powers())
-        h1 = ls_pn(cores, gi, cfg.cir_len, noise_var + leak_var, n)
+        h1 = ls_pn(cores, gi, cfg.cir_len, noise_var + leak_var)
 
-    score = _scorer(np.asarray(truth_taps)) if truth_taps is not None else None
+    if truth_taps is not None:
+        truth_taps = np.asarray(truth_taps)
     est = h1
     diag = IterationDiag()
     for it in range(iterations + 1):
         if it > 0:
-            est = _data_aided(z, y, est, h1, gi, cfg, profile, noise_var, diag, score)
+            est = _data_aided(z, y, h, est.eps, h1, gi, cfg, profile, noise_var, diag, truth_taps)
         # the guard-free frame dies once it is folded and demodulated
         y = ola(remove_pn(rx, gi, est.taps[..., : cfg.cir_len]), nu)
-        z = equalize(y, est.values)
+        h = cfr(est.taps, n)
+        z = equalize(y, h)
         diag.eps.append(est.eps)
-        if score is not None:
-            diag.mse.append(score(est))
+        if truth_taps is not None:
+            diag.mse.append(_tap_mse(est.taps, truth_taps))
         if truth_bits is not None:
             diag.ber.append(float(np.mean(hard_decisions(z.data, c) != truth_bits)))
 

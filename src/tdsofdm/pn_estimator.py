@@ -7,41 +7,32 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded eagerly, see sequences)
 
-from .channel import cfr
 from .sequences import PnSequence
 
 
 @dataclass(frozen=True)
 class CfrEstimate:
-    """A channel frequency response estimate with its mean-square error.
+    """A channel estimate held as its impulse response, with its mean-square error.
 
-    values is (n_fft,) or (num_symbols, n_fft); eps is the analytic MSE per
-    subcarrier; taps is the impulse response whose n_fft-point DFT is
-    values, one row per row of values, at most n_fft taps long, so stages
-    that need only the CIR skip the inverse transform.  mask, when present,
-    is False on the rows where the estimate could not be formed: its last
-    axis has length 1 and it broadcasts against values.
+    taps is (L,) or (num_symbols, L), one impulse response per row, at most
+    n_fft taps long; the CFR on the n_fft-point grid is channel.cfr(taps,
+    n_fft), formed by the stage that reads it.  eps is the analytic MSE per
+    subcarrier.  mask, when present, is False on the rows where the
+    estimate could not be formed: its last axis has length 1 and it
+    broadcasts against taps.
     """
 
-    values: np.ndarray
     eps: float
     taps: np.ndarray
     mask: np.ndarray | None = None
 
 
-def ls_pn(
-    rx_core: np.ndarray,
-    pn: PnSequence,
-    cir_len: int,
-    noise_var: float,
-    n_fft: int,
-) -> CfrEstimate:
+def ls_pn(rx_core: np.ndarray, pn: PnSequence, cir_len: int, noise_var: float) -> CfrEstimate:
     """LS estimate from the received PN core, truncated to cir_len taps.
 
     The core's cyclic prefix makes the received core a circular convolution,
     so division bin by bin in the core's DFT domain inverts the channel.
-    The impulse response keeps only the first cir_len taps before
-    re-expansion onto the n_fft-point grid; the estimate carries them.
+    The estimate keeps the first cir_len taps of the impulse response.
     """
     rx_core = np.asarray(rx_core, dtype=np.complex128)
     if rx_core.shape[-1] != pn.n_pn:
@@ -53,9 +44,7 @@ def ls_pn(
         raise ValueError("PN core spectrum has a (near-)null bin; cannot invert")
 
     h_bar = np.fft.fft(rx_core, axis=-1, norm="ortho") / pn.spectrum
-    taps = cir_from_cfr(h_bar, cir_len)
-    eps = analytic_mse_pn(pn, cir_len, noise_var)
-    return CfrEstimate(values=cfr(taps, n_fft), eps=eps, taps=taps)
+    return CfrEstimate(eps=analytic_mse_pn(pn, cir_len, noise_var), taps=cir_from_cfr(h_bar, cir_len))
 
 
 def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "tdsofdm"
 
 
 def _bindings():
@@ -32,6 +34,17 @@ def test_binding_resolves_to_the_public_function(mod_name, attr, span):
     assert getattr(defining, fn.__name__) is fn
     assert not fn.__name__.startswith("_")
     assert span == f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+
+
+def test_imports_kept_only_for_a_binding_are_bound_and_otherwise_unused():
+    # a name a module imports but does not use stays only while a binding
+    # wraps it there, so it goes together with its binding
+    bound = {(mod_name, attr) for mod_name, attr, _ in _bindings()}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in re.findall(r"^from \.\w+ import (\w+)  # noqa: F401", text, re.M):
+            assert (f"tdsofdm.{path.stem}", name) in bound
+            assert len(re.findall(rf"\b{name}\b", text)) == 1, f"{path.stem} uses {name}"
 
 
 def test_traced_worker_run_reports_layers():

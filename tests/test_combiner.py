@@ -26,7 +26,7 @@ from tdsofdm import (
     remove_pn,
     resolve_config,
 )
-from tdsofdm.combiner import REFINERS, _refine, _scorer
+from tdsofdm.combiner import REFINERS, _refine, _tap_mse
 from tdsofdm.soft_rebuild import InstantEstimate
 
 from conftest import crandn
@@ -50,58 +50,38 @@ def make_rx(rng, gi, taps, s, noise_var, c=QPSK):
     return rx, x
 
 
-def estimate(values, eps, mask=None):
-    """An estimate of values that carries all their taps."""
-    return CfrEstimate(values=values, eps=eps, taps=np.fft.ifft(values, axis=-1), mask=mask)
-
-
 def test_combine_weights_by_error_variance():
     rng = np.random.default_rng(60)
-    v1, v2 = crandn(rng, 32), crandn(rng, 32)
-    out = combine(
-        estimate(v1, 0.02),
-        estimate(v2, 0.01),
-    )
-    assert np.allclose(out.values, (v1 + 2.0 * v2) / 3.0)
+    t1, t2 = crandn(rng, 32), crandn(rng, 32)
+    out = combine(CfrEstimate(eps=0.02, taps=t1), CfrEstimate(eps=0.01, taps=t2))
+    assert np.allclose(cfr(out.taps, 32), (cfr(t1, 32) + 2.0 * cfr(t2, 32)) / 3.0)
     assert out.eps == pytest.approx(1.0 / 150.0, rel=1e-12)
 
 
 def test_combine_degenerate_cases():
     rng = np.random.default_rng(61)
-    v1, v2 = crandn(rng, 8), crandn(rng, 8)
-    h1 = estimate(v1, 0.3)
-    exact = combine(h1, estimate(v2, 0.0))
-    assert np.array_equal(exact.values, v2) and exact.eps == 0.0
-    h2_inf = estimate(v2, float("inf"))
-    keep1 = combine(h1, h2_inf)
-    assert np.array_equal(keep1.values, v1) and keep1.eps == 0.3
-    h1_inf = estimate(v1, float("inf"))
-    keep2 = combine(h1_inf, estimate(v2, 0.2))
-    assert np.array_equal(keep2.values, v2) and keep2.eps == 0.2
-    eq = combine(
-        estimate(v1, 0.1),
-        estimate(v2, 0.1),
-    )
-    assert np.allclose(eq.values, (v1 + v2) / 2) and eq.eps == pytest.approx(0.05)
-    both0 = combine(
-        estimate(v1, 0.0),
-        estimate(v2, 0.0),
-    )
-    assert np.allclose(both0.values, (v1 + v2) / 2) and both0.eps == 0.0
+    t1, t2 = crandn(rng, 8), crandn(rng, 8)
+    v1, v2 = cfr(t1, 8), cfr(t2, 8)
+    h1 = CfrEstimate(eps=0.3, taps=t1)
+    exact = combine(h1, CfrEstimate(eps=0.0, taps=t2))
+    assert np.array_equal(cfr(exact.taps, 8), v2) and exact.eps == 0.0
+    keep1 = combine(h1, CfrEstimate(eps=float("inf"), taps=t2))
+    assert np.array_equal(cfr(keep1.taps, 8), v1) and keep1.eps == 0.3
+    keep2 = combine(CfrEstimate(eps=float("inf"), taps=t1), CfrEstimate(eps=0.2, taps=t2))
+    assert np.array_equal(cfr(keep2.taps, 8), v2) and keep2.eps == 0.2
+    eq = combine(CfrEstimate(eps=0.1, taps=t1), CfrEstimate(eps=0.1, taps=t2))
+    assert np.allclose(cfr(eq.taps, 8), (v1 + v2) / 2) and eq.eps == pytest.approx(0.05)
+    both0 = combine(CfrEstimate(eps=0.0, taps=t1), CfrEstimate(eps=0.0, taps=t2))
+    assert np.allclose(cfr(both0.taps, 8), (v1 + v2) / 2) and both0.eps == 0.0
 
 
 def test_combine_rejects_bad_inputs():
-    v = np.zeros(4, dtype=np.complex128)
-    with pytest.raises(ValueError, match="shape"):
-        combine(
-            estimate(v, 0.1),
-            estimate(np.zeros(5, dtype=np.complex128), 0.1),
-        )
+    t = np.zeros((2, 4), dtype=np.complex128)
+    # taps of different lengths combine, rows of different counts do not
+    with pytest.raises(ValueError, match="row mismatch"):
+        combine(CfrEstimate(eps=0.1, taps=t), CfrEstimate(eps=0.1, taps=np.zeros((3, 4))))
     with pytest.raises(ValueError, match="eps"):
-        combine(
-            estimate(v, -0.1),
-            estimate(v, 0.1),
-        )
+        combine(CfrEstimate(eps=-0.1, taps=t), CfrEstimate(eps=0.1, taps=t))
 
 
 @settings(max_examples=25, deadline=None)
@@ -110,11 +90,8 @@ def test_combine_rejects_bad_inputs():
     e2=st.floats(min_value=1e-9, max_value=1e6),
 )
 def test_combined_error_never_exceeds_either_input(e1, e2):
-    v = np.ones(4, dtype=np.complex128)
-    out = combine(
-        estimate(v, e1),
-        estimate(v, e2),
-    )
+    t = np.ones(4, dtype=np.complex128)
+    out = combine(CfrEstimate(eps=e1, taps=t), CfrEstimate(eps=e2, taps=t))
     assert out.eps <= min(e1, e2) * (1 + 1e-12)
 
 
@@ -126,46 +103,35 @@ def test_combining_weight_minimizes_the_error_quadratic():
         curve = betas**2 * e1 + (1 - betas) ** 2 * e2
         best = betas[np.argmin(curve)]
         assert abs(best - e2 / (e1 + e2)) <= 1e-3
-        out = combine(
-            estimate(np.ones(2), e1),
-            estimate(np.ones(2), e2),
-        )
+        out = combine(CfrEstimate(eps=e1, taps=np.ones(2)), CfrEstimate(eps=e2, taps=np.ones(2)))
         assert out.eps <= curve.min() + 1e-12
 
 
 def test_combine_falls_back_where_second_estimate_is_masked():
     rng = np.random.default_rng(63)
-    v1, v2 = crandn(rng, (5, 16)), crandn(rng, (5, 16))
+    t1, t2 = crandn(rng, (5, 16)), crandn(rng, (5, 16))
+    v1, v2 = cfr(t1, 16), cfr(t2, 16)
     rows = np.array([True, False, True, True, False])
-    out = combine(estimate(v1, 0.1), estimate(v2, 0.1, mask=rows[:, None]))
-    assert np.allclose(out.values[rows], (v1 + v2)[rows] / 2)
-    assert np.array_equal(out.values[~rows], v1[~rows])
-    assert np.array_equal(out.taps[~rows], np.fft.ifft(v1[~rows], axis=-1))
-
-
-def assert_taps_match(est, n):
-    """The estimate's taps transform to its values, to rounding."""
-    assert np.max(np.abs(cfr(est.taps, n) - est.values)) <= 1e-12 * np.max(np.abs(est.values))
+    out = combine(CfrEstimate(eps=0.1, taps=t1), CfrEstimate(eps=0.1, taps=t2, mask=rows[:, None]))
+    assert np.allclose(cfr(out.taps, 16)[rows], (v1 + v2)[rows] / 2)
+    assert np.array_equal(cfr(out.taps, 16)[~rows], v1[~rows])
+    assert np.array_equal(out.taps[~rows], t1[~rows])
 
 
 def test_combine_blends_the_taps_of_two_tap_carrying_estimates():
     rng = np.random.default_rng(70)
     t1, t2 = crandn(rng, (3, 2)), crandn(rng, (3, 5))
     mask = np.array([[True], [False], [True]])
-    out = combine(
-        CfrEstimate(values=cfr(t1, 16), eps=0.02, taps=t1),
-        CfrEstimate(values=cfr(t2, 16), eps=0.01, mask=mask, taps=t2),
-    )
+    out = combine(CfrEstimate(eps=0.02, taps=t1), CfrEstimate(eps=0.01, taps=t2, mask=mask))
     assert out.taps.shape == (3, 5)
-    assert_taps_match(out, 16)
     assert np.allclose(out.taps[0, :2], (t1[0] + 2.0 * t2[0, :2]) / 3.0)
     assert np.allclose(out.taps[0, 2:], 2.0 * t2[0, 2:] / 3.0)
     # the masked row falls back to h1, zero-padded
     assert np.array_equal(out.taps[1], np.r_[t1[1], np.zeros(3)])
-    assert np.array_equal(out.values[1], cfr(t1, 16)[1])
-    # every estimate carries taps
+    assert np.array_equal(cfr(out.taps, 16)[1], cfr(t1, 16)[1])
+    # an estimate is its taps
     with pytest.raises(TypeError, match="taps"):
-        CfrEstimate(values=cfr(t2, 16), eps=0.01)
+        CfrEstimate(eps=0.01)
 
 
 def test_combine_rejects_taps_under_a_per_bin_mask():
@@ -174,10 +140,7 @@ def test_combine_rejects_taps_under_a_per_bin_mask():
     mask = np.ones((2, 16), dtype=bool)
     mask[0, 4] = False
     with pytest.raises(ValueError, match="whole rows"):
-        combine(
-            CfrEstimate(values=cfr(t, 16), eps=0.1, taps=t),
-            CfrEstimate(values=cfr(t, 16), eps=0.1, mask=mask, taps=t),
-        )
+        combine(CfrEstimate(eps=0.1, taps=t), CfrEstimate(eps=0.1, taps=t, mask=mask))
 
 
 @pytest.mark.parametrize("estimator", REFINERS)
@@ -198,15 +161,13 @@ def test_refined_estimates_and_their_combination_carry_taps(estimator):
     dead = [] if estimator == "ma2d" else [2, 3]
     assert h2.taps.shape == (s, length) and h2.mask.shape == (s, 1)
     assert np.flatnonzero(~h2.mask[:, 0]).tolist() == dead
-    assert_taps_match(h2, n)
-    assert np.all(h2.values[dead] == 0.0)
+    assert np.all(cfr(h2.taps, n)[dead] == 0.0)
 
     t1 = crandn(rng, (s, cfg.cir_len))
-    h1 = CfrEstimate(values=cfr(t1, n), eps=0.01, taps=t1)
+    h1 = CfrEstimate(eps=0.01, taps=t1)
     out = combine(h1, h2)
     assert out.taps.shape == (s, length)
-    assert_taps_match(out, n)
-    assert np.array_equal(out.values[dead], h1.values[dead])
+    assert np.array_equal(cfr(out.taps, n)[dead], cfr(t1, n)[dead])
     assert np.array_equal(out.taps[dead, : cfg.cir_len], t1[dead])
     assert np.all(out.taps[dead, cfg.cir_len :] == 0.0)
 
@@ -221,22 +182,20 @@ def test_a_frame_with_no_reliable_cell_refines_to_nothing(estimator):
     h2 = _refine(inst, cfg, cfg.profile(), n, 0.05)
     assert h2.eps == float("inf")
     assert not h2.mask.any()
-    assert np.all(h2.values == 0.0)
+    assert np.all(cfr(h2.taps, n) == 0.0)
 
 
 @pytest.mark.parametrize("n", [64, 3780])
 def test_tap_mse_is_the_full_grid_mse(n):
     rng = np.random.default_rng(73)
     truth = crandn(rng, (5, 39))
-    score = _scorer(truth)
     truth_cfr = cfr(truth, n)
     # taps longer and shorter than the truth's, and as long as the grid
     for length in (n, 45, 39, 7):
         taps = crandn(rng, (5, length), var=1e-3)
         taps[:, : min(length, 39)] += truth[:, :length]
-        est = CfrEstimate(values=cfr(taps, n), eps=0.0, taps=taps)
-        full = float(np.mean(np.abs(est.values - truth_cfr) ** 2))
-        assert score(est) == pytest.approx(full, rel=1e-12, abs=0.0)
+        full = float(np.mean(np.abs(cfr(taps, n) - truth_cfr) ** 2))
+        assert _tap_mse(taps, truth) == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 def test_loop_checks_the_sampling_rules_before_the_pn_stage(gi3_16):
@@ -261,11 +220,10 @@ def test_loop_with_no_iterations_is_the_plain_ls_receiver(gi3_16):
     est, z, diag = iterate(rx, gi3_16, cfg, profile, nv)
 
     cores = rx[:-1, 9:16]
-    h1 = ls_pn(cores, gi3_16, 3, nv, 64)
-    # guard removal reads the taps the LS estimate carries
+    h1 = ls_pn(cores, gi3_16, 3, nv)
+    # guard removal reads the LS estimate's taps and equalization their CFR
     cleaned = remove_pn(rx, gi3_16, h1.taps)
-    z_ref = equalize(ola(cleaned, 16), h1.values)
-    assert np.array_equal(est.values, h1.values)
+    z_ref = equalize(ola(cleaned, 16), cfr(h1.taps, 64))
     assert np.array_equal(est.taps, h1.taps)
     assert est.eps == h1.eps
     assert np.array_equal(z.data, z_ref.data)
@@ -279,10 +237,9 @@ def test_loop_keeps_a_perfect_initial_estimate(gi3_16):
     taps = np.array([1.0 + 0.0j])
     nv = 0.0
     rx, _ = make_rx(rng, gi3_16, taps, 4, nv)
-    truth = np.ones((4, 64), dtype=np.complex128)
     cfg, profile = loop_config(cir_len=1, iterations=2, estimator="ma1d", M_f=5)
     truth_taps = np.ones((4, 1), dtype=np.complex128)
-    initial = CfrEstimate(values=truth.copy(), eps=0.0, taps=truth_taps.copy())
+    initial = CfrEstimate(eps=0.0, taps=truth_taps.copy())
     est, _, diag = iterate(rx, gi3_16, cfg, profile, nv, truth_taps=truth_taps, initial=initial)
     assert len(diag.mse) == 3
     assert all(m <= 1e-10 for m in diag.mse)

@@ -316,10 +316,14 @@ def test_wiener1d_ignores_the_time_sampling_rule():
 
 
 # estimator -> calls per trial of combiner.cir_from_cfr, combiner.cfr and
-# harness.cfr: every estimate carries its taps, so no loop inverts a CFR or
-# forms the true one, each refine forms its CFR from its taps, and the
-# genie's initial estimate is the true CFR
-_TAP_PATH_CALLS = {"wiener1d": (0, 2, 0), "ma1d": (0, 2, 0), "ma2d": (0, 2, 0), "genie": (0, 0, 1)}
+# harness.cfr: an estimate is its taps, so no loop inverts a CFR, the trial
+# forms no true CFR, and each of the iterations + 1 passes of the loop
+# forms its estimate's CFR once.  That is as many transforms per trial as
+# when ls_pn (1) and each of the 2 refines formed their own CFR, or the
+# genie's trial formed the true one
+_TAP_PATH_CALLS = {
+    "wiener1d": (0, 3, 0), "ma1d": (0, 3, 0), "ma2d": (0, 3, 0), "genie": (0, 1, 0), "pn": (0, 1, 0),
+}
 
 
 @pytest.mark.parametrize("estimator", sorted(_TAP_PATH_CALLS))
