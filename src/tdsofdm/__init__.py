@@ -14,10 +14,8 @@ from .modulation import Constellation, constellation, hard_decisions, map_bits
 from .channel import (
     PowerDelayProfile,
     cfr,
-    coherence_bandwidth,
     doppler_frequency,
     preset_profile,
-    r_f,
     r_t,
     realize,
     sfn_profile,
@@ -36,7 +34,6 @@ from .pn_estimator import (
     CfrEstimate,
     analytic_mse_pn,
     cir_from_cfr,
-    interference_power,
     ls_pn,
     mean_interference_power,
     window_leak_variance,

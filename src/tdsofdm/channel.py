@@ -171,13 +171,6 @@ def cfr(taps: np.ndarray, n_fft: int) -> np.ndarray:
     return np.fft.fft(taps, n=n_fft, axis=-1)
 
 
-def r_f(q: np.ndarray, profile: PowerDelayProfile, n_fft: int) -> np.ndarray:
-    """Frequency correlation of the CFR at subcarrier separation q."""
-    q = np.asarray(q)
-    phase = np.exp(-2j * np.pi * np.multiply.outer(q, profile.delays) / n_fft)
-    return phase @ profile.powers
-
-
 def r_t(p: np.ndarray, fd_hz: float, tb_s: float) -> np.ndarray:
     """Time correlation of any tap (and of the CFR) at block separation p.
 
@@ -189,30 +182,3 @@ def r_t(p: np.ndarray, fd_hz: float, tb_s: float) -> np.ndarray:
     x = 2.0 * np.pi * fd_hz * tb_s * np.asarray(p, dtype=np.float64)
     n = 64 + int(np.ceil(np.abs(x).max(initial=0.0)))
     return np.cos(np.multiply.outer(x, np.sin(2.0 * np.pi * np.arange(n) / n))).mean(axis=-1)
-
-
-def coherence_bandwidth(
-    profile: PowerDelayProfile,
-    n_fft: int,
-    subcarrier_spacing_hz: float,
-    level: float = 0.9,
-) -> float:
-    """Coherence bandwidth in Hz from the RMS delay spread.
-
-    Uses the delay-spread rule of thumb anchored at the 0.9-correlation
-    point, B_c = 1/(50 sigma_tau), extended to other levels as
-    (1 - level)/(5 sigma_tau).  The result is clamped to one subcarrier
-    spacing from below and to the sampled bandwidth from above, which also
-    covers the single-tap case.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
-    total_bw = n_fft * subcarrier_spacing_hz
-    sample_rate = total_bw
-    mean_tau = float(profile.powers @ profile.delays) / sample_rate
-    mean_tau2 = float(profile.powers @ profile.delays.astype(np.float64) ** 2) / sample_rate**2
-    sigma_tau = np.sqrt(max(mean_tau2 - mean_tau**2, 0.0))
-    if sigma_tau == 0.0:
-        return float(total_bw)
-    bc = (1.0 - level) / (5.0 * sigma_tau)
-    return float(np.clip(bc, subcarrier_spacing_hz, total_bw))

@@ -33,18 +33,14 @@ def ls_pn(rx_core: np.ndarray, pn: PnSequence, cir_len: int, noise_var: float) -
     The core's cyclic prefix makes the received core a circular convolution,
     so division bin by bin in the core's DFT domain inverts the channel.
     The estimate keeps the first cir_len taps of the impulse response.
+    analytic_mse_pn validates cir_len and the core spectrum first.
     """
     rx_core = np.asarray(rx_core, dtype=np.complex128)
     if rx_core.shape[-1] != pn.n_pn:
         raise ValueError(f"core length {rx_core.shape[-1]} != {pn.n_pn}")
-    if not 1 <= cir_len <= pn.n_pn:
-        raise ValueError(f"cir_len {cir_len} must lie in [1, {pn.n_pn}]")
-    p2 = np.abs(pn.spectrum) ** 2
-    if np.any(p2 < 1e-12 * p2.mean()):
-        raise ValueError("PN core spectrum has a (near-)null bin; cannot invert")
-
+    eps = analytic_mse_pn(pn, cir_len, noise_var)
     h_bar = np.fft.fft(rx_core, axis=-1, norm="ortho") / pn.spectrum
-    return CfrEstimate(eps=analytic_mse_pn(pn, cir_len, noise_var), taps=cir_from_cfr(h_bar, cir_len))
+    return CfrEstimate(eps=eps, taps=cir_from_cfr(h_bar, cir_len))
 
 
 def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:
@@ -53,13 +49,16 @@ def analytic_mse_pn(pn: PnSequence, cir_len: int, noise_var: float) -> float:
     Noise only: each core bin contributes noise_var/|P_raw[k]|^2 to the tap
     estimates, and truncation keeps cir_len of the n_pn noise taps.  The
     stored unitary spectrum absorbs one factor of n_pn relative to the
-    raw-DFT form the derivation uses.
+    raw-DFT form the derivation uses.  A core spectrum with a (near-)null
+    bin has no finite error and raises.
     """
     if not 1 <= cir_len <= pn.n_pn:
         raise ValueError(f"cir_len {cir_len} must lie in [1, {pn.n_pn}]")
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
     p2 = np.abs(pn.spectrum) ** 2
+    if np.any(p2 < 1e-12 * p2.mean()):
+        raise ValueError("PN core spectrum has a (near-)null bin; cannot invert")
     return float(cir_len * noise_var / pn.n_pn**2 * np.sum(1.0 / p2))
 
 
@@ -100,50 +99,13 @@ def cir_from_cfr(values: np.ndarray, cir_len: int) -> np.ndarray:
     return np.fft.ifft(values, axis=-1)[..., :cir_len].copy()
 
 
-def interference_power(
-    pn: PnSequence,
-    tap_err_var: np.ndarray,
-    k: int | np.ndarray,
-    n_fft: int,
-) -> float | np.ndarray:
-    """Residual guard interference power on subcarrier k after imperfect removal.
-
-    Each tap error of variance tap_err_var[l] leaks the cyclically shifted
-    guard sequence into the data window; the per-subcarrier power follows
-    from the shifted sequences' aperiodic autocorrelations.
-
-    Nothing in the package calls this; the receiver uses the closed-form
-    mean_interference_power. It is the per-subcarrier model that A04 and
-    mean_interference_power's tests check.
-    """
-    var = np.asarray(tap_err_var, dtype=np.float64)
-    if np.any(var < 0):
-        raise ValueError("tap error variances must be nonnegative")
-    if var.size > pn.nu:
-        raise ValueError("more tap errors than guard samples")
-    c = pn.samples
-    nu = pn.nu
-    ks = np.atleast_1d(np.asarray(k))
-    q = np.arange(1, nu)
-    cosines = np.cos(2.0 * np.pi * np.outer(ks, q) / n_fft)
-
-    total = np.zeros(ks.shape, dtype=np.float64)
-    e0 = float(np.sum(np.abs(c) ** 2))
-    for l, v in enumerate(var):
-        if v == 0.0:
-            continue
-        cl = np.roll(c, l)
-        ac = np.correlate(cl, cl, mode="full")[nu:].real
-        total += v * (e0 + 2.0 * (cosines @ ac))
-    out = total / n_fft
-    return out if np.ndim(k) else float(out[0])
-
-
 def mean_interference_power(pn: PnSequence, tap_err_var: np.ndarray, n_fft: int) -> float:
-    """interference_power averaged over all n_fft subcarriers, in closed form.
+    """Mean residual guard power per subcarrier after imperfect guard removal.
 
-    The cosine terms sum to zero over a full subcarrier sweep, leaving only
-    the guard energy term; the mean is exact, not an approximation.
+    A tap error of variance tap_err_var[l] leaks the guard, shifted by l,
+    into the n_fft-sample data window with energy nu a_pn^2.  Averaged over
+    all n_fft subcarriers the shifted guard's autocorrelation terms cancel,
+    so the mean is exactly sum(tap_err_var) nu a_pn^2 / n_fft.
     """
     var = np.asarray(tap_err_var, dtype=np.float64)
     if np.any(var < 0):

@@ -103,6 +103,46 @@ def einsum_soft_symbols(llr, c):
     return mean[0] + 1j * mean[1]
 
 
+def r_f(q, profile, n_fft):
+    """Frequency correlation of the CFR at subcarrier separation q: the
+    model that realize's grid statistics are checked against."""
+    q = np.asarray(q)
+    phase = np.exp(-2j * np.pi * np.multiply.outer(q, profile.delays) / n_fft)
+    return phase @ profile.powers
+
+
+def interference_power(pn, tap_err_var, k, n_fft):
+    """Residual guard interference power on subcarrier k after imperfect removal.
+
+    Each tap error of variance tap_err_var[l] leaks the cyclically shifted
+    guard sequence into the data window; the per-subcarrier power follows
+    from the shifted sequences' aperiodic autocorrelations.  Its mean over
+    all n_fft subcarriers is the library's mean_interference_power.  A
+    scalar k gives a float, an array of k an array.
+    """
+    var = np.asarray(tap_err_var, dtype=np.float64)
+    if np.any(var < 0):
+        raise ValueError("tap error variances must be nonnegative")
+    if var.size > pn.nu:
+        raise ValueError("more tap errors than guard samples")
+    c = pn.samples
+    nu = pn.nu
+    ks = np.atleast_1d(np.asarray(k))
+    q = np.arange(1, nu)
+    cosines = np.cos(2.0 * np.pi * np.outer(ks, q) / n_fft)
+
+    total = np.zeros(ks.shape, dtype=np.float64)
+    e0 = float(np.sum(np.abs(c) ** 2))
+    for l, v in enumerate(var):
+        if v == 0.0:
+            continue
+        cl = np.roll(c, l)
+        ac = np.correlate(cl, cl, mode="full")[nu:].real
+        total += v * (e0 + 2.0 * (cosines @ ac))
+    out = total / n_fft
+    return out if np.ndim(k) else float(out[0])
+
+
 def uniform_prior(length):
     """The uniform frequency prior over delays 0 .. length-1."""
     return PowerDelayProfile(np.arange(length), np.full(length, 1.0 / length))

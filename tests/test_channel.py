@@ -7,17 +7,15 @@ from scipy.special import j0
 
 from tdsofdm import (
     cfr,
-    coherence_bandwidth,
     doppler_frequency,
     preset_profile,
-    r_f,
     r_t,
     realize,
     sfn_profile,
 )
 from tdsofdm.channel import next_fast_len
 
-from conftest import naive_raw_dft
+from conftest import naive_raw_dft, r_f
 
 DESK_FS = 1.024e6
 DTMB_FS = 7.56e6
@@ -116,23 +114,6 @@ def test_next_fast_len_matches_scipy():
     assert [next_fast_len(n) for n in range(1, 20001)] == [
         scipy.fft.next_fast_len(n) for n in range(1, 20001)
     ]
-
-
-def test_coherence_bandwidth_reference_values():
-    tu6 = preset_profile("tu6", DTMB_FS)
-    sfn = sfn_profile(tu6, 23.33e-6, 10.0, DTMB_FS)
-    assert coherence_bandwidth(tu6, 3780, 2000.0) == pytest.approx(19078.09, abs=0.1)
-    assert coherence_bandwidth(sfn, 3780, 2000.0) == pytest.approx(2952.35, abs=0.1)
-
-
-def test_coherence_bandwidth_bounds():
-    flat = preset_profile("flat", DESK_FS)
-    assert coherence_bandwidth(flat, 512, 2000.0) == pytest.approx(512 * 2000.0)
-    two = preset_profile("two_tap", DESK_FS)
-    # an extreme level cannot push the result below one subcarrier spacing
-    assert coherence_bandwidth(two, 512, 2000.0, level=1e-6) >= 2000.0
-    with pytest.raises(ValueError):
-        coherence_bandwidth(two, 512, 2000.0, level=1.0)
 
 
 def test_realize_static_when_doppler_is_zero():

@@ -11,7 +11,6 @@ from tdsofdm import (
     cir_from_cfr,
     constellation,
     generate_mseq,
-    interference_power,
     ls_pn,
     map_bits,
     mean_interference_power,
@@ -23,7 +22,7 @@ from tdsofdm import (
     window_leak_variance,
 )
 
-from conftest import crandn
+from conftest import crandn, interference_power
 
 DESK_FS = 1.024e6
 
@@ -121,6 +120,13 @@ def test_ls_rejects_bad_inputs(gi3_16):
     flat_gi = build_gi(np.ones(7, dtype=np.uint8), 16, 2.0)
     with pytest.raises(ValueError, match="null"):
         ls_pn(win, flat_gi, 3, 0.0)
+
+
+def test_analytic_mse_rejects_a_null_core_spectrum():
+    # an all-ones core has one nonzero bin: its error is unbounded, not inf
+    flat_gi = build_gi(np.ones(7, dtype=np.uint8), 16, 2.0)
+    with pytest.raises(ValueError, match="null"):
+        analytic_mse_pn(flat_gi, 3, 1e-3)
 
 
 def test_window_leakage_matches_stream_simulation():
