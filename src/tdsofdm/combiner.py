@@ -57,8 +57,8 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
     harmonic term eps1*eps2/(eps1+eps2); two exact inputs combine with
     equal weights.  The blend is linear, so the CFRs blend with the same
     weight.  The estimates must have the same rows; the shorter taps are
-    zero-padded.  Rows masked out of h2 fall back to h1 alone; a mask that
-    splits a row raises ValueError.
+    zero-padded.  An estimate that could not be formed has infinite eps,
+    so the result is the other one's taps, zero-padded.
     """
     if h1.taps.shape[:-1] != h2.taps.shape[:-1]:
         raise ValueError(f"row mismatch: {h1.taps.shape[:-1]} vs {h2.taps.shape[:-1]}")
@@ -75,12 +75,7 @@ def combine(h1: CfrEstimate, h2: CfrEstimate) -> CfrEstimate:
         beta = e2 / (e1 + e2)
         eps = e1 * e2 / (e1 + e2)
     length = max(h1.taps.shape[-1], h2.taps.shape[-1])
-    t1 = _widen(h1.taps, length)
-    taps = beta * t1 + (1.0 - beta) * _widen(h2.taps, length)
-    if h2.mask is not None and not h2.mask.all():
-        if h2.mask.shape[-1] != 1:
-            raise ValueError("an estimate must mask whole rows")
-        taps = np.where(h2.mask, taps, t1)
+    taps = beta * _widen(h1.taps, length) + (1.0 - beta) * _widen(h2.taps, length)
     return CfrEstimate(eps=float(eps), taps=taps)
 
 
@@ -94,10 +89,10 @@ def _widen(taps: np.ndarray, length: int) -> np.ndarray:
 def check_sampling_rules(cfg: SimConfig, profile: PowerDelayProfile, n_fft: int) -> None:
     """Raise ConstraintError when cfg's Wiener refiner cannot sample the channel.
 
-    Both rules depend on the config alone, so a sweep checks them before
-    its first trial and iterate before its PN stage.  An estimator that
-    runs no Wiener pass, or no iteration, checks nothing; only wiener2x1d
-    checks the time rule.
+    Both rules depend on the config alone, so resolve_config checks them,
+    and iterate, which takes its own profile, before its PN stage.  An
+    estimator that runs no Wiener pass, or no iteration, checks nothing;
+    only wiener2x1d checks the time rule.
     """
     if not cfg.estimator.startswith("wiener") or cfg.iterations == 0:
         return
@@ -129,12 +124,12 @@ def _refine(
     average or time_wiener's smoother.  One pass applies them: impute the
     unreliable cells, IDFT, gains, time matrix.  The estimate is the
     resulting taps, with no DFT back to the grid: n_fft per row for a
-    moving average and the prior's length for a Wiener refiner.  It masks
-    whole rows: ma1d and wiener1d blocks that had no reliable cell, ma2d
-    and wiener2x1d chunks that had none.  Only wiener2x1d splits the
-    frame into chunks of cfg.block_len blocks; the others take it as one.
-    The frame may hold any number of blocks that the chunk length divides.
-    check_sampling_rules is the caller's.
+    moving average and the prior's length for a Wiener refiner.  A frame
+    with a block that has no reliable cell gives no estimate: zero taps
+    with infinite eps, which combine weighs at zero.  Only wiener2x1d
+    splits the frame into chunks of cfg.block_len blocks; the others take
+    it as one.  The frame may hold any number of blocks that the chunk
+    length divides.  check_sampling_rules is the caller's.
     """
     name = cfg.estimator
     s = inst.values.shape[0]
@@ -150,14 +145,14 @@ def _refine(
     time_kw = dict(fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
 
     taps = np.zeros((s, n_fft if ma else prior.length), dtype=np.complex128)
-    mask = np.zeros((s, 1), dtype=bool)
+    # an empty block has no estimate of its own, and a time pass would
+    # smooth its imputed zeros into its neighbours
+    if not inst.mask.any(axis=-1).all():
+        return CfrEstimate(eps=float("inf"), taps=taps)
     eps_parts = []
     for c0 in range(0, s, b):
         sl = slice(c0, c0 + b)
         live = inst.mask[sl]
-        if not live.any():
-            eps_parts.append(float("inf"))
-            continue
         err_var = float(np.mean(noise_var * inst.weights[sl][live]))
         if ma:
             gains, resid = ma_1d(n_fft, cfg.m_f, input_err_var=err_var, profile=prior)
@@ -169,12 +164,10 @@ def _refine(
                 smoother, resid = time_wiener(b, input_err_var=resid, **time_kw)
         if timed:
             taps[sl] = wiener_2x1d(inst.values[sl], gains, smoother, live)
-            mask[sl] = True
         else:
             taps[sl] = wiener_1d(inst.values[sl], gains, live)
-            mask[sl] = live.any(axis=-1, keepdims=True)
         eps_parts.append(resid)
-    return CfrEstimate(eps=float(np.mean(eps_parts)), taps=taps, mask=mask)
+    return CfrEstimate(eps=float(np.mean(eps_parts)), taps=taps)
 
 
 def _tap_mse(taps: np.ndarray, truth_taps: np.ndarray) -> float:
@@ -201,8 +194,7 @@ def _data_aided(
     """
     c = constellation(cfg.constellation)
     n = y.shape[-1]
-    tap_err = np.full(cfg.cir_len, eps / cfg.cir_len)
-    sigma_eff = (n + gi.nu) / n * noise_var + mean_interference_power(gi, tap_err, n)
+    sigma_eff = (n + gi.nu) / n * noise_var + mean_interference_power(gi, eps, n)
     # the soft symbols die once the instantaneous estimate is formed
     inst = instantaneous_estimate(soft_symbols(demap(z, h, sigma_eff, c), c), y, c)
     h2 = _refine(inst, cfg, profile, n, sigma_eff)

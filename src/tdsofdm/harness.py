@@ -162,7 +162,8 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
 
     Accepts raw strings (config files, CLI) or typed values.  Keys use the
     documented config-file names; M_t and M_f keep their capitalized
-    spelling.
+    spelling.  A bad value raises ConfigError, a channel that the Wiener
+    refiner cannot sample ConstraintError.
     """
     overrides = dict(overrides or {})
     preset = str(overrides.pop("preset", "desk"))
@@ -220,13 +221,15 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
-    length = cfg.profile().length
+    profile = cfg.profile()
+    length = profile.length
     if length > cfg.fft_size:
         raise ConfigError(f"channel length {length} exceeds fft_size {cfg.fft_size}; shorten sfn_delay_us")
     if cfg.cir_len == 0:
         # dimension the receiver's CIR window to the deployment's maximum
         # excess delay, capped by what the core can resolve
         cfg = replace(cfg, cir_len=min(length, n_pn))
+    check_sampling_rules(cfg, profile, cfg.fft_size)
     return cfg
 
 
@@ -257,13 +260,7 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     _, _, diag = iterate(
         rx, gi, cfg, profile, noise_var, truth_taps=taps[:s], initial=initial, truth_bits=bits
     )
-    return {
-        "mse": np.array(diag.mse),
-        "eps": np.array(diag.eps),
-        "ber": np.array(diag.ber),
-        "h2_mse": np.array(diag.h2_mse),
-        "h2_eps": np.array(diag.h2_eps),
-    }
+    return {key: np.array(v) for key, v in asdict(diag).items()}
 
 
 # glibc mallopt parameters and the largest mmap threshold glibc accepts
@@ -296,12 +293,8 @@ def run(cfg: SimConfig, keep_trials: bool = False):
     freed heap stays mapped.  Every trial allocates and frees the same
     frame-sized arrays, which glibc would otherwise hand back to the kernel
     and page-fault in again on the next trial.
-
-    The Wiener sampling rules are checked before the first trial draws a
-    channel, so a config that breaks them raises ConstraintError at once.
     """
     profile = cfg.profile()
-    check_sampling_rules(cfg, profile, cfg.fft_size)
     gi = build_gi(generate_mseq(cfg.pn_order), cfg.gi_len, cfg.pn_power_boost)
     _keep_freed_arrays()
 

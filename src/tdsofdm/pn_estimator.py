@@ -17,14 +17,11 @@ class CfrEstimate:
     taps is (L,) or (num_symbols, L), one impulse response per row, at most
     n_fft taps long; the CFR on the n_fft-point grid is channel.cfr(taps,
     n_fft), formed by the stage that reads it.  eps is the analytic MSE per
-    subcarrier.  mask, when present, is False on the rows where the
-    estimate could not be formed: its last axis has length 1 and it
-    broadcasts against taps.
+    subcarrier; an estimate that could not be formed has eps infinite.
     """
 
     eps: float
     taps: np.ndarray
-    mask: np.ndarray | None = None
 
 
 def ls_pn(rx_core: np.ndarray, pn: PnSequence, cir_len: int, noise_var: float) -> CfrEstimate:
@@ -99,15 +96,14 @@ def cir_from_cfr(values: np.ndarray, cir_len: int) -> np.ndarray:
     return np.fft.ifft(values, axis=-1)[..., :cir_len].copy()
 
 
-def mean_interference_power(pn: PnSequence, tap_err_var: np.ndarray, n_fft: int) -> float:
+def mean_interference_power(pn: PnSequence, tap_err: float, n_fft: int) -> float:
     """Mean residual guard power per subcarrier after imperfect guard removal.
 
-    A tap error of variance tap_err_var[l] leaks the guard, shifted by l,
-    into the n_fft-sample data window with energy nu a_pn^2.  Averaged over
-    all n_fft subcarriers the shifted guard's autocorrelation terms cancel,
-    so the mean is exactly sum(tap_err_var) nu a_pn^2 / n_fft.
+    A tap error of variance v_l leaks the guard, shifted by l, into the
+    n_fft-sample data window with energy v_l nu a_pn^2.  Averaged over all
+    n_fft subcarriers the shifted guard's autocorrelation terms cancel, so
+    the mean is exactly tap_err nu a_pn^2 / n_fft, where tap_err = sum v_l.
     """
-    var = np.asarray(tap_err_var, dtype=np.float64)
-    if np.any(var < 0):
-        raise ValueError("tap error variances must be nonnegative")
-    return float(var.sum()) * pn.nu * pn.a_pn**2 / n_fft
+    if tap_err < 0:
+        raise ValueError("the tap error variance must be nonnegative")
+    return float(tap_err) * pn.nu * pn.a_pn**2 / n_fft

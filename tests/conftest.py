@@ -117,8 +117,8 @@ def interference_power(pn, tap_err_var, k, n_fft):
     Each tap error of variance tap_err_var[l] leaks the cyclically shifted
     guard sequence into the data window; the per-subcarrier power follows
     from the shifted sequences' aperiodic autocorrelations.  Its mean over
-    all n_fft subcarriers is the library's mean_interference_power.  A
-    scalar k gives a float, an array of k an array.
+    all n_fft subcarriers is the library's mean_interference_power of
+    sum(tap_err_var).  A scalar k gives a float, an array of k an array.
     """
     var = np.asarray(tap_err_var, dtype=np.float64)
     if np.any(var < 0):

@@ -220,7 +220,7 @@ def test_a04_residual_guard_interference(gi3_16):
     emp /= draws * 64
     closed = interference_power(gi3_16, var, np.arange(64), 64)
     l1 = float(np.mean(np.abs(emp - closed)) / np.mean(closed))
-    scalar = mean_interference_power(gi3_16, var, 64)
+    scalar = mean_interference_power(gi3_16, var.sum(), 64)
     mean_dev = abs(emp.mean() - scalar) / scalar
     elapsed = time.monotonic() - t0
     assert l1 <= 0.05, f"normalized L1 {l1:.4f}"

@@ -119,7 +119,7 @@ def test_unknown_estimator_flag(capsys):
 
 
 def test_unsatisfiable_frequency_sampling_rule_exits_3(tmp_path, capsys):
-    # an echo far beyond what the FFT grid can sample fails at run time
+    # an echo far beyond what the FFT grid can sample fails as the config resolves
     cfgfile = tmp_path / "sfn.cfg"
     cfgfile.write_text("sfn_delay_us = 150\ntrials = 1\nsnr_db = 20\n")
     rc = main(["sweep", "--config", str(cfgfile)])
@@ -130,8 +130,8 @@ def test_unsatisfiable_frequency_sampling_rule_exits_3(tmp_path, capsys):
 def test_frequency_sampling_rule_error_names_its_fixes(tmp_path, capsys):
     # a 130 us echo makes a 139-tap desk channel, past the 128 taps that
     # n_fft / 4 allows; a shorter cir_len cannot help, the rule reads the
-    # deployment channel.  The sweep fails before its first trial
-    # propagates a frame, so the channel-memory warning never fires
+    # deployment channel.  The config fails as it resolves, before any
+    # trial propagates a frame, so the channel-memory warning never fires
     cfgfile = tmp_path / "sfn.cfg"
     cfgfile.write_text("sfn_delay_us = 130\n")
     with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,6 @@
 """Variance-weighted estimate combining and the iterative receiver loop."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -107,69 +107,76 @@ def test_combining_weight_minimizes_the_error_quadratic():
         assert out.eps <= curve.min() + 1e-12
 
 
-def test_combine_falls_back_where_second_estimate_is_masked():
-    rng = np.random.default_rng(63)
-    t1, t2 = crandn(rng, (5, 16)), crandn(rng, (5, 16))
-    v1, v2 = cfr(t1, 16), cfr(t2, 16)
-    rows = np.array([True, False, True, True, False])
-    out = combine(CfrEstimate(eps=0.1, taps=t1), CfrEstimate(eps=0.1, taps=t2, mask=rows[:, None]))
-    assert np.allclose(cfr(out.taps, 16)[rows], (v1 + v2)[rows] / 2)
-    assert np.array_equal(cfr(out.taps, 16)[~rows], v1[~rows])
-    assert np.array_equal(out.taps[~rows], t1[~rows])
-
-
 def test_combine_blends_the_taps_of_two_tap_carrying_estimates():
     rng = np.random.default_rng(70)
     t1, t2 = crandn(rng, (3, 2)), crandn(rng, (3, 5))
-    mask = np.array([[True], [False], [True]])
-    out = combine(CfrEstimate(eps=0.02, taps=t1), CfrEstimate(eps=0.01, taps=t2, mask=mask))
+    out = combine(CfrEstimate(eps=0.02, taps=t1), CfrEstimate(eps=0.01, taps=t2))
     assert out.taps.shape == (3, 5)
-    assert np.allclose(out.taps[0, :2], (t1[0] + 2.0 * t2[0, :2]) / 3.0)
-    assert np.allclose(out.taps[0, 2:], 2.0 * t2[0, 2:] / 3.0)
-    # the masked row falls back to h1, zero-padded
-    assert np.array_equal(out.taps[1], np.r_[t1[1], np.zeros(3)])
-    assert np.array_equal(cfr(out.taps, 16)[1], cfr(t1, 16)[1])
-    # an estimate is its taps
+    assert np.allclose(out.taps[:, :2], (t1 + 2.0 * t2[:, :2]) / 3.0)
+    assert np.allclose(out.taps[:, 2:], 2.0 * t2[:, 2:] / 3.0)
+    # an estimate that could not be formed leaves the other, zero-padded
+    kept = combine(CfrEstimate(eps=0.02, taps=t1), CfrEstimate(eps=float("inf"), taps=np.zeros((3, 5))))
+    assert kept.eps == 0.02
+    assert np.array_equal(kept.taps, np.c_[t1, np.zeros((3, 3))])
+    assert np.array_equal(cfr(kept.taps, 16), cfr(t1, 16))
+    # an estimate is its taps and its error, nothing more
+    assert [f.name for f in fields(CfrEstimate)] == ["eps", "taps"]
     with pytest.raises(TypeError, match="taps"):
         CfrEstimate(eps=0.01)
 
 
-def test_combine_rejects_taps_under_a_per_bin_mask():
-    rng = np.random.default_rng(71)
-    t = crandn(rng, (2, 3))
-    mask = np.ones((2, 16), dtype=bool)
-    mask[0, 4] = False
-    with pytest.raises(ValueError, match="whole rows"):
-        combine(CfrEstimate(eps=0.1, taps=t), CfrEstimate(eps=0.1, taps=t, mask=mask))
-
-
 @pytest.mark.parametrize("estimator", REFINERS)
 def test_refined_estimates_and_their_combination_carry_taps(estimator):
-    # the 6-tap profile prior is longer than the 3-tap LS window, and blocks
-    # 2 and 3 (one wiener2x1d chunk) have no reliable cell; ma2d takes the
-    # frame as one chunk, so it masks no block
+    # the 6-tap profile prior is longer than the 3-tap LS window
     rng = np.random.default_rng(72)
     cfg = resolve_config({"estimator": estimator, "corr_mode": "profile", "cir_len": 3, "block_len": 2})
     profile = cfg.profile()
     s, n = cfg.num_symbols, cfg.fft_size
     assert profile.length > cfg.cir_len
-    mask = rng.random((s, n)) > 0.2
-    mask[2:4] = False
-    inst = InstantEstimate(values=crandn(rng, (s, n)), mask=mask, weights=rng.uniform(0.5, 2.0, (s, n)))
-    h2 = _refine(inst, cfg, profile, n, 0.05)
     length = n if estimator.startswith("ma") else profile.length
-    dead = [] if estimator == "ma2d" else [2, 3]
-    assert h2.taps.shape == (s, length) and h2.mask.shape == (s, 1)
-    assert np.flatnonzero(~h2.mask[:, 0]).tolist() == dead
-    assert np.all(cfr(h2.taps, n)[dead] == 0.0)
-
+    mask = rng.random((s, n)) > 0.2
+    inst = InstantEstimate(values=crandn(rng, (s, n)), mask=mask, weights=rng.uniform(0.5, 2.0, (s, n)))
     t1 = crandn(rng, (s, cfg.cir_len))
     h1 = CfrEstimate(eps=0.01, taps=t1)
+    pn_only = np.c_[t1, np.zeros((s, length - cfg.cir_len))]
+
+    h2 = _refine(inst, cfg, profile, n, 0.05)
+    assert h2.taps.shape == (s, length) and 0.0 < h2.eps < float("inf")
     out = combine(h1, h2)
+    beta = h2.eps / (h1.eps + h2.eps)
     assert out.taps.shape == (s, length)
-    assert np.array_equal(cfr(out.taps, n)[dead], cfr(t1, n)[dead])
-    assert np.array_equal(out.taps[dead, : cfg.cir_len], t1[dead])
-    assert np.all(out.taps[dead, cfg.cir_len :] == 0.0)
+    assert np.allclose(out.taps, beta * pn_only + (1.0 - beta) * h2.taps)
+
+    # blocks 2 and 3, one wiener2x1d chunk, have no reliable cell: no
+    # block gets a refined estimate, and every row keeps the PN taps
+    dead = mask.copy()
+    dead[2:4] = False
+    h2 = _refine(replace(inst, mask=dead), cfg, profile, n, 0.05)
+    assert h2.eps == float("inf") and h2.taps.shape == (s, length)
+    out = combine(h1, h2)
+    assert out.eps == h1.eps
+    assert np.array_equal(out.taps, pn_only)
+
+
+@pytest.mark.parametrize("estimator", ["ma2d", "wiener2x1d"])
+def test_an_empty_block_in_a_live_chunk_gives_no_estimate(estimator):
+    # a time pass would smooth the empty block's imputed zeros into its
+    # live neighbours, under an eps that the live blocks set
+    rng = np.random.default_rng(74)
+    cfg = resolve_config({"estimator": estimator, "block_len": 5})
+    profile = cfg.profile()
+    s, n = cfg.num_symbols, cfg.fft_size
+    truth = np.tile(crandn(rng, cfg.cir_len, var=1.0 / cfg.cir_len), (s, 1))
+    mask = np.ones((s, n), dtype=bool)
+    mask[2] = False
+    values = cfr(truth, n) + crandn(rng, (s, n), var=1e-2)
+    h2 = _refine(InstantEstimate(values=values, mask=mask, weights=np.ones((s, n))), cfg, profile, n, 1e-2)
+    assert h2.eps == float("inf")
+
+    t1 = truth + crandn(rng, (s, cfg.cir_len), var=1e-3)
+    out = combine(CfrEstimate(eps=1e-3, taps=t1), h2)
+    assert out.eps == 1e-3
+    assert np.array_equal(out.taps, np.c_[t1, np.zeros((s, h2.taps.shape[-1] - cfg.cir_len))])
 
 
 @pytest.mark.parametrize("estimator", REFINERS)
@@ -181,7 +188,6 @@ def test_a_frame_with_no_reliable_cell_refines_to_nothing(estimator):
     )
     h2 = _refine(inst, cfg, cfg.profile(), n, 0.05)
     assert h2.eps == float("inf")
-    assert not h2.mask.any()
     assert np.all(cfr(h2.taps, n) == 0.0)
 
 

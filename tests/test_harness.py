@@ -94,8 +94,12 @@ def test_invalid_pn_register_is_a_config_error(order):
 @pytest.mark.parametrize("preset, length, fft_size", [("desk", 518, 512), ("dtmb", 3819, 3780)])
 def test_sfn_echo_past_the_fft_is_a_config_error(preset, length, fft_size):
     # both presets span 500 us per FFT: an echo at 494 us still fits, one
-    # at 495 us does not, and run() would fail on it inside channel.cfr
-    assert resolve_config({"preset": preset, "sfn_delay_us": 494}).profile().length <= fft_size
+    # at 495 us does not.  The fitting echo is still too long for the
+    # default Wiener refiner to sample
+    echo = {"preset": preset, "sfn_delay_us": 494}
+    assert resolve_config({**echo, "estimator": "pn"}).profile().length <= fft_size
+    with pytest.raises(ConstraintError, match="frequency sampling rule"):
+        resolve_config(echo)
     with pytest.raises(ConfigError, match=f"length {length} exceeds fft_size {fft_size}"):
         resolve_config({"preset": preset, "sfn_delay_us": 500})
     with pytest.raises(ConfigError, match="exceeds fft_size"):
@@ -315,6 +319,16 @@ def test_wiener1d_ignores_the_time_sampling_rule():
         run(resolve_config({**fast, "estimator": "wiener2x1d"}))
 
 
+def test_the_resolver_rejects_what_the_sweep_cannot_sample():
+    # a config that no sweep can run fails as it resolves
+    with pytest.raises(ConstraintError, match="time sampling rule"):
+        resolve_config({"fc_hz": 5e9, "velocity_kmh": 120, "estimator": "wiener2x1d"})
+    with pytest.raises(ConstraintError, match="frequency sampling rule"):
+        resolve_config({"sfn_delay_us": 150})
+    # a moving average runs no Wiener design, so it samples any channel
+    assert resolve_config({"sfn_delay_us": 150, "estimator": "ma1d"}).estimator == "ma1d"
+
+
 # estimator -> calls per trial of combiner.cir_from_cfr, combiner.cfr and
 # harness.cfr: an estimate is its taps, so no loop inverts a CFR, the trial
 # forms no true CFR, and each of the iterations + 1 passes of the loop
@@ -375,7 +389,6 @@ def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
     chunks = cfg.num_symbols // block_len
     for h2, resid in refines:
         assert len(resid) == chunks
-        assert h2.mask.reshape(chunks, -1).all(axis=1).all()
         assert h2.eps == np.mean(resid)
 
 

@@ -210,19 +210,19 @@ def test_interference_mean_and_properties(gi3_16):
     var = np.array([0.03, 0.0, 0.01])
     per_k = interference_power(gi3_16, var, np.arange(64), 64)
     assert np.all(per_k >= 0)
-    mean = mean_interference_power(gi3_16, var, 64)
+    mean = mean_interference_power(gi3_16, var.sum(), 64)
     assert per_k.mean() == pytest.approx(mean, rel=1e-12)
     assert mean == pytest.approx(var.sum() * 16 * gi3_16.a_pn**2 / 64, rel=1e-12)
     # scalar k matches the vector path
     assert interference_power(gi3_16, var, 5, 64) == pytest.approx(per_k[5], rel=1e-12)
     assert interference_power(gi3_16, np.zeros(3), 5, 64) == 0.0
-    assert mean_interference_power(gi3_16, np.zeros(3), 64) == 0.0
+    assert mean_interference_power(gi3_16, 0.0, 64) == 0.0
     with pytest.raises(ValueError):
         interference_power(gi3_16, np.array([-0.1]), 0, 64)
     with pytest.raises(ValueError):
         interference_power(gi3_16, np.ones(17), 0, 64)
     with pytest.raises(ValueError):
-        mean_interference_power(gi3_16, np.array([-0.1]), 64)
+        mean_interference_power(gi3_16, -0.1, 64)
 
 
 def test_cir_truncation_round_trip():
