@@ -39,14 +39,14 @@ def _clamp_far(axes: np.ndarray, sigma2: np.ndarray, c: Constellation, scratch: 
     Past its reach, the gap between a bit's two class maxima exceeds
     2 (LLR_MAX + q) and the rest of the class sums moves it by at most
     log(q / 2), so the LLR saturates; clamping there, and at _FAR, keeps
-    every square finite and the level spacing resolved.  demap relabels
-    the values past their reach, since a clamp at _FAR inside a reach need
-    not saturate.  A sigma2 or reach past the float range is inf, the limit
-    where every LLR is zero.
+    every square finite and the level spacing resolved.  A value clamped
+    at its reach still saturates every LLR of its axis, but one clamped at
+    _FAR inside its reach need not, so demap relabels those.  A sigma2 or
+    reach past the float range is inf, the limit where every LLR is zero.
 
-    Returns the mask of the values past their reach, or None when no value
-    lies past the smallest bound, where the clamp is an identity, NaN
-    included.  scratch is a float buffer of axes' shape.
+    Returns the mask of the values past a reach beyond _FAR, or None when
+    there are none.  The clamp is an identity, NaN included, when no value
+    lies past the smallest bound.  scratch is a float buffer of axes' shape.
     """
     q = c.levels.size
     reach = np.empty(sigma2.shape, dtype=np.float64)
@@ -57,7 +57,12 @@ def _clamp_far(axes: np.ndarray, sigma2: np.ndarray, c: Constellation, scratch: 
     size = np.abs(axes, out=scratch)
     if not np.fmax.reduce(size, axis=None, initial=0.0) > min(reach.min(initial=np.inf), _FAR):
         return None
-    far = size > reach
+    wide = reach > _FAR
+    far = None
+    if wide.any():
+        far = (size > reach) & wide
+        if not far.any():
+            far = None
     np.minimum(reach, _FAR, out=reach)
     np.clip(axes, np.negative(reach, out=scratch[0]), reach, out=axes)
     return far
@@ -82,12 +87,14 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     saturates with the right sign.
 
     A value so far beyond the outermost level that every LLR saturates is
-    clamped before squaring and gets that level's label at +-LLR_MAX.  A
-    value past _FAR = 1e13 is taken as if it lay at +-_FAR, where squared
-    distances still resolve the level spacing of every constellation; past
-    about 1e16 they tie.  So every LLR of a finite input is finite.  Cells
-    masked out upstream get zero LLRs (no information).  noise_var must be
-    nonnegative.
+    clamped before squaring, at that reach, so it gets that level's label
+    at +-LLR_MAX.  A value past _FAR = 1e13 is taken as if it lay at
+    +-_FAR, where squared distances still resolve the level spacing of
+    every constellation; past about 1e16 they tie.  Where _FAR lies inside
+    a value's reach, the clamp need not saturate, so such a value is
+    relabelled with the outermost label outright.  So every LLR of a
+    finite input is finite.  Cells masked out upstream get zero LLRs (no
+    information).  noise_var must be nonnegative.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
