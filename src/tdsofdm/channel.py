@@ -105,10 +105,37 @@ def doppler_frequency(velocity_kmh: float, carrier_hz: float) -> float:
     return velocity_kmh / 3.6 * carrier_hz / _SPEED_OF_LIGHT
 
 
+# The spectral grid's least length.  A series of n blocks with n^2 above
+# it costs less on the grid than through an n x n root.
+_MIN_GRID = 4096
+
+
+@cache
+def _jakes_root(num_blocks: int, fd_tb: float) -> np.ndarray:
+    """Symmetric square root of the Jakes matrix r_t(i - j) of num_blocks
+    consecutive blocks.
+
+    Eigenvalues within rounding of zero, under num_blocks eps times the
+    largest, are taken as zero: slow fading rounds the smallest to either
+    side of zero, and fd_tb = 0 makes the matrix all ones, whose root then
+    repeats one row to rounding.  The root is read-only, since every
+    caller shares it.
+    """
+    lag = np.arange(num_blocks)
+    corr = r_t(lag, fd_tb, 1.0)[np.abs(np.subtract.outer(lag, lag))]
+    vals, vecs = np.linalg.eigh(corr)
+    vals[vals < num_blocks * np.finfo(np.float64).eps * vals[-1]] = 0.0
+    # einsum rather than a BLAS product, whose first call grows the RSS
+    root = np.einsum("ik,jk->ij", vecs * np.sqrt(vals), vecs)
+    root.flags.writeable = False
+    return root
+
+
 def _jakes_spectral(
     num_taps: int, fd_tb: float, num_blocks: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Unit-variance Jakes-correlated series, one row per tap.
+    """Unit-variance Jakes-correlated series, one row per tap, for series
+    too long for _jakes_root.
 
     Frequency-domain synthesis: white Gaussians shaped by the square root of
     the Jakes spectrum integrated over each frequency bin.  Integrating over
@@ -116,7 +143,7 @@ def _jakes_spectral(
     autocorrelation of the long grid match the Bessel target to O(p/n_grid)
     at lag p, so the grid is kept much longer than the requested series.
     """
-    n_grid = next_fast_len(max(4096, 8 * num_blocks))
+    n_grid = next_fast_len(max(_MIN_GRID, 8 * num_blocks))
     f = np.fft.fftfreq(n_grid, d=1.0)
     lo = np.abs(f) - 0.5 / n_grid
     hi = np.abs(f) + 0.5 / n_grid
@@ -144,6 +171,13 @@ def realize(
     (num_blocks, profile.length) whose row i applies to block i.  Taps are
     quasi-static within a block and evolve block to block with
     autocorrelation J0(2 pi fd tb p).  fd_hz = 0 freezes the draw.
+
+    n blocks of k taps take 2 k n normals, every real part before every
+    imaginary one, and _jakes_root correlates each tap's n draws across
+    blocks exactly, with fd_hz = 0 frozen to rounding.  Past n^2 =
+    _MIN_GRID the series come from the spectral grid instead, whose
+    correlation matches to O(p / n_grid) at lag p, and fd_hz = 0 repeats
+    one draw exactly.
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be positive")
@@ -152,7 +186,11 @@ def realize(
         raise ValueError("fd_hz and tb_s must be nonnegative")
 
     k = profile.delays.size
-    if fd_tb == 0.0:
+    if num_blocks**2 <= _MIN_GRID:
+        w = rng.standard_normal((2, k, num_blocks))
+        w = np.einsum("ij,ctj->cti", _jakes_root(num_blocks, fd_tb), w)
+        series = (w[0] + 1j * w[1]) / np.sqrt(2.0)
+    elif fd_tb == 0.0:
         base = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
         series = np.repeat(base[:, None], num_blocks, axis=1)
     else:

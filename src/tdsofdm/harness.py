@@ -237,7 +237,8 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     """One Monte-Carlo trial at one SNR: returns per-iteration metrics.
 
     The draw order (channel, bits, noise) is fixed, so every estimator sees
-    identical realizations for a given seed and trial index.  The loop
+    identical realizations for a given seed and trial index; the channel
+    takes 2 k (s + 1) normals for its k taps.  The loop
     scores its estimates against the drawn taps, and the genie starts from
     them as its initial estimate; no CFR is formed here.
     """

@@ -13,7 +13,7 @@ from tdsofdm import (
     realize,
     sfn_profile,
 )
-from tdsofdm.channel import next_fast_len
+from tdsofdm.channel import _jakes_root, next_fast_len
 
 from conftest import naive_raw_dft, r_f
 
@@ -141,6 +141,39 @@ def test_realize_rejects_bad_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         realize(prof, 10.0, 1e-3, 0, rng)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2, 11, 64])
+@pytest.mark.parametrize("fd_tb", [0.0078, 0.077, 0.25, 0.3125])
+def test_jakes_root_squares_to_the_block_correlation(fd_tb, num_blocks):
+    root = _jakes_root(num_blocks, fd_tb)
+    lag = np.arange(num_blocks)
+    want = r_t(np.subtract.outer(lag, lag), fd_tb, 1.0)
+    assert np.max(np.abs(root @ root.T - want)) <= 1e-12
+    assert np.max(np.abs(root - root.T)) <= 1e-12
+    assert not root.flags.writeable
+
+
+def test_a_short_frame_takes_two_normals_per_tap_and_block():
+    prof = preset_profile("tu6", DESK_FS)
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    realize(prof, 0.05, 1.0, 11, rng)
+    ref.standard_normal(2 * prof.delays.size * 11)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("num_blocks", [64, 65])
+def test_lag_one_correlation_on_both_sides_of_the_grid_switch(num_blocks):
+    # 64 blocks draw through the exact root, 65 from the spectral grid;
+    # frames are independent, so their spread gives the Monte-Carlo error
+    rng = np.random.default_rng(14)
+    fd_tb, frames = 0.077, 400
+    per_frame = np.empty(frames)
+    for i in range(frames):
+        g = realize(preset_profile("flat", DESK_FS), fd_tb, 1.0, num_blocks, rng)[:, 0]
+        per_frame[i] = np.mean(g[1:] * np.conj(g[:-1])).real
+    err = per_frame.std(ddof=1) / np.sqrt(frames)
+    assert abs(per_frame.mean() - r_t(1, fd_tb, 1.0)) <= 4.0 * err
 
 
 def test_taps_are_mutually_uncorrelated():
