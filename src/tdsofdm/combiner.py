@@ -117,26 +117,22 @@ def _refine(
 ) -> CfrEstimate:
     """Run cfg.estimator, one of REFINERS, on an instantaneous estimate.
 
-    Every refiner takes each reliable cell as a pilot.  Per chunk of
-    blocks, the cells' mean error variance sets a frequency design, the
-    circular m_f-bin average of ma_1d or the Wiener gains of build_wiener,
-    and ma2d and wiener2x1d follow it with a time design, ma_2d's m_t-block
-    average or time_wiener's smoother.  One pass applies them: impute the
-    unreliable cells, IDFT, gains, time matrix.  The estimate is the
-    resulting taps, with no DFT back to the grid: n_fft per row for a
-    moving average and the prior's length for a Wiener refiner.  A frame
-    with a block that has no reliable cell gives no estimate: zero taps
-    with infinite eps, which combine weighs at zero.  Only wiener2x1d
-    splits the frame into chunks of cfg.block_len blocks; the others take
-    it as one.  The frame may hold any number of blocks that the chunk
-    length divides.  check_sampling_rules is the caller's.
+    Every refiner takes each reliable cell as a pilot.  The cells' mean
+    error variance sets one frequency design for the frame, the circular
+    m_f-bin average of ma_1d or the Wiener gains of build_wiener, and ma2d
+    and wiener2x1d follow it with one time design over all the frame's
+    blocks, ma_2d's m_t-block average or time_wiener's smoother.  One pass
+    applies them: impute the unreliable cells, IDFT, gains, time matrix.
+    The estimate is the resulting taps, with no DFT back to the grid:
+    n_fft per row for a moving average and the prior's length for a Wiener
+    refiner; its eps is the last design's residual MSE.  A frame with a
+    block that has no reliable cell gives no estimate: zero taps with
+    infinite eps, which combine weighs at zero.  check_sampling_rules is
+    the caller's.
     """
     name = cfg.estimator
     s = inst.values.shape[0]
     ma, timed = name.startswith("ma"), name in ("ma2d", "wiener2x1d")
-    b = cfg.block_len if name == "wiener2x1d" else s
-    if s % b:
-        raise ValueError(f"block_len {b} does not divide {s} symbols")
 
     # the prior is the deployment profile or a uniform one over the longest
     # channel the receiver is dimensioned for (cir_len)
@@ -144,30 +140,25 @@ def _refine(
     prior = profile if cfg.corr_mode == "profile" else uniform
     time_kw = dict(fd_hz=cfg.fd_hz, tb_s=cfg.tb_s)
 
-    taps = np.zeros((s, n_fft if ma else prior.length), dtype=np.complex128)
     # an empty block has no estimate of its own, and a time pass would
     # smooth its imputed zeros into its neighbours
     if not inst.mask.any(axis=-1).all():
+        taps = np.zeros((s, n_fft if ma else prior.length), dtype=np.complex128)
         return CfrEstimate(eps=float("inf"), taps=taps)
-    eps_parts = []
-    for c0 in range(0, s, b):
-        sl = slice(c0, c0 + b)
-        live = inst.mask[sl]
-        err_var = float(np.mean(noise_var * inst.weights[sl][live]))
-        if ma:
-            gains, resid = ma_1d(n_fft, cfg.m_f, input_err_var=err_var, profile=prior)
-            if timed:
-                smoother, resid = ma_2d(b, cfg.m_t, gains, input_err_var=err_var, profile=prior, **time_kw)
-        else:
-            gains, resid = build_wiener(n_fft, input_err_var=err_var, profile=prior)
-            if timed:
-                smoother, resid = time_wiener(b, input_err_var=resid, **time_kw)
+    err_var = float(np.mean(noise_var * inst.weights[inst.mask]))
+    if ma:
+        gains, resid = ma_1d(n_fft, cfg.m_f, input_err_var=err_var, profile=prior)
         if timed:
-            taps[sl] = wiener_2x1d(inst.values[sl], gains, smoother, live)
-        else:
-            taps[sl] = wiener_1d(inst.values[sl], gains, live)
-        eps_parts.append(resid)
-    return CfrEstimate(eps=float(np.mean(eps_parts)), taps=taps)
+            smoother, resid = ma_2d(s, cfg.m_t, gains, input_err_var=err_var, profile=prior, **time_kw)
+    else:
+        gains, resid = build_wiener(n_fft, input_err_var=err_var, profile=prior)
+        if timed:
+            smoother, resid = time_wiener(s, input_err_var=resid, **time_kw)
+    if timed:
+        taps = wiener_2x1d(inst.values, gains, smoother, inst.mask)
+    else:
+        taps = wiener_1d(inst.values, gains, inst.mask)
+    return CfrEstimate(eps=float(resid), taps=taps)
 
 
 def _tap_mse(taps: np.ndarray, truth_taps: np.ndarray) -> float:

@@ -45,8 +45,8 @@ class SimConfig:
 
     The first five fields come from the preset; every other field carries
     its default, and its annotation picks the parser for text values.  A
-    value of 0 means "auto" for m_f (9, or 3 with an SFN echo), block_len
-    (num_symbols) and cir_len (the channel length, capped by the PN core).
+    value of 0 means "auto" for m_f (9, or 3 with an SFN echo) and cir_len
+    (the channel length, capped by the PN core).
     The estimation loop, combiner.iterate, reads the resolved config
     directly.  cir_len is its LS and guard-removal window and the support
     of the uniform prior of every refiner.  m_t and m_f are the
@@ -72,7 +72,6 @@ class SimConfig:
     estimator: str = "wiener1d"
     m_t: int = 2
     m_f: int = 0
-    block_len: int = 0
     iterations: int = 2
     cir_len: int = 0
     corr_mode: str = "uniform"
@@ -185,7 +184,7 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
 
     # contextual defaults: the frequency window shrinks when an SFN echo is present
     window = 9 if cfg.sfn_delay_us <= 0 else 3
-    cfg = replace(cfg, m_f=cfg.m_f or window, block_len=cfg.block_len or cfg.num_symbols)
+    cfg = replace(cfg, m_f=cfg.m_f or window)
 
     if cfg.pn_order not in PRIMITIVE_POLYS:
         orders = ", ".join(map(str, sorted(PRIMITIVE_POLYS)))
@@ -210,8 +209,6 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (len(cfg.snr_db) >= 1, "snr_db grid is empty"),
         (len(set(labels)) == len(labels), f"snr_db points {','.join(labels)} repeat a label"),
         (cfg.m_t >= 1 and cfg.m_f >= 1, "window lengths must be positive"),
-        (cfg.block_len >= 1, "block_len must be positive"),
-        (cfg.num_symbols % cfg.block_len == 0, "block_len must divide num_symbols"),
         (cfg.threads >= 1, "threads must be positive"),
         (cfg.velocity_kmh >= 0 and cfg.fc_hz > 0, "bad doppler parameters"),
         (cfg.sfn_delay_us >= 0, "sfn_delay_us must be nonnegative"),

@@ -207,17 +207,17 @@ def wiener_1d(values: np.ndarray, gains: np.ndarray, mask: np.ndarray | None = N
 def wiener_2x1d(
     grid: np.ndarray, gains: np.ndarray, smoother: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Separable smoothing of a (block_len, n_fft) grid: the smoothed
-    (block_len, gains.size) taps.
+    """Separable smoothing of a (blocks, n_fft) grid: the smoothed
+    (blocks, gains.size) taps.
 
     The taps of each block weighted by the gains of wiener_1d, then the
-    smoother, time_wiener's or ma_2d's, over the (block_len, L) taps: the
+    smoother, time_wiener's or ma_2d's, over the (blocks, L) taps: the
     time pass commutes with the DFT, so it runs on L columns instead of
     n_fft.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.ndim != 2:
-        raise ValueError("expected a (block_len, n_fft) grid")
+        raise ValueError("expected a (blocks, n_fft) grid")
     blocks = smoother.shape[1]
     if grid.shape[0] != blocks:
         raise ValueError(f"expected {blocks} blocks, got {grid.shape[0]}")

@@ -40,17 +40,14 @@ CONFIGS = {
         for con in ("qpsk", "qam16", "qam64")
     },
     **{f"dtmb_{est}_profile": {**_DTMB, "estimator": est} for est in ("wiener1d", "wiener2x1d")},
-    # the dtmb benchmark workload's prior, a gapped SFN profile, a short
-    # time block and a fast channel
+    # the dtmb benchmark workload's prior, a gapped SFN profile and a fast
+    # channel
     "dtmb_wiener1d_uniform": {**_DTMB, "estimator": "wiener1d", "corr_mode": "uniform"},
     "desk_wiener1d_qam16_sfn20": {
         **_DESK, "estimator": "wiener1d", "constellation": "qam16",
         "sfn_delay_us": 20, "corr_mode": "profile",
     },
     "dtmb_wiener2x1d_sfn30": {**_DTMB, "estimator": "wiener2x1d", "sfn_delay_us": 30},
-    "desk_wiener2x1d_qpsk_block5": {
-        **_DESK, "estimator": "wiener2x1d", "constellation": "qpsk", "block_len": 5, "M_t": 3,
-    },
     "desk_ma2d_qam16_120kmh": {
         **_DESK, "estimator": "ma2d", "constellation": "qam16", "velocity_kmh": 120,
     },

@@ -129,7 +129,7 @@ def test_combine_blends_the_taps_of_two_tap_carrying_estimates():
 def test_refined_estimates_and_their_combination_carry_taps(estimator):
     # the 6-tap profile prior is longer than the 3-tap LS window
     rng = np.random.default_rng(72)
-    cfg = resolve_config({"estimator": estimator, "corr_mode": "profile", "cir_len": 3, "block_len": 2})
+    cfg = resolve_config({"estimator": estimator, "corr_mode": "profile", "cir_len": 3})
     profile = cfg.profile()
     s, n = cfg.num_symbols, cfg.fft_size
     assert profile.length > cfg.cir_len
@@ -147,8 +147,8 @@ def test_refined_estimates_and_their_combination_carry_taps(estimator):
     assert out.taps.shape == (s, length)
     assert np.allclose(out.taps, beta * pn_only + (1.0 - beta) * h2.taps)
 
-    # blocks 2 and 3, one wiener2x1d chunk, have no reliable cell: no
-    # block gets a refined estimate, and every row keeps the PN taps
+    # blocks 2 and 3 of the frame have no reliable cell: no block gets a
+    # refined estimate, and every row keeps the PN taps
     dead = mask.copy()
     dead[2:4] = False
     h2 = _refine(replace(inst, mask=dead), cfg, profile, n, 0.05)
@@ -159,11 +159,11 @@ def test_refined_estimates_and_their_combination_carry_taps(estimator):
 
 
 @pytest.mark.parametrize("estimator", ["ma2d", "wiener2x1d"])
-def test_an_empty_block_in_a_live_chunk_gives_no_estimate(estimator):
+def test_an_empty_block_gives_no_estimate(estimator):
     # a time pass would smooth the empty block's imputed zeros into its
     # live neighbours, under an eps that the live blocks set
     rng = np.random.default_rng(74)
-    cfg = resolve_config({"estimator": estimator, "block_len": 5})
+    cfg = resolve_config({"estimator": estimator})
     profile = cfg.profile()
     s, n = cfg.num_symbols, cfg.fft_size
     truth = np.tile(crandn(rng, cfg.cir_len, var=1.0 / cfg.cir_len), (s, 1))

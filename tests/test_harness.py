@@ -35,7 +35,7 @@ def test_defaults_resolve_to_the_small_grid():
     assert cfg.cir_len == 6                      # tu6 at this rate
     assert cfg.trials == 500
     assert cfg.snr_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
-    assert cfg.block_len == cfg.num_symbols == 10
+    assert cfg.num_symbols == 10
     assert cfg.estimator == "wiener1d"
     assert cfg.constellation == "qpsk"
     assert cfg.corr_mode == "uniform"
@@ -65,6 +65,9 @@ def test_config_rejections():
     # cir_len is also the support of the uniform Wiener prior
     with pytest.raises(ConfigError, match="unknown config key 'design_len'"):
         resolve_config({"design_len": 9})
+    # the time pass of ma2d and wiener2x1d spans the whole frame
+    with pytest.raises(ConfigError, match="unknown config key 'block_len'"):
+        resolve_config({"block_len": 5})
     # the PN register is a function of pn_order alone
     with pytest.raises(ConfigError, match="unknown config key 'pn_seed'"):
         resolve_config({"pn_seed": 1})
@@ -76,8 +79,6 @@ def test_config_rejections():
         resolve_config({"estimator": "kalman"})
     with pytest.raises(ConfigError, match="cir_len"):
         resolve_config({"cir_len": 100})
-    with pytest.raises(ConfigError, match="divide"):
-        resolve_config({"block_len": 3})
     with pytest.raises(ConfigError, match="preset"):
         resolve_config({"preset": "atsc"})
     with pytest.raises(ConfigError, match="hold"):
@@ -174,7 +175,6 @@ _TYPED = {
     "estimator": "ma2d",
     "M_t": 3,
     "M_f": 5,
-    "block_len": 5,
     "iterations": 1,
     "cir_len": 4,
     "corr_mode": "profile",
@@ -361,15 +361,15 @@ def test_no_dtmb_trial_inverts_a_cfr(monkeypatch, estimator):
     assert tuple(calls.values()) == _TAP_PATH_CALLS[estimator]
 
 
-@pytest.mark.parametrize("block_len", [5, 2])
-def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
-    # record every refine output and the time filters designed inside it
+@pytest.mark.parametrize("estimator, design", [("ma2d", "ma_2d"), ("wiener2x1d", "time_wiener")])
+def test_a_2d_refiner_designs_one_time_pass_per_frame(monkeypatch, estimator, design):
+    # record every refine output and the time designs made inside it
     refines = []
-    build, refine = tdsofdm.combiner.time_wiener, tdsofdm.combiner._refine
+    build, refine = getattr(tdsofdm.combiner, design), tdsofdm.combiner._refine
 
     def recording_build(*args, **kwargs):
         smoother, resid = build(*args, **kwargs)
-        refines[-1][1].append(resid)
+        refines[-1][1].append((smoother.shape, resid))
         return smoother, resid
 
     def recording_refine(*args, **kwargs):
@@ -377,24 +377,25 @@ def test_wiener2x1d_solves_every_chunk(monkeypatch, block_len):
         refines[-1][0] = refine(*args, **kwargs)
         return refines[-1][0]
 
-    monkeypatch.setattr(tdsofdm.combiner, "time_wiener", recording_build)
+    monkeypatch.setattr(tdsofdm.combiner, design, recording_build)
     monkeypatch.setattr(tdsofdm.combiner, "_refine", recording_refine)
-    cfg = resolve_config(
-        {"estimator": "wiener2x1d", "block_len": block_len, "trials": 2, "snr_db": "5,25", "seed": 3}
-    )
+    cfg = resolve_config({"estimator": estimator, "trials": 2, "snr_db": "5,25", "seed": 3})
     rows = run(cfg)
     for r in rows:
         assert np.isfinite([r.mse_empirical, r.eps_analytic, r.ber_uncoded]).all()
     assert len(refines) == 2 * 2 * cfg.iterations
-    chunks = cfg.num_symbols // block_len
-    for h2, resid in refines:
-        assert len(resid) == chunks
-        assert h2.eps == np.mean(resid)
+    s = cfg.num_symbols
+    for h2, designs in refines:
+        assert len(designs) == 1
+        shape, resid = designs[0]
+        assert shape == (s, s)
+        assert h2.eps == resid
 
 
-def test_wiener2x1d_with_one_block_chunks_runs():
-    # every block is a pilot, so even a one-block chunk has its time sample
-    cfg = resolve_config({"estimator": "wiener2x1d", "block_len": 1, "trials": 1, "snr_db": "20"})
+@pytest.mark.parametrize("estimator", ["ma2d", "wiener2x1d"])
+def test_a_one_block_frame_refines(estimator):
+    # every block is a pilot, so even a one-block frame has its time sample
+    cfg = resolve_config({"estimator": estimator, "num_symbols": 1, "trials": 1, "snr_db": "20"})
     rows = run(cfg)
     assert [r.iteration for r in rows] == [0, 1, 2]
     for r in rows:

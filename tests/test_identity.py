@@ -2,9 +2,14 @@
 
 import pytest
 
-from identity_corpus import CONFIGS, FLOAT_COLUMNS, fresh_text, rows, stored_text
+from identity_corpus import CONFIGS, DATA, FLOAT_COLUMNS, fresh_text, rows, stored_text
 
 from tdsofdm import CSV_HEADER
+
+
+def test_every_stored_file_has_its_configuration():
+    # the sweep test walks CONFIGS, so it would never read an orphaned file
+    assert {path.stem for path in DATA.glob("*.csv")} == set(CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -261,7 +261,8 @@ def test_wiener_closed_form_matches_the_dense_lmmse(case, var):
     assert resid == pytest.approx(want_resid, rel=1e-12, abs=0.0)
 
 
-# block_len, the Jakes fading and the input variances of the time designs.
+# frame length in blocks, the Jakes fading and the input variances of the
+# time designs.
 # With every block observed, slow fading at var = 0 leaves phi with a
 # condition number near 1e13: rounding its entries to float64 already moves
 # the exact solution by about 1e-3, so no float64 design can match it to
