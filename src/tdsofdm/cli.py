@@ -15,8 +15,10 @@ EXIT_CONSTRAINT = 3
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments are ignored."""
+    """Flat key=value lines; blank lines and # comments are ignored, and a
+    key may appear once."""
     out: dict = {}
+    first: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -26,7 +28,11 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in stripped:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
                 key, _, value = stripped.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key in first:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+                first[key] = lineno
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

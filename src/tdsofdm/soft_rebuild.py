@@ -17,7 +17,6 @@ RELIABILITY_FLOOR = 0.05
 LLR_MAX = 30.0
 
 _TINY_VAR = 1e-30
-_FAR = 1e13
 
 
 @dataclass(frozen=True)
@@ -33,41 +32,6 @@ class InstantEstimate:
     weights: np.ndarray
 
 
-def _clamp_far(axes: np.ndarray, sigma2: np.ndarray, c: Constellation, scratch: np.ndarray) -> np.ndarray | None:
-    """Clamp demap's axis values in place at each cell's reach or at _FAR.
-
-    Past its reach, the gap between a bit's two class maxima exceeds
-    2 (LLR_MAX + q) and the rest of the class sums moves it by at most
-    log(q / 2), so the LLR saturates; clamping there, and at _FAR, keeps
-    every square finite and the level spacing resolved.  A value clamped
-    at its reach still saturates every LLR of its axis, but one clamped at
-    _FAR inside its reach need not, so demap relabels those.  A sigma2 or
-    reach past the float range is inf, the limit where every LLR is zero.
-
-    Returns the mask of the values past a reach beyond _FAR, or None when
-    there are none.  The clamp is an identity, NaN included, when no value
-    lies past the smallest bound.  scratch is a float buffer of axes' shape.
-    """
-    q = c.levels.size
-    reach = np.empty(sigma2.shape, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        np.multiply(LLR_MAX + q, sigma2, out=reach)
-        reach /= c.levels[1] - c.levels[0]
-        reach += c.levels[-1]
-    size = np.abs(axes, out=scratch)
-    if not np.fmax.reduce(size, axis=None, initial=0.0) > min(reach.min(initial=np.inf), _FAR):
-        return None
-    wide = reach > _FAR
-    far = None
-    if wide.any():
-        far = (size > reach) & wide
-        if not far.any():
-            far = None
-    np.minimum(reach, _FAR, out=reach)
-    np.clip(axes, np.negative(reach, out=scratch[0]), reach, out=axes)
-    return far
-
-
 def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -> np.ndarray:
     """Per-bit LLRs of equalized cells under Gaussian noise, clipped to +-LLR_MAX.
 
@@ -78,23 +42,22 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     noise_var/|H[k]|^2 after equalization.  The noise is circular, so each
     bit's likelihood terms from the other axis cancel and its LLR is
     log(S1 / S0), where Sb sums exp(-d_j) over the levels j of its own axis
-    whose label bit is b, and d_j = |x - level_j|^2 / sigma2.  The sqrt(M)
-    level terms exp(g - d_j) are taken once per axis value and shared by
-    every bit of that axis: g = min d_j belongs to the nearest level, and
-    each term is clamped at e^-700.  A class sum of at least e^-640 is then
-    exact to rounding, since at most 4 clamped terms add at most 4 e^-700;
-    a smaller one puts the LLR past 640 in magnitude, which the clip
-    saturates with the right sign.
-
-    A value so far beyond the outermost level that every LLR saturates is
-    clamped before squaring, at that reach, so it gets that level's label
-    at +-LLR_MAX.  A value past _FAR = 1e13 is taken as if it lay at
-    +-_FAR, where squared distances still resolve the level spacing of
-    every constellation; past about 1e16 they tie.  Where _FAR lies inside
-    a value's reach, the clamp need not saturate, so such a value is
-    relabelled with the outermost label outright.  So every LLR of a
-    finite input is finite.  Cells masked out upstream get zero LLRs (no
-    information).  noise_var must be nonnegative.
+    whose label bit is b, and d_j = |x - l_j|^2 / sigma2.  Only differences
+    of the d_j matter, and they are linear in x: d_j - d_0 is
+    ((l_0 - l_j) / span) (x - (l_0 + l_j) / 2) times 2 span / sigma2, with
+    span = l_max - l_0.  The first factor lies in [-1, 0] and the second
+    within |x| + span, so no value is squared, every product is finite and
+    the level spacing is resolved at any |x|; only a term far below the
+    nearest level can overflow to -inf once scaled.  QPSK's two levels are
+    negatives, so its LLR is (x / sigma2) 2 (l_1 - l_0) outright.  Otherwise
+    the sqrt(M) level terms exp(g - d_j) are taken once per axis value and
+    shared by every bit of that axis: g = min d_j belongs to the nearest
+    level, and each term is clamped at e^-700.  A class sum of at least
+    e^-640 is then exact to rounding, since at most 4 clamped terms add at
+    most 4 e^-700; a smaller one puts the LLR past 640 in magnitude, which
+    the clip saturates with the right sign.  So every LLR of a finite input
+    is finite, and a sigma2 past the float range (inf) gives zero LLRs.
+    Cells masked out upstream get zero LLRs.  noise_var must be nonnegative.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
@@ -114,31 +77,29 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     axes = np.empty((2,) + shape, dtype=np.float64)
     axes[0] = z.data.real
     axes[1] = z.data.imag
-    q = c.levels.size
+    levels, q = c.levels, c.levels.size
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
-    # its first bit's slab is scratch until the LLRs are formed
-    far = _clamp_far(axes, sigma2, c, out[:, 0])
     # classes[l, b]: the indices of the levels whose bit l is b
     classes = np.argsort(c.axis_labels, axis=0, kind="stable").T.reshape(half, 2, -1)
     if q == 2:
-        # one level per class: each class sum is exp(-d) of its one level,
-        # so the LLR is d(class 0) - d(class 1) exactly
+        # one level per class: the LLR is d(class 0) - d(class 1) exactly
         (i0,), (i1,) = classes[0]
         llr = out[:, 0]
-        other = np.empty_like(axes)
-        for d, level in ((llr, c.levels[i0]), (other, c.levels[i1])):
-            np.subtract(axes, level, out=d)
-            np.square(d, out=d)
-            d /= sigma2
-        llr -= other
+        with np.errstate(over="ignore"):
+            np.divide(axes, sigma2, out=llr)
+            llr *= 2.0 * (levels[i1] - levels[i0])
     else:
-        # (level, 2 axes, ...): |x - level|^2 / sigma2, then the level terms
+        # (level, 2 axes, ...): (d_j - d_0) / (2 span / sigma2), then the
+        # level terms g - d_j
+        span = levels[-1] - levels[0]
+        shaped = (q,) + (1,) * axes.ndim
         terms = np.empty((q,) + axes.shape, dtype=np.float64)
-        np.subtract(axes, c.levels.reshape((q,) + (1,) * axes.ndim), out=terms)
-        np.square(terms, out=terms)
-        terms /= sigma2
+        np.subtract(axes, ((levels[0] + levels) / 2).reshape(shaped), out=terms)
+        terms *= ((levels[0] - levels) / span).reshape(shaped)
         np.subtract(np.min(terms, axis=0), terms, out=terms)
+        with np.errstate(over="ignore"):
+            terms *= np.divide(2.0 * span, sigma2)
         # a term under e^-700 cannot move a sum that holds a 1, and exp runs
         # many times slower where it underflows
         np.maximum(terms, -700.0, out=terms)
@@ -154,9 +115,6 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
             llr = out[:, l]
             np.divide(sums[1], sums[0], out=llr)
             np.log(llr, out=llr)
-    if far is not None:
-        outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
-        np.moveaxis(out, 1, -1)[far] = LLR_MAX * (2.0 * outer - 1.0)
     out = out.reshape((2 * half,) + shape)
     np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     out[:, ~ok] = 0.0

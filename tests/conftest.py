@@ -261,11 +261,11 @@ def reference_demap(z, h, noise_var, c):
 
 
 def per_class_demap(z, h_est, noise_var, c):
-    """The per-bit form of demap: for each bit, |x - level|^2 / sigma2 over
-    its two label classes, each class shifted by its own smallest term
-    before its exponentials are summed.  It takes sqrt(M) exponentials per
-    bit where demap takes sqrt(M) per axis value, and handles saturation,
-    masking and the QPSK difference the same way."""
+    """The per-bit form of demap: for each bit, the level distances
+    relative to level 0 over its two label classes, each class shifted by
+    its own smallest term before its exponentials are summed.  It takes
+    sqrt(M) exponentials per bit where demap takes sqrt(M) per axis value,
+    and handles saturation, masking and the QPSK LLR the same way."""
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
     shape = z.data.shape
@@ -275,70 +275,80 @@ def per_class_demap(z, h_est, noise_var, c):
     ok = p > 0
     if z.mask is not None:
         ok &= z.mask
-
-    # past reach, the gap between a bit's two class maxima exceeds
-    # 2 (LLR_MAX + q) and the rest of the class sums moves it by at most
-    # log(q / 2), so the LLR saturates; clamping there, and at 1e150 for a
-    # huge sigma2, keeps every square finite.  A sigma2 or reach past the
-    # float range is inf, the limit where every LLR is zero.
-    q = c.levels.size
     sigma2 = np.where(ok, p, 1.0)
-    reach = np.empty(shape, dtype=np.float64)
     with np.errstate(over="ignore"):
         np.divide(noise_var, sigma2, out=sigma2)
-        np.maximum(sigma2, 1e-30, out=sigma2)
-        np.multiply(LLR_MAX + q, sigma2, out=reach)
-        reach /= c.levels[1] - c.levels[0]
-        reach += c.levels[-1]
+    np.maximum(sigma2, 1e-30, out=sigma2)
     # I/Q on the leading axis, so every pass below runs over whole cell grids
-    axes = np.empty((2,) + shape, dtype=np.float64)
-    axes[0] = z.data.real
-    axes[1] = z.data.imag
-    # (class, level, 2 axes, ...), reused by every bit; its first slab is
-    # scratch until the loop starts
-    terms = np.empty((2, q // 2) + axes.shape, dtype=np.float64)
-    scratch = terms[0, 0]
-    far = np.abs(axes, out=scratch) > reach
-    np.minimum(reach, 1e150, out=reach)
-    np.clip(axes, np.negative(reach, out=scratch), reach, out=axes)
-
+    axes = np.stack([z.data.real, z.data.imag])
+    levels = c.levels
     half = c.axis_labels.shape[1]
     out = np.empty((2, half) + shape, dtype=np.float64)
-    if q > 2:
-        # the per-class minimum and sum of terms
-        low = np.empty((2, 1) + axes.shape, dtype=np.float64)
-        lse = np.empty((2,) + axes.shape, dtype=np.float64)
-    for l in range(half):
-        # |x - level|^2 / sigma2 over the bit's two label classes, class 0
-        # first; a class's log-likelihood sum is log(sum exp(low - terms)) - low
-        # with low its smallest term
-        classes = c.levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
-        np.subtract(axes, classes.reshape(classes.shape + (1,) * axes.ndim), out=terms)
-        np.square(terms, out=terms)
-        terms /= sigma2
-        if q == 2:
-            # one level per class: low is the term itself and the sum is
-            # log(exp(0)) - low = -term exactly, so the LLR is t0 - t1
-            np.subtract(terms[0, 0], terms[1, 0], out=out[:, l])
-            continue
-        np.min(terms, axis=1, keepdims=True, out=low)
-        np.subtract(low, terms, out=terms)
-        # a term under e^-700 cannot move a sum that holds a 1, and exp runs
-        # many times slower where it underflows
-        np.maximum(terms, -700.0, out=terms)
-        np.exp(terms, out=terms)
-        np.sum(terms, axis=1, out=lse)
-        np.log(lse, out=lse)
-        lse -= low[:, 0]
-        np.subtract(lse[1], lse[0], out=out[:, l])
-    if far.any():
-        outer = np.where(axes[far][:, None] > 0, c.axis_labels[-1], c.axis_labels[0])
-        np.moveaxis(out, 1, -1)[far] = LLR_MAX * (2.0 * outer - 1.0)
+    if levels.size == 2:
+        # one level per class, the negative of the other: the same
+        # expression as demap's, so the two agree to the last bit
+        level0, level1 = levels[np.argsort(c.axis_labels[:, 0], kind="stable")]
+        with np.errstate(over="ignore"):
+            np.divide(axes, sigma2, out=out[:, 0])
+            out[:, 0] *= 2.0 * (level1 - level0)
+    else:
+        span = levels[-1] - levels[0]
+        scale = 2.0 * span / sigma2
+        for l in range(half):
+            # (class, level, 2 axes, ...), class 0 first: (d_j - d_0) / scale,
+            # and a class's log-likelihood sum is
+            # log(sum exp((low - terms) scale)) - low scale, low its smallest term
+            classes = levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
+            shaped = classes.shape + (1,) * axes.ndim
+            terms = (axes - ((levels[0] + classes) / 2).reshape(shaped)) * ((levels[0] - classes) / span).reshape(shaped)
+            low = np.min(terms, axis=1)
+            with np.errstate(over="ignore"):
+                # a term under e^-700 cannot move a sum that holds a 1
+                shifted = np.maximum((low[:, None] - terms) * scale, -700.0)
+                lse = np.log(np.sum(np.exp(shifted), axis=1))
+                out[:, l] = (low[0] - low[1]) * scale + lse[1] - lse[0]
     out = out.reshape((2 * half,) + shape)
     np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     out[:, ~ok] = 0.0
     # bit-major in memory; the (..., bits) view costs no transpose
     return np.moveaxis(out, 0, -1)
+
+
+def exact_demap(z, h_est, noise_var, c):
+    """demap's LLRs computed exactly from its float sigma2, clipped to
+    +-LLR_MAX.
+
+    Each cell's noise variance is formed in float64 as demap forms it; from
+    there each bit's LLR is a log-sum-exp in mpmath at 700 digits, each
+    class shifted by its own smallest distance d = (x - level)^2 / sigma2.
+    At |x| up to 1.8e308 and sigma2 down to 1e-30 a d reaches 3e646, and
+    700 digits still resolve the level spacing in it.
+    """
+    shape = z.data.shape
+    p = np.broadcast_to(np.abs(h_est) ** 2, shape)
+    ok = p > 0
+    if z.mask is not None:
+        ok = ok & z.mask
+    with np.errstate(over="ignore"):
+        sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), 1e-30)
+    half = c.axis_labels.shape[1]
+    out = np.zeros(shape + (2 * half,), dtype=np.float64)
+    with mpmath.workdps(700):
+        levels = [mpmath.mpf(float(v)) for v in c.levels]
+        for idx in zip(*np.nonzero(ok)):
+            s2 = mpmath.mpf(float(sigma2[idx]))
+            for a, x in enumerate((z.data[idx].real, z.data[idx].imag)):
+                d = [(mpmath.mpf(float(x)) - v) ** 2 / s2 for v in levels]
+                for l in range(half):
+                    lse = []
+                    for b in (0, 1):
+                        cls = [dj for dj, lab in zip(d, c.axis_labels[:, l]) if lab == b]
+                        low = min(cls)
+                        # a term under e^-2000 cannot move a 700-digit sum that holds a 1
+                        terms = [mpmath.exp(low - dj) for dj in cls if dj - low < 2000]
+                        lse.append(mpmath.log(mpmath.fsum(terms)) - low)
+                    out[idx + (a * half + l,)] = float(max(-LLR_MAX, min(LLR_MAX, lse[1] - lse[0])))
+    return out
 
 
 def reference_soft_symbols(llr_values, c):

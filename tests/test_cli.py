@@ -52,20 +52,23 @@ def test_bad_config_file_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_config_file_setting_m_exits_2(tmp_path, capsys):
-    cfgfile = tmp_path / "m.cfg"
-    cfgfile.write_text("M = 5\n")
+@pytest.mark.parametrize("key", ["M", "design_len", "pn_seed", "pn_poly", "block_len"])
+def test_config_file_setting_a_retired_key_exits_2(tmp_path, capsys, key):
+    cfgfile = tmp_path / "retired.cfg"
+    cfgfile.write_text(f"{key} = 5\ntrials = 1\nsnr_db = 20\n")
     rc = main(["sweep", "--config", str(cfgfile)])
     assert rc == 2
-    assert "unknown config key 'M'" in capsys.readouterr().err
+    assert f"config error: unknown config key '{key}'" in capsys.readouterr().err
 
 
-def test_config_file_setting_design_len_exits_2(tmp_path, capsys):
-    cfgfile = tmp_path / "design.cfg"
-    cfgfile.write_text("design_len = 9\n")
+def test_config_file_repeating_a_key_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("estimator = ma1d\ntrials = 1\n# the later value\nestimator = wiener1d\n")
     rc = main(["sweep", "--config", str(cfgfile)])
     assert rc == 2
-    assert "unknown config key 'design_len'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"config error: {cfgfile}:4: key 'estimator' repeats line 1" in captured.err
+    assert captured.out == ""
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -158,14 +161,6 @@ def test_out_in_a_missing_directory_exits_2_before_any_trial(tmp_path, capsys, m
     assert captured.out == ""
     with pytest.raises(ConfigError, match="directory of out"):
         resolve_config({"out": str(out)})
-
-
-def test_config_file_setting_pn_seed_exits_2(tmp_path, capsys):
-    cfgfile = tmp_path / "pn.cfg"
-    cfgfile.write_text("pn_seed = 1\ntrials = 1\nsnr_db = 20\n")
-    rc = main(["sweep", "--config", str(cfgfile)])
-    assert rc == 2
-    assert "config error: unknown config key 'pn_seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cir_len, code", [(4, 0), (56, 0), (57, 0), (500, 2)])

@@ -22,6 +22,7 @@ from tdsofdm.soft_rebuild import LLR_MAX
 from conftest import (
     crandn,
     einsum_soft_symbols,
+    exact_demap,
     per_class_demap,
     reference_demap,
     reference_hard_decisions,
@@ -59,9 +60,9 @@ def test_qpsk_llrs_match_closed_form():
     nv=st.sampled_from([0.0, 1e-14, 1e-3, 0.4, 50.0]),
 )
 def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv):
-    # each QPSK label class holds one level, so the log-sum-exp of a class is
-    # minus its one term t and the LLR must be t(class 0) - t(class 1) to the
-    # last bit; cells beyond demap's clamp saturate either way
+    # each QPSK label class holds one level and the two are negatives, so
+    # the log-sum-exp of a class is minus its one term and the LLR
+    # d(class 0) - d(class 1) is (x / sigma2) 2 (l_1 - l_0) to the last bit
     rng = np.random.default_rng(seed)
     z = crandn(rng, (3, 20)) * scale
     h = crandn(rng, 20) * 10.0 ** rng.uniform(-3, 1, 20)
@@ -72,7 +73,8 @@ def test_qpsk_llrs_are_the_one_level_term_difference(seed, scale, nv):
     ok = mask & (np.abs(h) ** 2 > 0)
     sigma2 = np.maximum(nv / np.where(ok, np.abs(h) ** 2, 1.0), 1e-30)
     level0, level1 = QPSK.levels[np.argsort(QPSK.axis_labels[:, 0])]
-    want = np.stack([(x - level0) ** 2 / sigma2 - (x - level1) ** 2 / sigma2 for x in (z.real, z.imag)], axis=-1)
+    assert level0 == -level1
+    want = np.stack([(x / sigma2) * (2.0 * (level1 - level0)) for x in (z.real, z.imag)], axis=-1)
     want = np.clip(want, -LLR_MAX, LLR_MAX)
     want[~ok] = 0.0
     assert got.shape == want.shape
@@ -260,7 +262,7 @@ def test_demap_matches_the_generic_form_at_extreme_scales(c, scale, nv):
         assert np.max(np.abs(want)) < LLR_MAX
     assert np.all(np.abs(got - want) <= _tol(z, h, nv, c))
     # the bound is loose where sigma2 is tiny; beyond the outermost level,
-    # where demap clamps, saturated LLRs must match exactly
+    # saturated LLRs must match exactly
     beyond = np.abs(np.stack([z.real, z.imag], axis=-1)) > c.levels[-1]
     sat = np.repeat(beyond, c.bits_per_symbol // 2, axis=-1) & (np.abs(want) == LLR_MAX)
     assert np.array_equal(got[sat], want[sat])
@@ -275,8 +277,8 @@ def test_demap_saturates_like_the_generic_form(c, span):
     # clamps each level term at e^-700 below the nearest level, so at 800 the
     # far class sum, 600 to 800 beyond it, is inexact; its LLR exceeds 600
     # and must still clip to the same +-LLR_MAX.  At 2000 whole classes sit
-    # under the term clamp, and at 1e5 the outermost values lie past their
-    # reach and are relabeled
+    # under the term clamp, and from 800 on every value beyond the outermost
+    # level saturates every LLR of its axis
     far = c.levels[c.levels.size // 2 - 1]
     sigma2 = (c.levels[-1] - far) ** 2 / span
     a = np.linspace(0.0, c.levels[-1] + 0.02, 300)
@@ -285,12 +287,13 @@ def test_demap_saturates_like_the_generic_form(c, span):
     assert gap.min() < LLR_MAX and gap.max() > span
     if span == 800.0:
         assert np.any((gap > 600.0) & (gap < 638.0)) and np.any((gap > 700.0) & (gap < 800.0))
-    reach = (LLR_MAX + c.levels.size) * sigma2 / (c.levels[1] - c.levels[0]) + c.levels[-1]
-    assert np.any(a > reach) == (span == 1e5)
     grid = FrameGrid(data=z)
     h = np.ones(z.shape[1])
     got = demap(grid, h, sigma2, c)
     want = reference_demap(grid, h, sigma2, c)
+    beyond = np.stack([z.real, z.imag], axis=-1) > c.levels[-1]
+    axis_sat = np.all(np.abs(want.reshape(beyond.shape + (-1,))) == LLR_MAX, axis=-1)
+    assert np.all(axis_sat[beyond]) == (span >= 800.0)
     assert np.all(np.abs(got - want) <= _tol(z, h, sigma2, c))
     assert np.array_equal(np.abs(got) == LLR_MAX, np.abs(want) == LLR_MAX)
 
@@ -299,9 +302,9 @@ def test_demap_saturates_like_the_generic_form(c, span):
 @pytest.mark.parametrize("nv", [0.0, 1e-14, 1.0, 1e20])
 @pytest.mark.parametrize("v", [1e160 + 1e160j, -1e160 + 1e160j, 1e308 - 1e308j, -1e200 - 3.0j])
 def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
-    # (z - level)^2 overflows, and at nv = 1e20 the squares of any value
-    # far enough out to saturate cancel to zero; the LLRs must still take
-    # the outermost level's label on each axis at +-LLR_MAX, without a warning
+    # (z - level)^2 would overflow, and the scaled level distances do at
+    # nv = 0; the LLRs must still take the outermost level's label on each
+    # axis at +-LLR_MAX, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         llr = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c)[0, 0]
@@ -314,45 +317,44 @@ def test_far_out_cells_saturate_at_the_outermost_label(c, nv, v):
     assert np.all(np.isfinite(llr))
 
 
+# axis values from 1e-3 to the float maximum, and noise levels from 0 to
+# 1e300; x = sigma2 = 3e14, 1e17 and 1e20 saturate no LLR, and there the
+# squares of x alone cannot resolve the level spacing
+EXACT_VALUES = [1e-3, 0.3, 0.7, 1.0, 1.2, 2.5, 10.0, 1e3, 1e6, 1e12, 3e14, 1e17, 1e20, 1e40, 1e100, 1e160, 1e200, 1e300, 1.7e308]
+EXACT_NOISE = [0.0, 1e-14, 1e-3, 0.4, 1.0, 50.0, 1e6, 1e12, 3e14, 1e17, 1e20, 1e40, 1e100, 1e300]
+
+
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
-@pytest.mark.parametrize("v", [3e14 + 1j, -1e17 + 0.5j, 1e20 - 2j])
-def test_unclipped_far_out_cells_keep_the_outermost_label(c, v):
-    # at nv = |v| the value lies inside its reach, so no LLR saturates and
-    # demap takes it as if it lay at +-_FAR = 1e13.  The squares there must
-    # still resolve the levels, or the axis ties at zero LLRs: its sign bit,
-    # the first, must take the outermost level's label, and every LLR must
-    # match the cell at +-_FAR, and the generic form there
-    assert np.array_equal(c.axis_labels[:, 0], c.levels > 0)
-    nv = abs(v)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = demap(FrameGrid(data=np.array([[v]])), np.ones(1), nv, c)[0, 0]
-    at_far = FrameGrid(data=np.array([[complex(np.sign(v.real) * 1e13, v.imag)]]))
-    assert got.tobytes() == demap(at_far, np.ones(1), nv, c)[0, 0].tobytes()
-    want = reference_demap(at_far, np.ones(1), nv, c)[0, 0]
-    assert np.all(np.abs(got - want) <= _tol(at_far.data, np.ones(1), nv, c))
-    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < LLR_MAX
-    outer = c.axis_labels[-1] if v.real > 0 else c.axis_labels[0]
-    assert np.sign(got[0]) == 2.0 * outer[0] - 1.0
-
-
-@pytest.mark.parametrize("nv", [1e-30, 0.1, 1e20])
-def test_values_up_to_1e12_are_not_clamped(nv):
-    # the clamp at _FAR lies past 1e12, so there each QPSK LLR is the exact
-    # difference of the unclamped squares under every noise level; at
-    # nv = 1e20 no value is past its reach, and a clamp at 1e11 would cut
-    # those LLRs tenfold
-    grid = FrameGrid(data=np.array([[1e12 - 3e11j, -1e12 + 1e3j, 5e11 + 0.5j]]))
-    got = demap(grid, np.ones(3), nv, QPSK)
-    assert np.array_equal(got, per_class_demap(grid, np.ones(3), nv, QPSK))
+def test_demap_matches_the_exact_llrs_over_the_float_range(c):
+    # every value on both axes with both signs; demap never squares a
+    # value, so each LLR must be finite, come without a warning and match
+    # the 700-digit one to 1e-12 relative to max(1, |LLR|).  Past
+    # 100 max(1, sigma2), where every level of the other label lies over 60
+    # LLR units farther than the outermost one, every bit takes that
+    # level's label at +-LLR_MAX
+    x = np.array(EXACT_VALUES)
+    grid = FrameGrid(data=np.stack([x - 1j * x, -x + 1j * x]))
+    h = np.ones(x.size)
+    half = c.bits_per_symbol // 2
+    axes = np.repeat(np.stack([grid.data.real, grid.data.imag], axis=-1), half, axis=-1)
+    outer = np.where(axes > 0, np.tile(c.axis_labels[-1], 2), np.tile(c.axis_labels[0], 2))
+    for nv in EXACT_NOISE:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = demap(grid, h, nv, c)
+        want = exact_demap(grid, h, nv, c)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        far = np.abs(axes) > 100.0 * max(1.0, nv)
+        assert np.array_equal(got[far], LLR_MAX * (2.0 * outer[far] - 1.0))
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("h, tol", [(1e-5, 0.0), (1e-4, 1e-300)])
 def test_noise_past_the_float_range_gives_zero_llrs(c, h, tol):
-    # noise_var / |h|^2 overflows at h = 1e-5, and the saturation reach
-    # (LLR_MAX + q) * sigma2 at h = 1e-4; either way the cell carries no
-    # information, and that must come without a warning
+    # noise_var / |h|^2 overflows at h = 1e-5, and at h = 1e-4 it is 1e308,
+    # so demap's level distances scale to under 1e-300; either way the cell
+    # carries no information, and that must come without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = FrameGrid(data=np.array([[1e3 - 1e3j]]))
