@@ -350,6 +350,38 @@ def test_demap_matches_the_exact_llrs_over_the_float_range(c):
 
 
 @pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
+@pytest.mark.parametrize("v", [3e14 + 1j, -1e17 + 0.5j, 1e20 - 2j])
+def test_unclipped_far_out_cells_keep_the_outermost_label(c, v):
+    # at nv = |v| no LLR saturates, and the squares of the value alone
+    # cannot resolve the level spacing, so the axis would tie at zero LLRs.
+    # The linear level distances must resolve it: its sign bit, the first,
+    # takes the outermost level's label, and every LLR matches the exact one
+    assert np.array_equal(c.axis_labels[:, 0], c.levels > 0)
+    nv = abs(v)
+    grid = FrameGrid(data=np.array([[v]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = demap(grid, np.ones(1), nv, c)[0, 0]
+    want = exact_demap(grid, np.ones(1), nv, c)[0, 0]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < LLR_MAX
+    outer = c.axis_labels[-1] if v.real > 0 else c.axis_labels[0]
+    assert np.sign(got[0]) == 2.0 * outer[0] - 1.0
+
+
+@pytest.mark.parametrize("nv", [1e-30, 0.1, 1e20])
+def test_values_up_to_1e12_are_not_clamped(nv):
+    # demap clamps no value, so each QPSK LLR is the per-bit form's to the
+    # last bit and the exact one under every noise level; at nv = 1e20 no
+    # LLR saturates, and a clamp at 1e11 would cut those LLRs tenfold
+    grid = FrameGrid(data=np.array([[1e12 - 3e11j, -1e12 + 1e3j, 5e11 + 0.5j]]))
+    got = demap(grid, np.ones(3), nv, QPSK)
+    assert np.array_equal(got, per_class_demap(grid, np.ones(3), nv, QPSK))
+    want = exact_demap(grid, np.ones(3), nv, QPSK)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM16, QAM64], ids=lambda c: c.name)
 @pytest.mark.parametrize("h, tol", [(1e-5, 0.0), (1e-4, 1e-300)])
 def test_noise_past_the_float_range_gives_zero_llrs(c, h, tol):
     # noise_var / |h|^2 overflows at h = 1e-5, and at h = 1e-4 it is 1e308,
