@@ -85,29 +85,13 @@ def sfn_profile(
     return _make_profile(delays, powers)
 
 
-@cache
-def next_fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c 7^d 11^e >= max(n, 1): the sizes pocketfft
-    transforms fastest."""
-    m = max(n, 1)
-    while True:
-        rest = m
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
-
-
 def doppler_frequency(velocity_kmh: float, carrier_hz: float) -> float:
     """Maximum Doppler shift for a given speed and carrier frequency."""
     return velocity_kmh / 3.6 * carrier_hz / _SPEED_OF_LIGHT
 
 
-# The spectral grid's least length.  A series of n blocks with n^2 above
-# it costs less on the grid than through an n x n root.
-_MIN_GRID = 4096
+# The longest frame realize draws; its cached root holds 8 MiB.
+MAX_BLOCKS = 1024
 
 
 @cache
@@ -131,33 +115,6 @@ def _jakes_root(num_blocks: int, fd_tb: float) -> np.ndarray:
     return root
 
 
-def _jakes_spectral(
-    num_taps: int, fd_tb: float, num_blocks: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit-variance Jakes-correlated series, one row per tap, for series
-    too long for _jakes_root.
-
-    Frequency-domain synthesis: white Gaussians shaped by the square root of
-    the Jakes spectrum integrated over each frequency bin.  Integrating over
-    bins keeps the band-edge singularity finite and makes the circular
-    autocorrelation of the long grid match the Bessel target to O(p/n_grid)
-    at lag p, so the grid is kept much longer than the requested series.
-    """
-    n_grid = next_fast_len(max(_MIN_GRID, 8 * num_blocks))
-    f = np.fft.fftfreq(n_grid, d=1.0)
-    lo = np.abs(f) - 0.5 / n_grid
-    hi = np.abs(f) + 0.5 / n_grid
-    lo = np.clip(lo, -fd_tb, fd_tb)
-    hi = np.clip(hi, -fd_tb, fd_tb)
-    energy = (np.arcsin(hi / fd_tb) - np.arcsin(lo / fd_tb)) / np.pi
-    energy /= energy.sum()
-
-    w = rng.standard_normal((num_taps, n_grid)) + 1j * rng.standard_normal((num_taps, n_grid))
-    w *= np.sqrt(energy * n_grid / 2.0)
-    series = np.fft.ifft(w, axis=1, norm="ortho")
-    return series[:, :num_blocks]
-
-
 def realize(
     profile: PowerDelayProfile,
     fd_hz: float,
@@ -174,27 +131,18 @@ def realize(
 
     n blocks of k taps take 2 k n normals, every real part before every
     imaginary one, and _jakes_root correlates each tap's n draws across
-    blocks exactly, with fd_hz = 0 frozen to rounding.  Past n^2 =
-    _MIN_GRID the series come from the spectral grid instead, whose
-    correlation matches to O(p / n_grid) at lag p, and fd_hz = 0 repeats
-    one draw exactly.
+    blocks exactly, with fd_hz = 0 frozen to rounding.  num_blocks must lie
+    in [1, MAX_BLOCKS], since the root is an n x n matrix.
     """
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be positive")
+    if not 1 <= num_blocks <= MAX_BLOCKS:
+        raise ValueError(f"num_blocks must lie in [1, {MAX_BLOCKS}]")
     fd_tb = fd_hz * tb_s
     if fd_tb < 0:
         raise ValueError("fd_hz and tb_s must be nonnegative")
 
-    k = profile.delays.size
-    if num_blocks**2 <= _MIN_GRID:
-        w = rng.standard_normal((2, k, num_blocks))
-        w = np.einsum("ij,ctj->cti", _jakes_root(num_blocks, fd_tb), w)
-        series = (w[0] + 1j * w[1]) / np.sqrt(2.0)
-    elif fd_tb == 0.0:
-        base = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-        series = np.repeat(base[:, None], num_blocks, axis=1)
-    else:
-        series = _jakes_spectral(k, fd_tb, num_blocks, rng)
+    w = rng.standard_normal((2, profile.delays.size, num_blocks))
+    w = np.einsum("ij,ctj->cti", _jakes_root(num_blocks, fd_tb), w)
+    series = (w[0] + 1j * w[1]) / np.sqrt(2.0)
 
     taps = np.zeros((num_blocks, profile.length), dtype=np.complex128)
     taps[:, profile.delays] = (np.sqrt(profile.powers)[:, None] * series).T

@@ -16,6 +16,7 @@ import numpy.random  # noqa: F401  (loaded eagerly, see sequences)
 
 from . import __version__
 from .channel import (
+    MAX_BLOCKS,
     PowerDelayProfile,
     doppler_frequency,
     preset_profile,
@@ -205,7 +206,8 @@ def resolve_config(overrides: dict | None = None) -> SimConfig:
         (cfg.pn_power_boost > 0, "pn_power_boost must be positive"),
         (cfg.iterations >= 0, "iterations must be nonnegative"),
         (cfg.trials >= 1, "trials must be positive"),
-        (cfg.num_symbols >= 1, "num_symbols must be positive"),
+        # a frame draws num_symbols + 1 blocks of channel
+        (1 <= cfg.num_symbols < MAX_BLOCKS, f"num_symbols must lie in [1, {MAX_BLOCKS - 1}]"),
         (len(cfg.snr_db) >= 1, "snr_db grid is empty"),
         (len(set(labels)) == len(labels), f"snr_db points {','.join(labels)} repeat a label"),
         (cfg.m_t >= 1 and cfg.m_f >= 1, "window lengths must be positive"),
@@ -237,7 +239,8 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
     identical realizations for a given seed and trial index; the channel
     takes 2 k (s + 1) normals for its k taps.  The loop
     scores its estimates against the drawn taps, and the genie starts from
-    them as its initial estimate; no CFR is formed here.
+    them as its initial estimate, removing the guard with cir_len of them
+    like every estimator; no CFR is formed here.
     """
     c = constellation(cfg.constellation)
     s, n = cfg.num_symbols, cfg.fft_size
@@ -252,8 +255,6 @@ def run_trial(cfg: SimConfig, gi, profile: PowerDelayProfile, snr_db: float, rng
 
     initial = None
     if cfg.estimator == "genie":
-        # the genie's window holds every tap of the true channel
-        cfg = replace(cfg, cir_len=min(profile.length, gi.n_pn))
         initial = CfrEstimate(eps=0.0, taps=taps[:s])
     _, _, diag = iterate(
         rx, gi, cfg, profile, noise_var, truth_taps=taps[:s], initial=initial, truth_bits=bits

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded eagerly, see sequences)
 
-from .channel import next_fast_len
 from .sequences import PnSequence
 
 
@@ -22,6 +22,21 @@ class FrameGrid:
 
     data: np.ndarray
     mask: np.ndarray | None = None
+
+
+@cache
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= max(n, 1): the sizes pocketfft
+    transforms fastest."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def ofdm_modulate(x: np.ndarray) -> np.ndarray:

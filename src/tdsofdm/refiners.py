@@ -73,7 +73,7 @@ def ma_2d(
     lag = np.subtract.outer(np.arange(n_blocks), np.arange(n_blocks))
     band = (lag <= m_t // 2) & (lag >= -((m_t - 1) // 2))
     smoother = band / band.sum(axis=1, keepdims=True)
-    big_r = r_t(lag, fd_hz, tb_s)
+    big_r = r_t(np.arange(n_blocks), fd_hz, tb_s)[np.abs(lag)]
     c = np.sum(smoother * big_r, axis=1)
     q = np.einsum("ip,pq,iq->i", smoother, big_r, smoother)
     noise = input_err_var * np.sum(smoother**2, axis=1) * np.sum(gains**2) / n

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit, logsumexp
 
-from tdsofdm import FrameGrid, PowerDelayProfile, build_gi, generate_mseq, r_t
+from tdsofdm import FrameGrid, PowerDelayProfile, build_gi, generate_mseq, r_t, realize
 from tdsofdm.soft_rebuild import LLR_MAX
 
 
@@ -101,6 +101,18 @@ def einsum_soft_symbols(llr, c):
             prob[k] *= factor[bit]
     mean = np.einsum("q...,q->...", prob, c.levels)
     return mean[0] + 1j * mean[1]
+
+
+def frames(prof, fd_tb, total, rng, num_blocks=64):
+    """Independent frames of num_blocks, at least total blocks in all:
+    shape (frames, num_blocks, prof.length)."""
+    count = -(-total // num_blocks)
+    return np.stack([realize(prof, fd_tb, 1.0, num_blocks, rng) for _ in range(count)])
+
+
+def lag_correlation(g, p):
+    """Mean of g[f, i + p] g*[f, i] over the pairs inside each frame f."""
+    return np.mean(g[:, p:] * np.conj(g[:, : g.shape[1] - p])).real
 
 
 def r_f(q, profile, n_fft):

@@ -37,7 +37,7 @@ from tdsofdm import (
     wiener_2x1d,
 )
 
-from conftest import crandn, interference_power, uniform_prior
+from conftest import crandn, frames, interference_power, lag_correlation, uniform_prior
 
 SNRS = (0.0, 10.0, 20.0, 30.0)
 SEED = 20260822
@@ -255,11 +255,12 @@ def test_a05_variance_weighted_combining(desk_sweeps):
 
 
 def test_a06_block_fading_autocorrelation():
+    # 100 020 blocks or more, as independent 64-block frames
     rng = np.random.default_rng(106)
-    h = realize(preset_profile("flat", 1.0), 0.02, 1.0, 100020, rng)[:, 0]
+    h = frames(preset_profile("flat", 1.0), 0.02, 100020, rng)[..., 0]
     worst = 0.0
     for lag in range(1, 21):
-        emp = float(np.mean(h[lag:] * np.conj(h[:-lag])).real)
+        emp = float(lag_correlation(h, lag))
         pred = float(r_t(np.array([lag]), 0.02, 1.0)[0])
         worst = max(worst, abs(emp - pred))
     assert worst <= 0.05, f"worst correlation deviation {worst:.4f}"

@@ -13,9 +13,10 @@ from tdsofdm import (
     realize,
     sfn_profile,
 )
-from tdsofdm.channel import _jakes_root, next_fast_len
+from tdsofdm.channel import MAX_BLOCKS, _jakes_root
+from tdsofdm.phy import next_fast_len
 
-from conftest import naive_raw_dft, r_f
+from conftest import frames, lag_correlation, naive_raw_dft, r_f
 
 DESK_FS = 1.024e6
 DTMB_FS = 7.56e6
@@ -141,46 +142,55 @@ def test_realize_rejects_bad_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         realize(prof, 10.0, 1e-3, 0, rng)
+    with pytest.raises(ValueError, match=r"\[1, 1024\]"):
+        realize(prof, 10.0, 1e-3, MAX_BLOCKS + 1, rng)
 
 
-@pytest.mark.parametrize("num_blocks", [1, 2, 11, 64])
+@pytest.mark.parametrize("num_blocks", [1, 2, 11, 64, MAX_BLOCKS])
 @pytest.mark.parametrize("fd_tb", [0.0078, 0.077, 0.25, 0.3125])
 def test_jakes_root_squares_to_the_block_correlation(fd_tb, num_blocks):
     root = _jakes_root(num_blocks, fd_tb)
     lag = np.arange(num_blocks)
-    want = r_t(np.subtract.outer(lag, lag), fd_tb, 1.0)
+    # r_t of the lag matrix itself would take n^2 (64 + 2 pi fd_tb n) floats
+    want = r_t(lag, fd_tb, 1.0)[np.abs(np.subtract.outer(lag, lag))]
     assert np.max(np.abs(root @ root.T - want)) <= 1e-12
     assert np.max(np.abs(root - root.T)) <= 1e-12
     assert not root.flags.writeable
 
 
-def test_a_short_frame_takes_two_normals_per_tap_and_block():
+@pytest.mark.parametrize("num_blocks", [11, MAX_BLOCKS])
+def test_a_short_frame_takes_two_normals_per_tap_and_block(num_blocks):
     prof = preset_profile("tu6", DESK_FS)
     rng, ref = np.random.default_rng(13), np.random.default_rng(13)
-    realize(prof, 0.05, 1.0, 11, rng)
-    ref.standard_normal(2 * prof.delays.size * 11)
+    realize(prof, 0.05, 1.0, num_blocks, rng)
+    ref.standard_normal(2 * prof.delays.size * num_blocks)
     assert rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("num_blocks", [64, 65])
-def test_lag_one_correlation_on_both_sides_of_the_grid_switch(num_blocks):
-    # 64 blocks draw through the exact root, 65 from the spectral grid;
+def test_the_longest_frame_stays_frozen_without_doppler():
+    taps = realize(preset_profile("tu6", DESK_FS), 0.0, 1e-3, MAX_BLOCKS, np.random.default_rng(15))
+    assert np.max(np.abs(taps - taps[0])) <= 1e-13
+    assert np.count_nonzero(taps[0]) == 4
+
+
+@pytest.mark.parametrize("num_blocks", [64, MAX_BLOCKS])
+def test_lag_one_correlation_of_short_and_long_frames(num_blocks):
     # frames are independent, so their spread gives the Monte-Carlo error
     rng = np.random.default_rng(14)
-    fd_tb, frames = 0.077, 400
-    per_frame = np.empty(frames)
-    for i in range(frames):
+    fd_tb, num_frames = 0.077, 400
+    per_frame = np.empty(num_frames)
+    for i in range(num_frames):
         g = realize(preset_profile("flat", DESK_FS), fd_tb, 1.0, num_blocks, rng)[:, 0]
         per_frame[i] = np.mean(g[1:] * np.conj(g[:-1])).real
-    err = per_frame.std(ddof=1) / np.sqrt(frames)
+    err = per_frame.std(ddof=1) / np.sqrt(num_frames)
     assert abs(per_frame.mean() - r_t(1, fd_tb, 1.0)) <= 4.0 * err
 
 
 def test_taps_are_mutually_uncorrelated():
     prof = preset_profile("two_tap", DESK_FS)
     rng = np.random.default_rng(7)
-    taps = realize(prof, 0.02, 1.0, 100_000, rng)
-    g0, g1 = taps[:, 0], taps[:, 1]
+    taps = frames(prof, 0.02, 100_000, rng)
+    g0, g1 = taps[..., 0], taps[..., 1]
     rho = np.mean(g0 * np.conj(g1)) / np.sqrt(np.mean(np.abs(g0) ** 2) * np.mean(np.abs(g1) ** 2))
     assert abs(rho) <= 0.02
 
@@ -188,16 +198,16 @@ def test_taps_are_mutually_uncorrelated():
 def test_total_power_is_conserved_under_fading():
     prof = preset_profile("tu6", DESK_FS)
     rng = np.random.default_rng(8)
-    taps = realize(prof, 0.02, 1.0, 100_000, rng)
-    assert np.mean(np.sum(np.abs(taps) ** 2, axis=1)) == pytest.approx(1.0, abs=0.01)
+    taps = frames(prof, 0.02, 100_000, rng)
+    assert np.mean(np.sum(np.abs(taps) ** 2, axis=-1)) == pytest.approx(1.0, abs=0.01)
 
 
 def test_default_synthesis_autocorrelation():
     rng = np.random.default_rng(9)
-    g = realize(preset_profile("flat", DESK_FS), 0.02, 1.0, 30_000, rng)[:, 0]
+    g = frames(preset_profile("flat", DESK_FS), 0.02, 30_000, rng)[..., 0]
     p0 = np.mean(np.abs(g) ** 2)
     for p in range(1, 11):
-        emp = np.mean(g[p:] * np.conj(g[:-p])).real / p0
+        emp = lag_correlation(g, p) / p0
         assert abs(emp - j0(2 * np.pi * 0.02 * p)) < 0.05
 
 

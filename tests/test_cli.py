@@ -85,6 +85,14 @@ def test_missing_config_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_a_frame_past_the_longest_channel_draw_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text("num_symbols = 1024\ntrials = 1\nsnr_db = 20\n")
+    rc = main(["sweep", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "config error: num_symbols must lie in [1, 1023]" in capsys.readouterr().err
+
+
 def test_sfn_echo_past_the_fft_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "sfn.cfg"
     cfgfile.write_text("sfn_delay_us = 500\ntrials = 1\nsnr_db = 20\n")

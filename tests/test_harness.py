@@ -85,6 +85,21 @@ def test_config_rejections():
         resolve_config({"gi_len": 32})
 
 
+@pytest.mark.parametrize("num_symbols", [0, 1024])
+def test_a_frame_past_the_longest_channel_draw_is_a_config_error(num_symbols):
+    # a frame draws num_symbols + 1 blocks, and realize draws at most 1024
+    assert resolve_config({"num_symbols": 1023}).num_symbols == 1023
+    with pytest.raises(ConfigError, match=r"num_symbols must lie in \[1, 1023\]$"):
+        resolve_config({"num_symbols": num_symbols})
+
+
+def test_the_longest_accepted_frame_runs():
+    cfg = resolve_config({"estimator": "pn", "num_symbols": 1023, "trials": 1, "snr_db": "20"})
+    (row,) = run(cfg)
+    assert np.isfinite([row.mse_empirical, row.eps_analytic, row.ber_uncoded]).all()
+    assert row.mse_empirical < 0.1
+
+
 @pytest.mark.parametrize("order", [-1, 0, 1, 13])
 def test_invalid_pn_register_is_a_config_error(order):
     # the register fails in resolve_config, not later inside run()

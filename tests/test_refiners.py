@@ -1,5 +1,7 @@
 """Moving-average and Wiener refiners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,25 @@ def test_ma_2d_time_pairing_is_trailing_and_halves_noise():
     assert resid == pytest.approx(per_block.mean(), rel=1e-12)
     emp = np.mean(np.abs(out[1:]) ** 2)
     assert emp == pytest.approx(var / 2, rel=0.1)
+
+
+def test_ma_2d_design_memory_grows_with_the_blocks_squared_alone():
+    # the Jakes correlation of the blocks takes one r_t value per lag: a
+    # trapezoid sum for each of the n^2 (i, j) pairs would trace over
+    # 300 MiB at 225 blocks and fd tb 0.25
+    gains, _ = ma_1d(512, 9, input_err_var=0.1, profile=_SKEWED)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ma_2d(225, 2, gains, input_err_var=0.1, profile=_SKEWED, fd_hz=0.25, tb_s=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / 2**20 <= 4.0
 
 
 @pytest.mark.parametrize("m_t", [1, 2, 3, 4])
