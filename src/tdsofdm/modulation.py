@@ -97,7 +97,8 @@ def hard_decisions(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     in-phase then quadrature labels in symbol order.
     """
     v = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64).reshape(-1)
-    level = np.zeros(v.shape, dtype=np.intp)
+    # at most sqrt(M) - 1 = 7 midpoints lie below a value
+    level = np.zeros(v.shape, dtype=np.uint8)
     above = np.empty(v.shape, dtype=bool)
     for mid in (c.levels[1:] + c.levels[:-1]) / 2:
         np.less_equal(v, mid, out=above)

@@ -15,10 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import expit, logsumexp
 
 from tdsofdm import FrameGrid, PowerDelayProfile, build_gi, generate_mseq, r_t, realize
-from tdsofdm.soft_rebuild import LLR_MAX
 
 
 def naive_unitary_dft(x: np.ndarray) -> np.ndarray:
@@ -83,24 +81,6 @@ def where_equalize(y, h_est):
     ok = (p >= thr) & (p > 0)
     z = np.where(ok, y / np.where(ok, h_est, 1.0), 0.0)
     return FrameGrid(data=z, mask=np.broadcast_to(ok, z.shape))
-
-
-def einsum_soft_symbols(llr, c):
-    """soft_symbols with every level's probability stacked, then one einsum
-    against the levels: the library accumulates the same products level by
-    level, bit for bit.  p1 is the same logistic expression, so that the
-    two share its exp."""
-    with np.errstate(over="ignore"):
-        p1 = 1.0 / (1.0 + np.exp(-np.moveaxis(llr, -1, 0)))
-    p1 = p1.reshape((2, -1) + p1.shape[1:])
-    factor = (1.0 - p1[:, 0], p1[:, 0])
-    prob = np.stack([factor[bit] for bit in c.axis_labels[:, 0]])
-    for l in range(1, p1.shape[1]):
-        factor = (1.0 - p1[:, l], p1[:, l])
-        for k, bit in enumerate(c.axis_labels[:, l]):
-            prob[k] *= factor[bit]
-    mean = np.einsum("q...,q->...", prob, c.levels)
-    return mean[0] + 1j * mean[1]
 
 
 def frames(prof, fd_tb, total, rng, num_blocks=64):
@@ -250,92 +230,9 @@ def reference_impute(values, mask):
     return v.reshape(np.shape(values))
 
 
-def reference_demap(z, h, noise_var, c):
-    """Generic per-bit LLRs: a log-sum-exp over all 2^m points per bit,
-    clipped to +-LLR_MAX."""
-    h = np.asarray(h, dtype=np.complex128)
-    p = np.broadcast_to(np.abs(h) ** 2, z.data.shape)
-    ok = p > 0
-    if z.mask is not None:
-        ok = ok & z.mask
-    sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), 1e-30)
-
-    d = np.abs(z.data[..., None] - c.points) ** 2
-    ll = -d / sigma2[..., None]
-    m = c.bits_per_symbol
-    out = np.empty(z.data.shape + (m,), dtype=np.float64)
-    for l in range(m):
-        one = c.bit_labels[:, l] == 1
-        out[..., l] = logsumexp(ll[..., one], axis=-1) - logsumexp(ll[..., ~one], axis=-1)
-    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
-    out[~ok] = 0.0
-    return out
-
-
-def per_class_demap(z, h_est, noise_var, c):
-    """The per-bit form of demap: for each bit, the level distances
-    relative to level 0 over its two label classes, each class shifted by
-    its own smallest term before its exponentials are summed.  It takes
-    sqrt(M) exponentials per bit where demap takes sqrt(M) per axis value,
-    and handles saturation, masking and the QPSK LLR the same way."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
-    shape = z.data.shape
-    p = np.abs(h_est)
-    np.square(p, out=p)
-    p = np.broadcast_to(p, shape)
-    ok = p > 0
-    if z.mask is not None:
-        ok &= z.mask
-    sigma2 = np.where(ok, p, 1.0)
-    with np.errstate(over="ignore"):
-        np.divide(noise_var, sigma2, out=sigma2)
-    np.maximum(sigma2, 1e-30, out=sigma2)
-    # I/Q on the leading axis, so every pass below runs over whole cell grids
-    axes = np.stack([z.data.real, z.data.imag])
-    levels = c.levels
-    half = c.axis_labels.shape[1]
-    out = np.empty((2, half) + shape, dtype=np.float64)
-    if levels.size == 2:
-        # one level per class, the negative of the other: the same
-        # expression as demap's, so the two agree to the last bit
-        level0, level1 = levels[np.argsort(c.axis_labels[:, 0], kind="stable")]
-        with np.errstate(over="ignore"):
-            np.divide(axes, sigma2, out=out[:, 0])
-            out[:, 0] *= 2.0 * (level1 - level0)
-    else:
-        span = levels[-1] - levels[0]
-        scale = 2.0 * span / sigma2
-        for l in range(half):
-            # (class, level, 2 axes, ...), class 0 first: (d_j - d_0) / scale,
-            # and a class's log-likelihood sum is
-            # log(sum exp((low - terms) scale)) - low scale, low its smallest term
-            classes = levels[np.argsort(c.axis_labels[:, l], kind="stable")].reshape(2, -1)
-            shaped = classes.shape + (1,) * axes.ndim
-            terms = (axes - ((levels[0] + classes) / 2).reshape(shaped)) * ((levels[0] - classes) / span).reshape(shaped)
-            low = np.min(terms, axis=1)
-            with np.errstate(over="ignore"):
-                # a term under e^-700 cannot move a sum that holds a 1
-                shifted = np.maximum((low[:, None] - terms) * scale, -700.0)
-                lse = np.log(np.sum(np.exp(shifted), axis=1))
-                out[:, l] = (low[0] - low[1]) * scale + lse[1] - lse[0]
-    out = out.reshape((2 * half,) + shape)
-    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
-    out[:, ~ok] = 0.0
-    # bit-major in memory; the (..., bits) view costs no transpose
-    return np.moveaxis(out, 0, -1)
-
-
-def exact_demap(z, h_est, noise_var, c):
-    """demap's LLRs computed exactly from its float sigma2, clipped to
-    +-LLR_MAX.
-
-    Each cell's noise variance is formed in float64 as demap forms it; from
-    there each bit's LLR is a log-sum-exp in mpmath at 700 digits, each
-    class shifted by its own smallest distance d = (x - level)^2 / sigma2.
-    At |x| up to 1.8e308 and sigma2 down to 1e-30 a d reaches 3e646, and
-    700 digits still resolve the level spacing in it.
-    """
+def _cell_sigma2(z, h_est, noise_var):
+    """Each cell's post-equalization noise variance as demap forms it in
+    float64, and the cells it treats as usable."""
     shape = z.data.shape
     p = np.broadcast_to(np.abs(h_est) ** 2, shape)
     ok = p > 0
@@ -343,38 +240,65 @@ def exact_demap(z, h_est, noise_var, c):
         ok = ok & z.mask
     with np.errstate(over="ignore"):
         sigma2 = np.maximum(noise_var / np.where(ok, p, 1.0), 1e-30)
-    half = c.axis_labels.shape[1]
-    out = np.zeros(shape + (2 * half,), dtype=np.float64)
-    with mpmath.workdps(700):
-        levels = [mpmath.mpf(float(v)) for v in c.levels]
-        for idx in zip(*np.nonzero(ok)):
-            s2 = mpmath.mpf(float(sigma2[idx]))
-            for a, x in enumerate((z.data[idx].real, z.data[idx].imag)):
-                d = [(mpmath.mpf(float(x)) - v) ** 2 / s2 for v in levels]
-                for l in range(half):
-                    lse = []
-                    for b in (0, 1):
-                        cls = [dj for dj, lab in zip(d, c.axis_labels[:, l]) if lab == b]
-                        low = min(cls)
-                        # a term under e^-2000 cannot move a 700-digit sum that holds a 1
-                        terms = [mpmath.exp(low - dj) for dj in cls if dj - low < 2000]
-                        lse.append(mpmath.log(mpmath.fsum(terms)) - low)
-                    out[idx + (a * half + l,)] = float(max(-LLR_MAX, min(LLR_MAX, lse[1] - lse[0])))
+    return sigma2, ok
+
+
+def _digits(x, sigma2):
+    """mpmath digits that resolve the level spacing in a distance
+    (x - level)^2 / sigma2: 40 past its magnitude, at most 700 (at |x| up to
+    1.8e308 and sigma2 down to 1e-30 a distance reaches 3e646)."""
+    return 40 + max(0, int(2.0 * np.log10(abs(x) + 2.0) - np.log10(min(sigma2, 1e300))))
+
+
+def _weighted_means(values, d):
+    """sum_j v_j e^-d_j / sum_j e^-d_j in mpmath for each sequence v of
+    values, shifted by the smallest d; a term under e^-2000 cannot move the
+    sum, which holds a 1."""
+    low = min(d)
+    keep = [(j, mpmath.exp(low - dj)) for j, dj in enumerate(d) if dj - low < 2000]
+    total = mpmath.fsum(t for _, t in keep)
+    return [float(mpmath.fsum(v[j] * t for j, t in keep) / total) for v in values]
+
+
+def exact_posterior_mean(z, h_est, noise_var, c):
+    """The posterior-mean symbol of each cell, exactly, from demap's float sigma2.
+
+    Each axis value x of a usable cell gives
+    sum_j l_j e^-(x - l_j)^2 / sigma2 / sum_j e^-(x - l_j)^2 / sigma2 over
+    the levels l_j, in mpmath at up to 700 digits.  Cells that demap treats
+    as unusable give 0; a sigma2 past the float range (inf) gives equal
+    terms, so 0 too.
+    """
+    sigma2, ok = _cell_sigma2(z, h_est, noise_var)
+    out = np.zeros(z.data.shape, dtype=np.complex128)
+    for idx in zip(*np.nonzero(ok)):
+        s2 = float(sigma2[idx])
+        mean = []
+        for x in (z.data[idx].real, z.data[idx].imag):
+            with mpmath.workdps(_digits(x, s2)):
+                levels = [mpmath.mpf(float(v)) for v in c.levels]
+                var = mpmath.mpf(s2)
+                (m,) = _weighted_means([levels], [(mpmath.mpf(float(x)) - v) ** 2 / var for v in levels])
+                mean.append(m)
+        out[idx] = complex(*mean)
     return out
 
 
-def reference_soft_symbols(llr_values, c):
-    """Posterior mean over all 2^m points, each weighted by the product of
-    its label's bit probabilities."""
-    p1 = expit(llr_values)
-    m = c.bits_per_symbol
-    mu = c.points.size
-    prob = np.ones(llr_values.shape[:-1] + (mu,), dtype=np.float64)
-    for l in range(m):
-        bit = c.bit_labels[:, l].astype(bool)
-        pl = p1[..., l : l + 1]
-        prob *= np.where(bit, pl, 1.0 - pl)
-    return prob @ c.points
+def brute_force_posterior_mean(z, h_est, noise_var, c):
+    """The posterior mean over all M points of each cell, from demap's float sigma2:
+    sum_s s e^-|z - s|^2 / sigma2 / sum_s e^-|z - s|^2 / sigma2, in mpmath.
+    Cells that demap treats as unusable give 0."""
+    sigma2, ok = _cell_sigma2(z, h_est, noise_var)
+    out = np.zeros(z.data.shape, dtype=np.complex128)
+    for idx in zip(*np.nonzero(ok)):
+        v, s2 = z.data[idx], float(sigma2[idx])
+        with mpmath.workdps(_digits(max(abs(v.real), abs(v.imag)), s2)):
+            x, y, var = mpmath.mpf(v.real), mpmath.mpf(v.imag), mpmath.mpf(s2)
+            pts = [(mpmath.mpf(p.real), mpmath.mpf(p.imag)) for p in c.points]
+            d = [((x - pr) ** 2 + (y - pi) ** 2) / var for pr, pi in pts]
+            re, im = _weighted_means([[pr for pr, _ in pts], [pi for _, pi in pts]], d)
+            out[idx] = complex(re, im)
+    return out
 
 
 def reference_hard_decisions(symbols, c):

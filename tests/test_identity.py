@@ -2,7 +2,7 @@
 
 import pytest
 
-from identity_corpus import CONFIGS, DATA, FLOAT_COLUMNS, fresh_text, rows, stored_text
+from identity_corpus import CONFIGS, DATA, FLOAT_COLUMNS, REL_TOL, fresh_text, rows, stored_text
 
 from tdsofdm import CSV_HEADER
 
@@ -22,6 +22,6 @@ def test_sweep_matches_the_stored_corpus(name):
     for g, w in zip(got_rows, want_rows):
         for key in w:
             if key in FLOAT_COLUMNS:
-                assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-10, abs=0.0), (key, g, w)
+                assert float(g[key]) == pytest.approx(float(w[key]), rel=REL_TOL, abs=0.0), (key, g, w)
             else:
                 assert g[key] == w[key], (key, g, w)
