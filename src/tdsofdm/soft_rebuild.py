@@ -52,8 +52,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
     shape = z.data.shape
-    sigma2 = np.abs(h_est)
-    np.square(sigma2, out=sigma2)
+    sigma2 = np.square(np.abs(h_est), dtype=np.float64)
     ok = sigma2 > 0
     if z.mask is not None:
         ok = ok & z.mask
