@@ -52,14 +52,13 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
     shape = z.data.shape
-    sigma2 = np.square(np.abs(h_est), dtype=np.float64)
+    sigma2 = np.abs(h_est)
+    np.square(sigma2, out=sigma2)
     ok = sigma2 > 0
     if z.mask is not None:
         ok = ok & z.mask
-    usable = ok.all()
-    if not usable:
-        sigma2 = np.where(ok, sigma2, 1.0)
     # the post-equalization noise variance of each cell
+    sigma2 = np.where(ok, sigma2, 1.0)
     with np.errstate(over="ignore"):
         np.divide(noise_var, sigma2, out=sigma2)
     np.maximum(sigma2, 1e-30, out=sigma2)
@@ -77,8 +76,7 @@ def demap(z: FrameGrid, h_est: np.ndarray, noise_var: float, c: Constellation) -
     # exp runs many times slower where it underflows
     np.maximum(lik, -700.0, out=lik)
     np.exp(lik, out=lik)
-    if not usable:
-        np.copyto(lik, 1.0, where=~np.broadcast_to(ok, shape))
+    np.copyto(lik, 1.0, where=~ok)
     return lik
 
 
@@ -125,7 +123,7 @@ def instantaneous_estimate(x_hat: np.ndarray, y: np.ndarray, c: Constellation) -
     eta = np.abs(x_hat)
     np.square(eta, out=eta)
     reliable = eta >= RELIABILITY_FLOOR * ea
-    unreliable = None if reliable.all() else ~reliable
+    unreliable = ~reliable
     values = np.conj(x_hat)
     values *= y
     if c.uniform_power:
@@ -133,11 +131,9 @@ def instantaneous_estimate(x_hat: np.ndarray, y: np.ndarray, c: Constellation) -
         weights = np.divide(eta, ea**2, out=eta)
     else:
         # each bin's own rebuilt power, 1 where it is unreliable
-        if unreliable is not None:
-            eta[unreliable] = 1.0
+        eta[unreliable] = 1.0
         values /= eta
         weights = np.divide(1.0, eta, out=eta)
-    if unreliable is not None:
-        values[unreliable] = 0.0
-        weights[unreliable] = 0.0
+    values[unreliable] = 0.0
+    weights[unreliable] = 0.0
     return InstantEstimate(values=values, mask=reliable, weights=weights)
